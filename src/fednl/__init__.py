@@ -11,7 +11,7 @@ constants round out the toolkit.
 from .contribution import (GAMMA_MIN, ContributionWeights, DegenerateAggregateError,
                            InfluenceState, contributions, decay_factor, effective_sizes,
                            influence, leave_one_out_aggregate, size_weights)
-from .data import (OUT_OF_SPACE, ColumnSchema, Dataset, FoldSplit, Instance, LabelSkew,
+from .data import (OUT_OF_SPACE, ColumnSchema, Dataset, FoldSplit, LabelSkew,
                    ParseError, PartitionError, SchemaError, ShuffleSplit, SplitError,
                    class_subset, concat_datasets, load_dataset, partition_non_iid,
                    save_dataset, split_three_folds, synth_gaussian)
@@ -32,9 +32,9 @@ from .rounds import (BComponents, MeasurementError, NoStrongConvexityError, Opti
                      RoundEstimate, RoundParams, SmoothnessParams, compute_B,
                      estimate_rounds, measure_b_components, measure_init_gap,
                      measure_smoothness, solve_optimum, verify_rate)
-from .trainer import (Batch, Constant, Diminishing, DivergenceError, ModelParams,
+from .trainer import (Constant, Diminishing, DivergenceError, ModelParams,
                       TrainerConfig, epoch_batches, gradient, init_model, load_model,
-                      loss, lr_at, predict, sample_batch, save_model, smoothness_bound,
+                      loss, lr_at, predict, save_model, smoothness_bound,
                       steps_per_round, train_local)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,9 +2,10 @@
 
 A participant's influence this round is how much the server-test loss moves
 when its model is left out of the aggregate, accumulated over rounds with a
-decay factor; weights are the normalized reciprocals, so low-influence
-(high-noise) participants contribute less. Sizes entering the leave-one-out
-aggregates are noise-adjusted effective sizes.
+decay factor. Weights are the normalized reciprocals, epsilon_i proportional
+to 1/gamma_i, so a participant whose removal moves the loss least gets the
+largest weight and a high-influence participant gets a small one. Sizes
+entering the leave-one-out aggregates are noise-adjusted effective sizes.
 """
 
 from dataclasses import dataclass
@@ -112,14 +113,13 @@ def decay_factor(eta: float, l2_lambda: float, epochs: int) -> float:
 
 def influence(i: int, models: list[ModelParams], sizes, aggregated: ModelParams,
               server_test: Dataset, gamma_prev: float, eta: float,
-              trainer_config: TrainerConfig, gamma_min: float = GAMMA_MIN,
-              matrix_norm: bool = False) -> InfluenceState:
+              trainer_config: TrainerConfig, matrix_norm: bool = False) -> InfluenceState:
     """One participant's influence update for the round just aggregated.
 
     The instantaneous term is the absolute server-test loss change between
     the broadcast aggregate and the leave-one-out aggregate (or, behind the
     flag, the spectral norm of the weight difference); history decays by the
-    contraction factor. The result is floored at gamma_min so downstream
+    contraction factor. The result is floored at GAMMA_MIN so downstream
     reciprocals stay finite.
     """
     loo = leave_one_out_aggregate(models, sizes, i)
@@ -129,7 +129,7 @@ def influence(i: int, models: list[ModelParams], sizes, aggregated: ModelParams,
         lam = trainer_config.l2_lambda
         s = abs(loss(loo, server_test, lam) - loss(aggregated, server_test, lam))
     q_hat = decay_factor(eta, trainer_config.l2_lambda, trainer_config.local_epochs)
-    gamma = max(gamma_min, q_hat * gamma_prev + s)
+    gamma = max(GAMMA_MIN, q_hat * gamma_prev + s)
     sizes = np.asarray(sizes, dtype=np.float64)
     return InfluenceState(
         gamma_prev=gamma_prev,

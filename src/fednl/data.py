@@ -37,16 +37,6 @@ class SplitError(ValueError):
 
 
 @dataclass(frozen=True)
-class Instance:
-    """One labeled instance. ``true_label`` is None when unknown."""
-
-    id: int
-    features: np.ndarray
-    observed_label: int
-    true_label: int | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable block of instances.
 
@@ -102,15 +92,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def instance(self, position: int) -> Instance:
-        tru = None if self.true_labels is None else int(self.true_labels[position])
-        return Instance(
-            id=int(self.ids[position]),
-            features=self.features[position],
-            observed_label=int(self.observed_labels[position]),
-            true_label=tru,
-        )
 
     def take(self, positions: np.ndarray, name: str | None = None) -> "Dataset":
         """Sub-dataset at the given row positions, order preserved."""

@@ -1,11 +1,9 @@
 """Federated round loop: broadcast, local training, weighted aggregation.
 
-Two entry points share every primitive. ``run_fednl`` runs the full
-pipeline: per-participant noise estimation, server-assisted normalization,
-then rounds aggregated with influence-based weights. ``run_fedavg`` is the
-size-weighted baseline with none of that. With both pipeline stages disabled
-and size weighting selected, run_fednl performs the exact same float
-operations as run_fedavg, so the reduction is bitwise.
+``run_fednl`` runs the full pipeline: per-participant noise estimation,
+server-assisted normalization, then rounds aggregated with influence-based
+weights. FedAvg is the same loop with both procedures off and
+``fedavg-size`` weighting; ``run_fedavg`` is that call.
 """
 
 from dataclasses import dataclass, replace
@@ -50,7 +48,6 @@ class FederationConfig:
     matrix_norm_influence: bool = False
     demand_cap: str = "size"
     per_class_resplit: bool = False
-    gamma_min: float = GAMMA_MIN
     init_scale: float = 0.01
     participant_seeds: tuple[int, ...] | None = None
 
@@ -67,8 +64,6 @@ class FederationConfig:
             raise ValueError("server_test_fraction must lie in [0, 1)")
         if self.participant_seeds is not None and len(self.participant_seeds) != self.n_participants:
             raise ValueError("participant_seeds must have one entry per participant")
-        if self.gamma_min <= 0.0:
-            raise ValueError("gamma_min must be positive")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be non-negative")
 
@@ -241,7 +236,7 @@ def run_fednl(config: FederationConfig, participant_datasets,
 
     d, c = datasets[0].d, datasets[0].class_count
     broadcast = server_init(d, c, config.seed, config.init_scale)
-    gammas = [config.gamma_min] * n
+    gammas = [GAMMA_MIN] * n
     if config.weighting == "fednl":
         eps = contributions(gammas)
     else:
@@ -263,8 +258,7 @@ def run_fednl(config: FederationConfig, participant_datasets,
             if n >= 2:
                 states = [
                     influence(i, local_models, m_sizes, agg, test, gammas[i], rates[i],
-                              config.trainer, gamma_min=config.gamma_min,
-                              matrix_norm=config.matrix_norm_influence)
+                              config.trainer, matrix_norm=config.matrix_norm_influence)
                     for i in range(n)
                 ]
                 gammas = [st.gamma for st in states]
@@ -299,62 +293,17 @@ def run_fednl(config: FederationConfig, participant_datasets,
 
 def run_fedavg(config: FederationConfig, participant_datasets,
                server_dataset: Dataset | None = None) -> RunReport:
-    """Size-weighted baseline: no estimation, no exchange, no influence.
+    """Size-weighted baseline: run_fednl with no estimation, no exchange, no influence.
 
-    The optional server dataset is split exactly as in run_fednl and used
-    only for per-round evaluation, so paired comparisons score both
-    algorithms on the same held-out split.
+    The procedure and weighting fields of ``config`` are overridden, and the
+    report carries the config actually run. The optional server dataset is
+    split exactly as in the full pipeline and used only for per-round
+    evaluation, so paired comparisons score both algorithms on the same
+    held-out split.
     """
-    datasets = list(participant_datasets)
-    n = config.n_participants
-    if len(datasets) != n:
-        raise ValueError(f"config says {n} participants, got {len(datasets)} datasets")
-    _check_disjoint_ids(datasets, server_dataset)
-    test = None
-    if server_dataset is not None:
-        _, test = split_server(server_dataset, config.server_test_fraction, config.seed)
-
-    train_sets = [ds.training_view().in_space() for ds in datasets]
-    sizes = [ds.n for ds in train_sets]
-    eps = size_weights(sizes)
-
-    d, c = datasets[0].d, datasets[0].class_count
-    broadcast = server_init(d, c, config.seed, config.init_scale)
-    records: list[RoundRecord] = []
-    snapshot = None
-    local_models: list[ModelParams] = []
-    step_bases = [0] * n
-    for t in range(1, config.rounds + 1):
-        local_models, local_losses, rates = _train_all(broadcast, train_sets, config, t,
-                                                       step_bases)
-        agg = aggregate(local_models, eps)
-        global_loss = float(np.dot(eps.epsilon, local_losses))
-        if test is not None and test.n:
-            snapshot = evaluate(agg, test, scope="global")
-        records.append(RoundRecord(
-            t=t,
-            learning_rates=tuple(rates),
-            local_losses=tuple(local_losses),
-            global_loss=global_loss,
-            epsilon=tuple(float(v) for v in eps.epsilon),
-            gamma=None,
-            cumulative_epochs=t * config.trainer.local_epochs,
-            global_accuracy=None if snapshot is None else snapshot.accuracy,
-            global_macro_f1=None if snapshot is None else snapshot.macro_f1,
-        ))
-        broadcast = agg
-
-    return RunReport(
-        records=tuple(records),
-        global_model=broadcast,
-        local_models=tuple(local_models),
-        final_metrics=snapshot,
-        estimates=None,
-        transcripts=None,
-        training_sizes=tuple(sizes),
-        betas=tuple(0.0 for _ in range(n)),
-        config=config,
-    )
+    return run_fednl(replace(config, run_procedure1=False, run_procedure2=False,
+                             weighting="fedavg-size"),
+                     participant_datasets, server_dataset)
 
 
 def record_to_dict(record: RoundRecord) -> dict:

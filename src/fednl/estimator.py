@@ -76,8 +76,8 @@ class NoiseEstimate:
         return tuple(out)
 
 
-def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig, seed_keys: tuple,
-                   train_fn) -> dict[int, tuple[int, int]]:
+def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
+                   seed_keys: tuple) -> dict[int, tuple[int, int]]:
     """Train one fresh model per fold, predict the other two folds.
 
     Returns id -> (pred, pred) from the two models that never trained on the
@@ -88,7 +88,7 @@ def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig, seed_keys: t
     for j, fold in enumerate(split.folds):
         model = init_model(dataset.d, dataset.class_count)
         cfg = replace(trainer_config, seed=derive_seed(*seed_keys, 1 + j))
-        model, _ = train_fn(model, fold.training_view(), cfg)
+        model, _ = train_local(model, fold.training_view(), cfg)
         for other in (split.folds[(j + 1) % 3], split.folds[(j + 2) % 3]):
             labels = predict(model, other.features)
             for pos in range(other.n):
@@ -123,7 +123,7 @@ def _score_class(dataset: Dataset, k: int,
 
 
 def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
-                   per_class_resplit: bool = False, train_fn=None) -> NoiseEstimate:
+                   per_class_resplit: bool = False) -> NoiseEstimate:
     """Run the three-fold cross-prediction estimate on one participant's data.
 
     The default splits the dataset once and scores every class against the
@@ -131,7 +131,6 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     and re-trains per class (3c trainings), matching the procedure text that
     nests the split inside the class loop; the agreement rule is identical.
     """
-    train_fn = train_fn or train_local
     in_space = dataset.in_space()
     if in_space.n < 3:
         raise EstimationError(
@@ -141,11 +140,11 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     trainings = 0
     if per_class_resplit:
         for k in range(c):
-            preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k), train_fn)
+            preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k))
             trainings += 3
             estimates.append(_score_class(in_space, k, preds))
     else:
-        preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0), train_fn)
+        preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))
         trainings = 3
         for k in range(c):
             estimates.append(_score_class(in_space, k, preds))

@@ -137,7 +137,7 @@ def fulfill_demands(plan: DemandPlan, server_class_sizes) -> DemandPlan:
 
 def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Dataset,
                    plan: DemandPlan, seed: int, trainer_config: TrainerConfig,
-                   per_class_resplit: bool = False, train_fn=None) -> ExchangeResult:
+                   per_class_resplit: bool = False) -> ExchangeResult:
     """Drop removed instances, pull the granted server instances, re-estimate.
 
     Transfers are sampled uniformly without replacement from the server's
@@ -189,7 +189,7 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
         np.array([], dtype=np.int64))
     new_estimate = estimate_noise(
         new_dataset, trainer_config, derive_seed(seed, EXCHANGE, c),
-        per_class_resplit=per_class_resplit, train_fn=train_fn)
+        per_class_resplit=per_class_resplit)
     transcript = ExchangeTranscript(
         demands={k: plan.demanded[k] for k in plan.demanding_classes},
         delta1=plan.delta1,
@@ -205,12 +205,12 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
 
 def normalize_noise(participant: Dataset, estimate: NoiseEstimate, server: Dataset,
                     seed: int, trainer_config: TrainerConfig, demand_cap: str = "size",
-                    per_class_resplit: bool = False, train_fn=None) -> ExchangeResult:
+                    per_class_resplit: bool = False) -> ExchangeResult:
     """Full normalization pass: demands, grants, transfer, re-estimate."""
     plan = compute_demands(estimate, participant.class_sizes(), demand_cap=demand_cap)
     plan = fulfill_demands(plan, server.class_sizes())
     return apply_exchange(participant, estimate, server, plan, seed, trainer_config,
-                          per_class_resplit=per_class_resplit, train_fn=train_fn)
+                          per_class_resplit=per_class_resplit)
 
 
 def transcript_to_dict(transcript: ExchangeTranscript) -> dict:

@@ -43,11 +43,6 @@ class TransitionMatrix:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def flip_rates(self) -> np.ndarray:
-        """Per-class probability of observing anything other than the true label."""
-        return 1.0 - np.diag(self.probs[:, : self.class_count])
-
 
 def symmetric_matrix(c: int, beta: float) -> TransitionMatrix:
     """Uniform channel: stay with 1 - beta, spread beta evenly over the others."""

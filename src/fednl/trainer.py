@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import TRAIN, derive_rng
-from .data import OUT_OF_SPACE, Dataset, Instance
+from .data import OUT_OF_SPACE, Dataset
 
 
 class DivergenceError(RuntimeError):
@@ -101,16 +101,6 @@ class TrainerConfig:
         lr_at(self.lr_schedule, 1)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Instance ids of one without-replacement sample."""
-
-    ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def init_model(d: int, c: int, seed: int | None = None, scale: float = 0.0) -> ModelParams:
     """Fresh model: zeros, or N(0, scale^2) entries when seed and scale are given."""
     if seed is None or scale == 0.0:
@@ -156,11 +146,9 @@ def gradient(model: ModelParams, batch: Dataset, l2_lambda: float = 0.0) -> np.n
 def predict(model: ModelParams, x):
     """Most probable class; ties go to the lowest class index.
 
-    Accepts an Instance or a 1-D feature vector (returns an int) or a 2-D
-    feature matrix (returns an int array, one label per row).
+    Accepts a 1-D feature vector (returns an int) or a 2-D feature matrix
+    (returns an int array, one label per row).
     """
-    if isinstance(x, Instance):
-        x = x.features
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -174,12 +162,6 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.
     batch = min(batch_size, n)
     order = rng.permutation(n)
     return [order[start:start + batch] for start in range(0, n, batch)]
-
-
-def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> Batch:
-    """One uniform without-replacement batch, for measurement code."""
-    rows = rng.choice(dataset.n, size=min(batch_size, dataset.n), replace=False)
-    return Batch(ids=tuple(int(dataset.ids[r]) for r in np.sort(rows)))
 
 
 def train_local(model: ModelParams, dataset: Dataset, config: TrainerConfig,

@@ -139,13 +139,16 @@ def test_build_trainer_config_diminishing_defaults_theta():
 def test_build_federation_config_mirrors_pipeline_flags():
     text = (
         "seed = 1\npipeline.procedure1 = false\npipeline.procedure2 = false\n"
-        "pipeline.weighting = fedavg-size\nrounds = 3\n"
+        "pipeline.weighting = fedavg-size\npipeline.matrix_norm_influence = true\n"
+        "rounds = 3\n"
     )
     federation = build_federation_config(parse_config_text(text))
     assert not federation.run_procedure1
     assert not federation.run_procedure2
     assert federation.weighting == "fedavg-size"
+    assert federation.matrix_norm_influence
     assert federation.rounds == 3
+    assert not build_federation_config(parse_config_text("seed = 1\n")).matrix_norm_influence
 
 
 def test_noisy_participants_all_and_list():

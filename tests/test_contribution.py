@@ -119,6 +119,19 @@ def test_history_decay_applied():
     assert state.gamma == pytest.approx(q_hat * prev + state.instantaneous)
 
 
+def test_matrix_norm_influence_is_spectral_norm_of_loo_shift():
+    server_test, config = _influence_setup(5)
+    rng = np.random.default_rng(5)
+    models = [ModelParams(rng.normal(scale=0.4, size=(3, 2)), 2) for _ in range(3)]
+    sizes = [8.0, 12.0, 10.0]
+    agg = leave_one_out_aggregate(models + [models[0]], sizes + [0.0], 3)
+    loo = leave_one_out_aggregate(models, sizes, 2)
+    state = influence(2, models, sizes, agg, server_test, gamma_prev=0.0, eta=0.05,
+                      trainer_config=config, matrix_norm=True)
+    assert state.instantaneous == np.linalg.norm(loo.weights - agg.weights, 2)
+    assert state.instantaneous > 0
+
+
 def test_decay_factor_values():
     assert decay_factor(0.1, 0.0, 5) == pytest.approx(1.0)
     assert decay_factor(0.1, 0.01, 1) == pytest.approx(0.999)

@@ -117,12 +117,12 @@ def test_fedavg_reduction_is_bitwise():
         n_participants=4, rounds=5, trainer=trainer, seed=4,
         run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
     )
-    fedavg_config = FederationConfig(
-        n_participants=4, rounds=5, trainer=trainer, seed=4,
-        run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
-    )
+    # Default flags (both procedures, influence weighting) and no server
+    # dataset: run_fedavg must override all three or run_fednl rejects it.
+    fedavg_config = FederationConfig(n_participants=4, rounds=5, trainer=trainer, seed=4)
     a = run_fednl(fednl_config, parts)
     b = run_fedavg(fedavg_config, parts)
+    assert b.config == fednl_config
     assert a.global_model.weights.tobytes() == b.global_model.weights.tobytes()
     for ra, rb in zip(a.records, b.records):
         assert ra.local_losses == rb.local_losses

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fednl import (
-    Batch,
     Constant,
     Diminishing,
     DivergenceError,
@@ -18,7 +17,6 @@ from fednl import (
     loss,
     lr_at,
     predict,
-    sample_batch,
     save_model,
     smoothness_bound,
     steps_per_round,
@@ -294,14 +292,6 @@ def test_epoch_batches_cover_dataset():
     batches = epoch_batches(10, 4, rng)
     assert [len(b) for b in batches] == [4, 4, 2]
     assert sorted(np.concatenate(batches).tolist()) == list(range(10))
-
-
-def test_sample_batch_without_replacement():
-    ds = synth_gaussian(2, 10, 1, 5.0, seed=14)
-    batch = sample_batch(ds, 8, derive_rng(14, 1))
-    assert isinstance(batch, Batch)
-    assert len(batch.ids) == 8
-    assert len(set(batch.ids)) == 8
 
 
 # ---------------------------------------------------------------- predict
