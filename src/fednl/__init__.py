@@ -10,7 +10,7 @@ constants round out the toolkit.
 
 from .contribution import (GAMMA_MIN, ContributionWeights, DegenerateAggregateError,
                            InfluenceState, contributions, decay_factor, effective_sizes,
-                           influence, leave_one_out_aggregate, size_weights)
+                           influence, leave_one_out_aggregates, size_weights)
 from .data import (OUT_OF_SPACE, ColumnSchema, Dataset, FoldSplit, LabelSkew,
                    ParseError, PartitionError, SchemaError, ShuffleSplit, SplitError,
                    class_subset, concat_datasets, load_dataset, partition_non_iid,

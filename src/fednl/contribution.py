@@ -6,6 +6,10 @@ decay factor. Weights are the normalized reciprocals, epsilon_i proportional
 to 1/gamma_i, so a participant whose removal moves the loss least gets the
 largest weight and a high-influence participant gets a small one. Sizes
 entering the leave-one-out aggregates are noise-adjusted effective sizes.
+
+One `influence` call per round updates every participant: it builds all n
+leave-one-out aggregates as one (n, d+1, c) stack, takes the aggregate's
+test loss once and scores the stack with batched matmuls.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .trainer import ModelParams, TrainerConfig, loss
+from .trainer import ModelParams, TrainerConfig, _augment, _losses, loss
 
 #: Influence floor keeping every 1/gamma finite.
 GAMMA_MIN = 1e-8
@@ -25,13 +29,16 @@ class DegenerateAggregateError(ValueError):
 
 @dataclass(frozen=True)
 class InfluenceState:
-    """One participant's influence bookkeeping for one round."""
+    """Every participant's influence bookkeeping for one round.
 
-    gamma_prev: float
-    gamma: float
-    q_hat: float
-    effective_size: float
-    instantaneous: float
+    Each field is a float64 vector with one entry per participant.
+    """
+
+    gamma_prev: np.ndarray
+    gamma: np.ndarray
+    q_hat: np.ndarray
+    effective_size: np.ndarray
+    instantaneous: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,24 +88,31 @@ def size_weights(sizes) -> ContributionWeights:
     return ContributionWeights(epsilon=sizes / total)
 
 
-def leave_one_out_aggregate(models: list[ModelParams], sizes, i: int) -> ModelParams:
-    """Size-weighted mean of every model except participant i's."""
-    if len(models) < 2:
+def leave_one_out_aggregates(models: list[ModelParams], sizes) -> np.ndarray:
+    """Size-weighted means of every model but one, as an (n, d+1, c) stack.
+
+    Entry i leaves out participant i. Each entry accumulates the other
+    models in ascending order with weights m_l / sum_{l != i} m_l, so it
+    equals the explicit per-i sum bit for bit (and does not cancel, as the
+    closed form (S - m_i W_i) / (M - m_i) can).
+    """
+    n = len(models)
+    if n < 2:
         raise ValueError("leave-one-out needs at least 2 participants")
-    if not 0 <= i < len(models):
-        raise ValueError(f"participant index {i} out of range")
     sizes = np.asarray(sizes, dtype=np.float64)
-    if sizes.shape != (len(models),):
+    if sizes.shape != (n,):
         raise ValueError("sizes must align with models")
-    keep = [l for l in range(len(models)) if l != i]
-    total = sizes[keep].sum()
-    if total <= 0:
-        raise DegenerateAggregateError(
-            f"all effective sizes besides participant {i}'s are zero")
-    weights = np.zeros_like(sizes)
-    weights[keep] = sizes[keep] / total
-    stacked = sum(weights[l] * models[l].weights for l in keep)
-    return ModelParams(weights=stacked, class_count=models[0].class_count)
+    coef = np.zeros((n, n))
+    for i, keep in enumerate(~np.eye(n, dtype=bool)):
+        total = sizes[keep].sum()
+        if total <= 0:
+            raise DegenerateAggregateError(
+                f"all effective sizes besides participant {i}'s are zero")
+        coef[i, keep] = sizes[keep] / total
+    stack = np.zeros((n,) + models[0].weights.shape)
+    for l, model in enumerate(models):
+        stack += coef[:, l, None, None] * model.weights
+    return stack
 
 
 def decay_factor(eta: float, l2_lambda: float, epochs: int) -> float:
@@ -111,31 +125,36 @@ def decay_factor(eta: float, l2_lambda: float, epochs: int) -> float:
     return base ** epochs
 
 
-def influence(i: int, models: list[ModelParams], sizes, aggregated: ModelParams,
-              server_test: Dataset, gamma_prev: float, eta: float,
-              trainer_config: TrainerConfig, matrix_norm: bool = False) -> InfluenceState:
-    """One participant's influence update for the round just aggregated.
+def influence(models: list[ModelParams], sizes, aggregated: ModelParams,
+              server_test: Dataset, gammas_prev, etas, trainer_config: TrainerConfig,
+              matrix_norm: bool = False) -> InfluenceState:
+    """Every participant's influence update for the round just aggregated.
 
-    The instantaneous term is the absolute server-test loss change between
-    the broadcast aggregate and the leave-one-out aggregate (or, behind the
-    flag, the spectral norm of the weight difference); history decays by the
-    contraction factor. The result is floored at GAMMA_MIN so downstream
-    reciprocals stay finite.
+    Participant i's instantaneous term is the absolute server-test loss
+    change between the broadcast aggregate and the aggregate without i (or,
+    behind the flag, the spectral norm of the weight difference); its
+    history ``gammas_prev[i]`` decays by the contraction factor at its rate
+    ``etas[i]``. Results are floored at GAMMA_MIN so downstream reciprocals
+    stay finite.
     """
-    loo = leave_one_out_aggregate(models, sizes, i)
-    if matrix_norm:
-        s = float(np.linalg.norm(loo.weights - aggregated.weights, 2))
-    else:
-        lam = trainer_config.l2_lambda
-        s = abs(loss(loo, server_test, lam) - loss(aggregated, server_test, lam))
-    q_hat = decay_factor(eta, trainer_config.l2_lambda, trainer_config.local_epochs)
-    gamma = max(GAMMA_MIN, q_hat * gamma_prev + s)
     sizes = np.asarray(sizes, dtype=np.float64)
+    gammas_prev = np.asarray(gammas_prev, dtype=np.float64)
+    if gammas_prev.shape != sizes.shape or len(etas) != sizes.size:
+        raise ValueError("gammas_prev and etas must have one entry per participant")
+    loo = leave_one_out_aggregates(models, sizes)
+    lam = trainer_config.l2_lambda
+    if matrix_norm:
+        s = np.linalg.norm(loo - aggregated.weights, 2, axis=(1, 2))
+    else:
+        base = loss(aggregated, server_test, lam)
+        s = np.abs(np.array(_losses(loo, _augment(server_test.features),
+                                    server_test.observed_labels, lam)) - base)
+    q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs) for eta in etas])
     return InfluenceState(
-        gamma_prev=gamma_prev,
-        gamma=gamma,
+        gamma_prev=gammas_prev,
+        gamma=np.fmax(GAMMA_MIN, q_hat * gammas_prev + s),
         q_hat=q_hat,
-        effective_size=float(sizes[i]),
+        effective_size=sizes,
         instantaneous=s,
     )
 

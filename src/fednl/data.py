@@ -107,10 +107,13 @@ class Dataset:
         )
 
     def by_ids(self, wanted_ids) -> "Dataset":
-        """Sub-dataset of the given instance ids, in this dataset's row order."""
-        wanted = set(int(i) for i in wanted_ids)
-        positions = np.array([j for j in range(self.n) if int(self.ids[j]) in wanted], dtype=np.int64)
-        return self.take(positions)
+        """Sub-dataset of the given instance ids, in this dataset's row order.
+
+        ``wanted_ids`` may come in any order and may name ids this dataset
+        does not hold; those are ignored.
+        """
+        wanted = np.asarray(wanted_ids, dtype=np.int64)
+        return self.take(np.flatnonzero(np.isin(self.ids, wanted)))
 
     def training_view(self) -> "Dataset":
         """Copy with true labels stripped; hand this to training/estimation code."""

@@ -129,13 +129,18 @@ def server_init(d: int, c: int, seed: int, scale: float = 0.01) -> ModelParams:
     return ModelParams(weights=weights, class_count=c)
 
 
+def _server_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (transfer pool, test split) row positions of an n-row server dataset."""
+    n_test = int(round(fraction * n))
+    order = derive_rng(seed, SERVER_SPLIT).permutation(n)
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
+
+
 def split_server(server: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split the server data into (transfer pool, held-out test split)."""
-    n_test = int(round(fraction * server.n))
-    order = derive_rng(seed, SERVER_SPLIT).permutation(server.n)
-    test = server.take(np.sort(order[:n_test]), name=f"{server.name}/test")
-    pool = server.take(np.sort(order[n_test:]), name=f"{server.name}/pool")
-    return pool, test
+    pool_rows, test_rows = _server_rows(server.n, fraction, seed)
+    return (server.take(pool_rows, name=f"{server.name}/pool"),
+            server.take(test_rows, name=f"{server.name}/test"))
 
 
 def _participant_seed(config: FederationConfig, i: int, tag: int, *extra: int) -> int:
@@ -225,7 +230,12 @@ def run_fednl(config: FederationConfig, participant_datasets,
         raise ValueError("this configuration needs a server dataset")
     pool = test = None
     if server_dataset is not None:
-        pool, test = split_server(server_dataset, config.server_test_fraction, config.seed)
+        # Only Procedure 2 reads the transfer pool.
+        pool_rows, test_rows = _server_rows(server_dataset.n, config.server_test_fraction,
+                                            config.seed)
+        test = server_dataset.take(test_rows, name=f"{server_dataset.name}/test")
+        if config.run_procedure2:
+            pool = server_dataset.take(pool_rows, name=f"{server_dataset.name}/pool")
         if config.weighting == "fednl" and test.n == 0:
             raise ValueError("influence weighting needs a non-empty server test split")
 
@@ -256,12 +266,9 @@ def run_fednl(config: FederationConfig, participant_datasets,
         gamma_rec = None
         if config.weighting == "fednl":
             if n >= 2:
-                states = [
-                    influence(i, local_models, m_sizes, agg, test, gammas[i], rates[i],
-                              config.trainer, matrix_norm=config.matrix_norm_influence)
-                    for i in range(n)
-                ]
-                gammas = [st.gamma for st in states]
+                gammas = influence(local_models, m_sizes, agg, test, gammas, rates,
+                                   config.trainer,
+                                   matrix_norm=config.matrix_norm_influence).gamma.tolist()
             gamma_rec = tuple(gammas)
         records.append(RoundRecord(
             t=t,

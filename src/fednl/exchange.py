@@ -151,9 +151,10 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     c = participant.class_count
     if server.class_count != c:
         raise ValueError("server and participant disagree on the class space")
-    overlap = set(int(i) for i in participant.ids) & set(int(i) for i in server.ids)
-    if overlap:
-        raise ValueError(f"participant and server share instance ids: {sorted(overlap)[:5]}")
+    overlap = np.intersect1d(participant.ids, server.ids)
+    if overlap.size:
+        raise ValueError(
+            f"participant and server share instance ids: {overlap[:5].tolist()}")
 
     class_sizes = participant.class_sizes()
     parts = []

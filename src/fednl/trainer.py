@@ -10,6 +10,7 @@ Learning rates come from a schedule indexed by the global SGD step, which
 advances across rounds; callers pass the step count already consumed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +123,56 @@ def _require_trainable(dataset: Dataset) -> None:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # The ufunc reductions that `.max` and `.sum` dispatch to, called
+    # directly: the same arithmetic without the wrappers' per-call cost.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
+                      stack: np.ndarray, l2_lambda: float) -> list[float]:
+    """`loss` of each model in an (m, d+1, c) weight stack from its (m, N, c) logits.
+
+    Each model's mean NLL and L2 term are reduced on their own, since a mean
+    along an axis of the stacked array sums in another order than the
+    single-model mean.
+    """
+    n = logits.shape[1]
+    picked = _log_softmax(logits)[:, np.arange(n), labels]
+    add = np.add.reduce
+    return [float(-(add(row) / n) + 0.5 * l2_lambda * add(w ** 2, axis=None))
+            for row, w in zip(picked, stack)]
+
+
+#: Logits scored per batched matmul in `_losses`. Blocks of 2**13 float64
+#: (64 KiB) keep each temporary small enough that scoring many models at once
+#: leaves peak memory where scoring them one by one does.
+_LOSS_BLOCK = 1 << 13
+
+
+def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
+            l2_lambda: float) -> list[float]:
+    """`loss` of every model in an (m, d+1, c) weight stack on augmented features x.
+
+    Blocks of models share one matmul and one log-softmax.
+    """
+    per_block = max(1, _LOSS_BLOCK // (x.shape[0] * stack.shape[2]))
+    out = []
+    for start in range(0, len(stack), per_block):
+        block = stack[start:start + per_block]
+        out.extend(_losses_of_logits(x @ block, labels, block, l2_lambda))
+    return out
 
 
 def loss(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> float:
     """Mean cross-entropy over the dataset plus (l2_lambda/2) ||W||^2."""
     _require_trainable(dataset)
-    logp = _log_softmax(_augment(dataset.features) @ model.weights)
-    nll = -logp[np.arange(dataset.n), dataset.observed_labels].mean()
-    return float(nll + 0.5 * l2_lambda * np.sum(model.weights ** 2))
+    # Let the augmented features go before the softmax temporaries exist:
+    # holding them made every call on a 5000-row set fault fresh pages in,
+    # about twice as slow.
+    weights = model.weights[None]
+    logits = _augment(dataset.features) @ weights
+    return _losses_of_logits(logits, dataset.observed_labels, weights, l2_lambda)[0]
 
 
 def gradient(model: ModelParams, batch: Dataset, l2_lambda: float = 0.0) -> np.ndarray:
@@ -185,22 +226,31 @@ def train_local(model: ModelParams, dataset: Dataset, config: TrainerConfig,
     weights = model.weights.copy()
     rng = derive_rng(config.seed, TRAIN)
     lam = config.l2_lambda
+    schedule = config.lr_schedule
+    fixed_eta = lr_at(schedule, global_step_base + 1) if isinstance(schedule, Constant) else None
+    add = np.add.reduce
+    # Row starts in a flattened (batch, c) array: a batch's label entries
+    # are `row_starts[:m] + yb`, cheaper to index than (rows, labels) pairs.
+    row_starts = np.arange(min(config.batch_size, n)) * model.class_count
     step = global_step_base
     for _ in range(config.local_epochs):
         for rows in epoch_batches(n, config.batch_size, rng):
             step += 1
+            m = len(rows)
             xb, yb = x[rows], y[rows]
+            picked = row_starts[:m] + yb
             logp = _log_softmax(xb @ weights)
-            batch_loss = -logp[np.arange(len(rows)), yb].mean() + 0.5 * lam * np.sum(weights ** 2)
-            if not np.isfinite(batch_loss):
+            nll = -(add(logp.ravel()[picked]) / m)
+            batch_loss = nll + 0.5 * lam * add(weights ** 2, axis=None)
+            if not math.isfinite(batch_loss):
                 raise DivergenceError(
                     f"loss went non-finite at global step {step}; lower the learning rate")
             probs = np.exp(logp)
-            probs[np.arange(len(rows)), yb] -= 1.0
-            grad = xb.T @ probs / len(rows) + lam * weights
-            weights -= lr_at(config.lr_schedule, step) * grad
+            probs.ravel()[picked] -= 1.0
+            grad = xb.T @ probs / m + lam * weights
+            weights -= (fixed_eta if fixed_eta is not None else lr_at(schedule, step)) * grad
     trained = ModelParams(weights=weights, class_count=model.class_count)
-    return trained, loss(trained, dataset, lam)
+    return trained, _losses(trained.weights[None], x, y, lam)[0]
 
 
 def steps_per_round(n: int, config: TrainerConfig) -> int:

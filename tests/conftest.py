@@ -26,6 +26,16 @@ def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"
     )
 
 
+def reference_loss(weights, dataset, l2_lambda):
+    """Regularized mean cross-entropy of one weight matrix, written out step by step."""
+    x = np.hstack([dataset.features, np.ones((dataset.n, 1))])
+    logits = x @ weights
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    nll = -logp[np.arange(dataset.n), dataset.observed_labels].mean()
+    return float(nll + 0.5 * l2_lambda * np.sum(weights ** 2))
+
+
 @pytest.fixture
 def tiny_dataset():
     """Nine linearly separated instances over three classes."""

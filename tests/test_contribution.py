@@ -14,13 +14,15 @@ from fednl import (
     effective_sizes,
     influence,
     inject_noise,
-    leave_one_out_aggregate,
+    leave_one_out_aggregates,
     partition_non_iid,
     run_fednl,
     ShuffleSplit,
     symmetric_matrix,
     synth_gaussian,
 )
+
+from conftest import reference_loss
 
 
 def model_of(values, c=2):
@@ -29,49 +31,59 @@ def model_of(values, c=2):
 
 # ---------------------------------------------------------------- leave-one-out
 
+def reference_loo(models, sizes, i):
+    """Participant i's leave-one-out aggregate as an explicit Python sum."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    keep = [l for l in range(len(models)) if l != i]
+    total = sizes[keep].sum()
+    weights = np.zeros_like(sizes)
+    weights[keep] = sizes[keep] / total
+    return sum(weights[l] * models[l].weights for l in keep)
+
+
 def test_loo_two_equal_excluding_first_gives_second():
     models = [model_of([[1.0, 2.0]]), model_of([[5.0, 6.0]])]
-    out = leave_one_out_aggregate(models, [10.0, 10.0], 0)
-    np.testing.assert_allclose(out.weights, models[1].weights)
+    out = leave_one_out_aggregates(models, [10.0, 10.0])
+    np.testing.assert_allclose(out[0], models[1].weights)
+    np.testing.assert_allclose(out[1], models[0].weights)
 
 
 def test_loo_identical_models_any_exclusion():
     w = [[0.5, -1.0], [2.0, 0.0]]
     models = [model_of(w) for _ in range(3)]
+    out = leave_one_out_aggregates(models, [1.0, 2.0, 3.0])
     for i in range(3):
-        out = leave_one_out_aggregate(models, [1.0, 2.0, 3.0], i)
-        np.testing.assert_allclose(out.weights, w)
+        np.testing.assert_allclose(out[i], w)
 
 
 def test_loo_matches_direct_arithmetic():
+    # Bitwise: the stack accumulates in the explicit sum's order.
     rng = np.random.default_rng(1)
-    models = [model_of(rng.normal(size=(3, 2))) for _ in range(4)]
-    sizes = [10.0, 30.0, 5.0, 15.0]
-    for i in range(4):
-        others = [l for l in range(4) if l != i]
-        total = sum(sizes[l] for l in others)
-        expected = sum(sizes[l] / total * models[l].weights for l in others)
-        out = leave_one_out_aggregate(models, sizes, i)
-        np.testing.assert_allclose(out.weights, expected, atol=1e-12)
+    for n in (2, 4, 17):
+        models = [model_of(rng.normal(size=(3, 2))) for _ in range(n)]
+        sizes = rng.uniform(0.0, 40.0, size=n)
+        out = leave_one_out_aggregates(models, sizes)
+        assert out.shape == (n, 3, 2)
+        for i in range(n):
+            np.testing.assert_array_equal(out[i], reference_loo(models, sizes, i))
 
 
 def test_weighted_mean_fixture():
     # sizes (10, 30): the full aggregate uses weights (0.25, 0.75)
     models = [model_of([[1.0, 0.0]]), model_of([[0.0, 1.0]])]
-    full = leave_one_out_aggregate(models + [model_of([[0.0, 0.0]])],
-                                   [10.0, 30.0, 0.0], 2)
-    np.testing.assert_allclose(full.weights, [[0.25, 0.75]], atol=1e-12)
+    full = leave_one_out_aggregates(models + [model_of([[0.0, 0.0]])], [10.0, 30.0, 0.0])[2]
+    np.testing.assert_allclose(full, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_loo_needs_two_participants():
     with pytest.raises(ValueError):
-        leave_one_out_aggregate([model_of([[1.0, 1.0]])], [1.0], 0)
+        leave_one_out_aggregates([model_of([[1.0, 1.0]])], [1.0])
 
 
 def test_loo_degenerate_when_others_have_no_mass():
-    models = [model_of([[1.0, 0.0]]), model_of([[0.0, 1.0]])]
-    with pytest.raises(DegenerateAggregateError):
-        leave_one_out_aggregate(models, [5.0, 0.0], 0)
+    models = [model_of([[1.0, 0.0]]), model_of([[0.0, 1.0]]), model_of([[1.0, 1.0]])]
+    with pytest.raises(DegenerateAggregateError, match="participant 2's"):
+        leave_one_out_aggregates(models, [0.0, 0.0, 5.0])
 
 
 # ---------------------------------------------------------------- influence
@@ -82,15 +94,40 @@ def _influence_setup(seed=2):
     return server_test, config
 
 
+def aggregate_of(models, sizes):
+    """The size-weighted mean of every model."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    weights = sum(m / sizes.sum() * model.weights for m, model in zip(sizes, models))
+    return ModelParams(weights, models[0].class_count)
+
+
+def reference_influence(models, sizes, aggregated, server_test, gammas_prev, etas,
+                        config, matrix_norm):
+    """Per-participant influence update: one explicit LOO aggregate and two losses each."""
+    gammas, inst = [], []
+    lam = config.l2_lambda
+    for i in range(len(models)):
+        loo = reference_loo(models, sizes, i)
+        if matrix_norm:
+            s = float(np.linalg.norm(loo - aggregated.weights, 2))
+        else:
+            s = abs(reference_loss(loo, server_test, lam)
+                    - reference_loss(aggregated.weights, server_test, lam))
+        q_hat = decay_factor(etas[i], lam, config.local_epochs)
+        gammas.append(max(GAMMA_MIN, q_hat * gammas_prev[i] + s))
+        inst.append(s)
+    return gammas, inst
+
+
 def test_identical_models_floor_to_gamma_min():
     server_test, config = _influence_setup()
     w = np.array([[0.3, -0.3], [0.1, 0.0], [0.0, 0.2]])
     models = [ModelParams(w, 2) for _ in range(3)]
-    agg = leave_one_out_aggregate(models + [ModelParams(w, 2)], [1.0] * 4, 3)
-    state = influence(0, models, [1.0, 1.0, 1.0], agg, server_test,
-                      gamma_prev=0.0, eta=0.1, trainer_config=config)
-    assert state.instantaneous == pytest.approx(0.0, abs=1e-15)
-    assert state.gamma == GAMMA_MIN
+    agg = aggregate_of(models, [1.0] * 3)
+    state = influence(models, [1.0, 1.0, 1.0], agg, server_test,
+                      gammas_prev=[0.0] * 3, etas=[0.1] * 3, trainer_config=config)
+    np.testing.assert_allclose(state.instantaneous, 0.0, atol=1e-15)
+    np.testing.assert_array_equal(state.gamma, GAMMA_MIN)
 
 
 def test_first_round_influence_is_instantaneous_term():
@@ -98,25 +135,27 @@ def test_first_round_influence_is_instantaneous_term():
     rng = np.random.default_rng(3)
     models = [ModelParams(rng.normal(scale=0.4, size=(3, 2)), 2) for _ in range(3)]
     sizes = [8.0, 12.0, 10.0]
-    agg = leave_one_out_aggregate(models + [models[0]], sizes + [0.0], 3)
-    state = influence(1, models, sizes, agg, server_test,
-                      gamma_prev=0.0, eta=0.05, trainer_config=config)
-    assert state.gamma == pytest.approx(max(state.instantaneous, GAMMA_MIN))
-    assert state.instantaneous > 0
+    agg = aggregate_of(models, sizes)
+    state = influence(models, sizes, agg, server_test,
+                      gammas_prev=[0.0] * 3, etas=[0.05] * 3, trainer_config=config)
+    np.testing.assert_allclose(state.gamma, np.maximum(state.instantaneous, GAMMA_MIN))
+    assert (state.instantaneous > 0).all()
+    np.testing.assert_array_equal(state.effective_size, sizes)
 
 
 def test_history_decay_applied():
     server_test, config = _influence_setup(4)
     rng = np.random.default_rng(4)
     models = [ModelParams(rng.normal(scale=0.4, size=(3, 2)), 2) for _ in range(2)]
-    agg = leave_one_out_aggregate(models, [1.0, 1.0], 1)  # placeholder aggregate
-    prev = 0.7
-    eta = 0.1
-    state = influence(0, models, [1.0, 1.0], agg, server_test,
-                      gamma_prev=prev, eta=eta, trainer_config=config)
-    q_hat = decay_factor(eta, config.l2_lambda, config.local_epochs)
-    assert state.q_hat == pytest.approx(q_hat)
-    assert state.gamma == pytest.approx(q_hat * prev + state.instantaneous)
+    agg = ModelParams(reference_loo(models, [1.0, 1.0], 1), 2)  # placeholder aggregate
+    prev = [0.7, 0.2]
+    etas = [0.1, 0.3]
+    state = influence(models, [1.0, 1.0], agg, server_test,
+                      gammas_prev=prev, etas=etas, trainer_config=config)
+    q_hat = [decay_factor(eta, config.l2_lambda, config.local_epochs) for eta in etas]
+    np.testing.assert_allclose(state.q_hat, q_hat)
+    np.testing.assert_array_equal(state.gamma_prev, prev)
+    np.testing.assert_allclose(state.gamma, np.array(q_hat) * prev + state.instantaneous)
 
 
 def test_matrix_norm_influence_is_spectral_norm_of_loo_shift():
@@ -124,12 +163,43 @@ def test_matrix_norm_influence_is_spectral_norm_of_loo_shift():
     rng = np.random.default_rng(5)
     models = [ModelParams(rng.normal(scale=0.4, size=(3, 2)), 2) for _ in range(3)]
     sizes = [8.0, 12.0, 10.0]
-    agg = leave_one_out_aggregate(models + [models[0]], sizes + [0.0], 3)
-    loo = leave_one_out_aggregate(models, sizes, 2)
-    state = influence(2, models, sizes, agg, server_test, gamma_prev=0.0, eta=0.05,
-                      trainer_config=config, matrix_norm=True)
-    assert state.instantaneous == np.linalg.norm(loo.weights - agg.weights, 2)
-    assert state.instantaneous > 0
+    agg = aggregate_of(models, sizes)
+    state = influence(models, sizes, agg, server_test, gammas_prev=[0.0] * 3,
+                      etas=[0.05] * 3, trainer_config=config, matrix_norm=True)
+    for i in range(3):
+        loo = reference_loo(models, sizes, i)
+        assert state.instantaneous[i] == np.linalg.norm(loo - agg.weights, 2)
+    assert (state.instantaneous > 0).all()
+
+
+@pytest.mark.parametrize("matrix_norm", [False, True])
+def test_influence_matches_per_participant_reference(matrix_norm):
+    # 19 participants on a 300-row, 3-class split: the losses are scored in
+    # several blocks of models, and every value must still be bitwise equal.
+    server_test = synth_gaussian(3, 100, 4, 3.0, seed=6, id_base=900)
+    config = TrainerConfig(local_epochs=3, l2_lambda=0.02, seed=6)
+    rng = np.random.default_rng(6)
+    n = 19
+    models = [ModelParams(rng.normal(scale=0.5, size=(5, 3)), 3) for _ in range(n)]
+    models[4] = models[3]
+    sizes = rng.uniform(1.0, 80.0, size=n)
+    gammas_prev = rng.uniform(GAMMA_MIN, 2.0, size=n).tolist()
+    etas = rng.uniform(0.01, 0.2, size=n).tolist()
+    agg = aggregate_of(models, sizes)
+    state = influence(models, sizes, agg, server_test, gammas_prev, etas, config,
+                      matrix_norm=matrix_norm)
+    gammas, inst = reference_influence(models, sizes, agg, server_test, gammas_prev, etas,
+                                       config, matrix_norm)
+    assert state.gamma.tolist() == gammas
+    assert state.instantaneous.tolist() == inst
+
+
+def test_influence_raises_on_degenerate_aggregate():
+    server_test, config = _influence_setup(7)
+    models = [ModelParams(np.full((3, 2), float(k)), 2) for k in range(3)]
+    with pytest.raises(DegenerateAggregateError, match="participant 1's"):
+        influence(models, [0.0, 4.0, 0.0], models[1], server_test, [0.0] * 3, [0.1] * 3,
+                  config)
 
 
 def test_decay_factor_values():

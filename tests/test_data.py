@@ -243,6 +243,21 @@ def test_by_ids_preserves_order():
     assert picked.ids.tolist() == [10, 30]
 
 
+@pytest.mark.parametrize("wanted, expected", [
+    ([], []),                        # nothing wanted
+    (np.array([30, 20]), [20, 30]),  # unordered array
+    ((10, 40, 99), [40, 10]),        # ids the dataset does not hold
+    ([-5, 1000], []),                # only absent ids
+])
+def test_by_ids_empty_unordered_and_absent(wanted, expected):
+    # Rows come back in the dataset's order, features aligned with their ids.
+    ids = [40, 20, 30, 10]
+    ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], c=2, ids=ids)
+    picked = ds.by_ids(wanted)
+    assert picked.ids.tolist() == expected
+    assert picked.features[:, 0].tolist() == [float(ids.index(i)) for i in expected]
+
+
 def test_concat_disjoint_ids():
     a = make_dataset([[0.0]], [0], c=2, ids=[0])
     b = make_dataset([[1.0]], [1], c=2, ids=[1])

@@ -7,6 +7,7 @@ from fednl import (
     AggregationError,
     Constant,
     ContributionWeights,
+    Dataset,
     Diminishing,
     FederationConfig,
     ModelParams,
@@ -82,6 +83,28 @@ def test_split_server_fraction_and_disjoint():
     assert pool.n == 120
     assert set(pool.ids.tolist()).isdisjoint(test.ids.tolist())
     assert set(pool.ids.tolist()) | set(test.ids.tolist()) == set(server.ids.tolist())
+
+
+@pytest.mark.parametrize("procedure2", [False, True])
+def test_pool_is_taken_only_for_procedure2(monkeypatch, procedure2):
+    parts = make_parts(5)
+    server = synth_gaussian(3, 30, 2, 8.0, seed=5, id_base=10_000)
+    pool, test = split_server(server, 0.2, seed=5)
+    taken = {}
+    take = Dataset.take
+
+    def recording_take(self, positions, name=None):
+        out = take(self, positions, name)
+        taken.setdefault(out.name, []).append(out.ids.tolist())
+        return out
+
+    monkeypatch.setattr(Dataset, "take", recording_take)
+    config = FederationConfig(n_participants=4, rounds=1, seed=5,
+                              trainer=TrainerConfig(local_epochs=1, seed=5),
+                              run_procedure2=procedure2)
+    run_fednl(config, parts, server)
+    assert taken[f"{server.name}/test"][0] == test.ids.tolist()
+    assert taken.get(f"{server.name}/pool") == ([pool.ids.tolist()] if procedure2 else None)
 
 
 # ---------------------------------------------------------------- degenerate

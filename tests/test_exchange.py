@@ -234,3 +234,13 @@ def test_apply_rejects_overallocation():
     with pytest.raises(AllocationError):
         apply_exchange(participant, estimate, server.training_view(),
                        forced, seed=9, trainer_config=CONFIG)
+
+
+def test_apply_rejects_shared_ids_naming_first_five():
+    participant = synth_gaussian(3, 10, 2, 8.0, seed=10)  # ids 0..29
+    server = synth_gaussian(3, 10, 2, 8.0, seed=11, id_base=23)
+    server = server.take(np.arange(server.n)[::-1])  # ids 52 down to 23
+    estimate = fake_estimate([0.2, 0.0, 0.1], [10, 10, 10])
+    plan = fulfill_demands(compute_demands(estimate, [10, 10, 10]), server.class_sizes())
+    with pytest.raises(ValueError, match=r"share instance ids: \[23, 24, 25, 26, 27\]$"):
+        apply_exchange(participant, estimate, server, plan, seed=10, trainer_config=CONFIG)

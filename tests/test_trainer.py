@@ -24,9 +24,9 @@ from fednl import (
     train_local,
 )
 from fednl import ModelParams
-from fednl._rng import derive_rng
+from fednl._rng import TRAIN, derive_rng
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_loss
 
 
 def reference_gradient(weights, features, labels, lam):
@@ -100,6 +100,14 @@ def test_duplicated_dataset_same_loss():
     )
     model = init_model(2, 3, seed=2, scale=0.3)
     assert loss(model, doubled, 0.01) == pytest.approx(loss(model, ds, 0.01), abs=1e-12)
+
+
+def test_loss_matches_reference_formula():
+    # Bitwise, on a small and a wide shape.
+    for c, d, per_class in ((3, 2, 20), (10, 20, 100)):
+        ds = synth_gaussian(c, per_class, d, 3.0, seed=c)
+        model = init_model(d, c, seed=c, scale=0.4)
+        assert loss(model, ds, 0.01) == reference_loss(model.weights, ds, 0.01)
 
 
 def test_loss_rejects_empty_dataset():
@@ -235,6 +243,49 @@ def test_single_full_batch_step_is_one_gradient_step():
         np.testing.assert_allclose(step, expected, atol=1e-12 / eta)
 
 
+def reference_train_local(model, dataset, config, global_step_base=0):
+    """The SGD step loop written with the array methods and a schedule lookup per step."""
+    x = np.hstack([dataset.features, np.ones((dataset.n, 1))])
+    y = dataset.observed_labels
+    weights = model.weights.copy()
+    rng = derive_rng(config.seed, TRAIN)
+    lam = config.l2_lambda
+    step = global_step_base
+    for _ in range(config.local_epochs):
+        for rows in epoch_batches(dataset.n, config.batch_size, rng):
+            step += 1
+            xb, yb = x[rows], y[rows]
+            logits = xb @ weights
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            batch_loss = -logp[np.arange(len(rows)), yb].mean() + 0.5 * lam * np.sum(weights ** 2)
+            if not np.isfinite(batch_loss):
+                raise DivergenceError(
+                    f"loss went non-finite at global step {step}; lower the learning rate")
+            probs = np.exp(logp)
+            probs[np.arange(len(rows)), yb] -= 1.0
+            grad = xb.T @ probs / len(rows) + lam * weights
+            weights -= lr_at(config.lr_schedule, step) * grad
+    return weights, reference_loss(weights, dataset, lam)
+
+
+@pytest.mark.parametrize("schedule, batch_size, step_base", [
+    (Constant(0.1), 16, 0),                        # 50 rows: short last batch of 2
+    (Diminishing(theta=2.0, alpha=9.0), 16, 0),
+    (Diminishing(theta=2.0, alpha=9.0), 7, 120),   # nonzero global step base
+    (Constant(0.05), 64, 31),                      # batch larger than the dataset
+])
+def test_train_local_matches_step_loop_reference(schedule, batch_size, step_base):
+    ds = synth_gaussian(5, 10, 3, 4.0, seed=14)
+    config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
+                           l2_lambda=0.01, seed=14)
+    start = init_model(3, 5, seed=14, scale=0.3)
+    model, final_loss = train_local(start, ds, config, global_step_base=step_base)
+    ref_weights, ref_loss = reference_train_local(start, ds, config, step_base)
+    assert model.weights.tobytes() == ref_weights.tobytes()
+    assert final_loss == ref_loss
+
+
 def test_training_deterministic_bitwise():
     ds = synth_gaussian(3, 50, 2, 5.0, seed=11)
     config = TrainerConfig(local_epochs=3, batch_size=16, seed=11)
@@ -258,8 +309,11 @@ def test_divergence_guard_names_step():
     config = TrainerConfig(
         local_epochs=5, batch_size=8, lr_schedule=Constant(1e6), l2_lambda=0.01, seed=12
     )
-    with pytest.raises(DivergenceError, match=r"global step \d+"):
-        train_local(init_model(2, 3), ds, config)
+    with pytest.raises(DivergenceError, match=r"global step \d+") as raised:
+        train_local(init_model(2, 3), ds, config, global_step_base=40)
+    with pytest.raises(DivergenceError) as expected:
+        reference_train_local(init_model(2, 3), ds, config, 40)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_global_step_base_moves_diminishing_rate():
