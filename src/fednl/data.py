@@ -147,18 +147,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class FoldSplit:
-    """Three disjoint near-equal folds covering a source dataset."""
-
-    folds: tuple[Dataset, Dataset, Dataset]
-
-    def __post_init__(self):
-        sizes = [f.n for f in self.folds]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError(f"fold sizes {sizes} differ by more than 1")
-
-
-@dataclass(frozen=True)
 class ColumnSchema:
     """Column layout of a delimited dataset file.
 
@@ -398,19 +386,17 @@ def partition_non_iid(dataset: Dataset, n_participants: int, seed: int,
     raise PartitionError(f"unknown partition strategy: {strategy!r}")
 
 
-def split_three_folds(dataset: Dataset, seed: int) -> FoldSplit:
-    """Random split into three disjoint near-equal folds."""
+def split_three_folds(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random split of the rows into three disjoint near-equal folds.
+
+    Returns each fold's row positions, sorted; the remainder goes to the
+    lowest-indexed folds.
+    """
     if dataset.n < 3:
         raise SplitError(f"need at least 3 instances to build three folds, got {dataset.n}")
-    rng = derive_rng(seed, FOLDS)
-    order = rng.permutation(dataset.n)
-    sizes = _near_equal_sizes(dataset.n, 3)
-    folds, start = [], 0
-    for q, size in enumerate(sizes):
-        chunk = np.sort(order[start:start + size])
-        folds.append(dataset.take(chunk, name=f"{dataset.name}/fold{q + 1}"))
-        start += size
-    return FoldSplit(folds=tuple(folds))
+    order = derive_rng(seed, FOLDS).permutation(dataset.n)
+    bounds = np.cumsum(_near_equal_sizes(dataset.n, 3))[:-1]
+    return tuple(np.sort(fold) for fold in np.split(order, bounds))
 
 
 def class_subset(dataset: Dataset, k: int) -> Dataset:

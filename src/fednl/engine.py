@@ -14,7 +14,7 @@ from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_r
 from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effective_sizes,
                            influence, size_weights)
 from .data import Dataset
-from .estimator import NoiseEstimate, estimate_noise
+from .estimator import EstimationError, NoiseEstimate, estimate_noise
 from .exchange import ExchangeTranscript, normalize_noise
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import ModelParams, TrainerConfig, lr_at, steps_per_round, train_local
@@ -31,8 +31,6 @@ class FederationConfig:
     ``weighting`` picks the aggregation rule: influence-based ("fednl") or
     proportional-to-size ("fedavg-size"). The two procedure flags gate noise
     estimation and server normalization; both on is the full pipeline.
-    ``participant_seeds`` overrides the per-participant seed fan-out, letting
-    callers permute participants together with their randomness.
     """
 
     n_participants: int
@@ -49,7 +47,6 @@ class FederationConfig:
     demand_cap: str = "size"
     per_class_resplit: bool = False
     init_scale: float = 0.01
-    participant_seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_participants < 1:
@@ -62,8 +59,6 @@ class FederationConfig:
             raise ValueError("normalization needs estimates; enable run_procedure1")
         if not 0.0 <= self.server_test_fraction < 1.0:
             raise ValueError("server_test_fraction must lie in [0, 1)")
-        if self.participant_seeds is not None and len(self.participant_seeds) != self.n_participants:
-            raise ValueError("participant_seeds must have one entry per participant")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be non-negative")
 
@@ -136,16 +131,7 @@ def _server_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def split_server(server: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split the server data into (transfer pool, held-out test split)."""
-    pool_rows, test_rows = _server_rows(server.n, fraction, seed)
-    return (server.take(pool_rows, name=f"{server.name}/pool"),
-            server.take(test_rows, name=f"{server.name}/test"))
-
-
 def _participant_seed(config: FederationConfig, i: int, tag: int, *extra: int) -> int:
-    if config.participant_seeds is not None:
-        return derive_seed(config.participant_seeds[i], tag, *extra)
     return derive_seed(config.seed, tag, *extra, i)
 
 
@@ -180,7 +166,11 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
 
 
 def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
-    """Run the pre-loop pipeline; return training sets, betas, artifacts."""
+    """Run the pre-loop pipeline; return training sets, betas, artifacts.
+
+    An error names the participant and the stage it came from: the estimate,
+    the exchange, or the re-estimate after the exchange.
+    """
     train_sets, betas = [], []
     estimates, transcripts = [], []
     for i, ds in enumerate(participant_datasets):
@@ -189,14 +179,22 @@ def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
             train_sets.append(view.in_space())
             betas.append(0.0)
             continue
-        est = estimate_noise(view, config.trainer,
-                             _participant_seed(config, i, ESTIMATE),
-                             per_class_resplit=config.per_class_resplit)
+        stage = "estimate"
+        try:
+            est = estimate_noise(view, config.trainer,
+                                 _participant_seed(config, i, ESTIMATE),
+                                 per_class_resplit=config.per_class_resplit)
+            if config.run_procedure2:
+                stage = "exchange"
+                result = normalize_noise(view, est, pool,
+                                         _participant_seed(config, i, EXCHANGE),
+                                         config.trainer, demand_cap=config.demand_cap,
+                                         per_class_resplit=config.per_class_resplit)
+        except Exception as e:
+            if stage == "exchange" and isinstance(e, EstimationError):
+                stage = "re-estimate after exchange"
+            raise type(e)(f"participant {i}, {stage}: {e}") from e
         if config.run_procedure2:
-            result = normalize_noise(view, est, pool,
-                                     _participant_seed(config, i, EXCHANGE),
-                                     config.trainer, demand_cap=config.demand_cap,
-                                     per_class_resplit=config.per_class_resplit)
             train_sets.append(result.dataset)
             betas.append(result.estimate.beta_mean)
             estimates.append(result.estimate)

@@ -5,6 +5,12 @@ every instance be predicted by the two models that never saw it. An instance
 counts as noise-free only when its existing label and both predictions agree;
 everything else is removed. Per class k this yields the noise-free set S_k,
 the removed set R_k, and the ratio beta_k = |R_k| / |D_k|.
+
+The procedure runs on row positions: the split is three sorted position
+arrays, the two out-of-fold predictions of every row fill one (n, 2) array,
+and the agreement rule is applied to all rows at once. Instance ids appear
+only in the returned estimate. True labels are stripped once, on entry, so no
+fold model ever sees them.
 """
 
 from dataclasses import dataclass, replace
@@ -20,13 +26,12 @@ class EstimationError(ValueError):
     """The dataset cannot support a three-fold estimate."""
 
 
-NOISE_FREE = "noise_free"
-NOISY = "noisy"
+def classify_instance(existing, pred1, pred2):
+    """Agreement rule: noise-free only when both predictions match the existing label.
 
-
-def classify_instance(existing: int, pred1: int, pred2: int) -> str:
-    """Agreement rule: noise-free only when both predictions match the existing label."""
-    return NOISE_FREE if existing == pred1 == pred2 else NOISY
+    Takes scalars or row-aligned arrays; returns a bool or a bool array.
+    """
+    return (existing == pred1) & (existing == pred2)
 
 
 @dataclass(frozen=True)
@@ -77,48 +82,36 @@ class NoiseEstimate:
 
 
 def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
-                   seed_keys: tuple) -> dict[int, tuple[int, int]]:
+                   seed_keys: tuple) -> np.ndarray:
     """Train one fresh model per fold, predict the other two folds.
 
-    Returns id -> (pred, pred) from the two models that never trained on the
-    instance, ordered by training-fold index.
+    Row j of the returned (n, 2) array holds the predictions for row j of the
+    two models that never trained on it, ordered by training-fold index.
     """
-    split = split_three_folds(dataset, derive_seed(*seed_keys, 0))
-    preds: dict[int, list[int]] = {int(i): [] for i in dataset.ids}
-    for j, fold in enumerate(split.folds):
+    folds = split_three_folds(dataset, derive_seed(*seed_keys, 0))
+    preds = np.empty((dataset.n, 2), dtype=np.int64)
+    for j, fold in enumerate(folds):
         model = init_model(dataset.d, dataset.class_count)
         cfg = replace(trainer_config, seed=derive_seed(*seed_keys, 1 + j))
-        model, _ = train_local(model, fold.training_view(), cfg)
-        for other in (split.folds[(j + 1) % 3], split.folds[(j + 2) % 3]):
-            labels = predict(model, other.features)
-            for pos in range(other.n):
-                preds[int(other.ids[pos])].append(int(labels[pos]))
-    for instance_id, got in preds.items():
-        assert len(got) == 2, f"instance {instance_id} got {len(got)} predictions, expected 2"
-    return {i: (p[0], p[1]) for i, p in preds.items()}
+        model, _ = train_local(model, dataset.take(fold), cfg)
+        for q in (j + 1) % 3, (j + 2) % 3:
+            preds[folds[q], j - (q < j)] = predict(model, dataset.features[folds[q]])
+    return preds
 
 
-def _score_class(dataset: Dataset, k: int,
-                 preds: dict[int, tuple[int, int]]) -> ClassEstimate:
-    rows = np.flatnonzero(dataset.observed_labels == k)
-    if rows.size == 0:
+def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray) -> ClassEstimate:
+    in_class = dataset.observed_labels == k
+    size = int(np.count_nonzero(in_class))
+    if size == 0:
         return ClassEstimate(class_id=k, size=0, noise_free_ids=(), removed_ids=(),
                              beta=0.0, empty=True)
-    kept: list[int] = []
-    removed: list[int] = []
-    for pos in rows:
-        instance_id = int(dataset.ids[pos])
-        p1, p2 = preds[instance_id]
-        if classify_instance(k, p1, p2) == NOISE_FREE:
-            kept.append(instance_id)
-        else:
-            removed.append(instance_id)
+    removed = dataset.ids[in_class & ~noise_free]
     return ClassEstimate(
         class_id=k,
-        size=int(rows.size),
-        noise_free_ids=tuple(kept),
-        removed_ids=tuple(removed),
-        beta=len(removed) / rows.size,
+        size=size,
+        noise_free_ids=tuple(dataset.ids[in_class & noise_free].tolist()),
+        removed_ids=tuple(removed.tolist()),
+        beta=removed.size / size,
     )
 
 
@@ -131,23 +124,19 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     and re-trains per class (3c trainings), matching the procedure text that
     nests the split inside the class loop; the agreement rule is identical.
     """
-    in_space = dataset.in_space()
+    in_space = dataset.training_view().in_space()
     if in_space.n < 3:
         raise EstimationError(
             f"need at least 3 in-space instances to form folds, got {in_space.n}")
     c = dataset.class_count
-    estimates: list[ClassEstimate] = []
-    trainings = 0
     if per_class_resplit:
-        for k in range(c):
-            preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k))
-            trainings += 3
-            estimates.append(_score_class(in_space, k, preds))
+        preds = [_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k))
+                 for k in range(c)]
     else:
-        preds = _cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))
-        trainings = 3
-        for k in range(c):
-            estimates.append(_score_class(in_space, k, preds))
+        preds = [_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))] * c
+    labels = in_space.observed_labels
+    estimates = [_score_class(in_space, k, classify_instance(labels, p[:, 0], p[:, 1]))
+                 for k, p in enumerate(preds)]
 
     betas = np.array([e.beta for e in estimates])
     best = int(np.argmin(betas))
@@ -156,8 +145,8 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
         beta_min=float(betas[best]),
         best_class=best,
         beta_mean=float(betas.mean()),
-        out_of_space_ids=tuple(int(i) for i in dataset.out_of_space_ids()),
-        trainings=trainings,
+        out_of_space_ids=tuple(dataset.out_of_space_ids().tolist()),
+        trainings=3 * c if per_class_resplit else 3,
     )
 
 

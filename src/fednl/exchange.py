@@ -6,6 +6,11 @@ class with the same count u (the least it can satisfy), which keeps the
 per-class noise ratios moving toward each other instead of replacing one
 imbalance with another. Only (class id, count) pairs travel to the server;
 instances only ever travel back.
+
+The new training set is built in one pass: one id lookup keeps the noise-free
+survivors, the granted server rows are appended, and one stable sort on the
+labels groups the rows by class, each class's survivors in their original
+order followed by its transfers.
 """
 
 import logging
@@ -72,13 +77,11 @@ class ExchangeResult:
     """Outcome of one participant's normalization pass.
 
     ``dataset`` is the new training set (noise-free survivors plus
-    transfers; removed instances are gone for good), ``s_hat`` the per-class
-    id tuples of that set, and ``estimate`` the re-run three-fold estimate on
-    it.
+    transfers, grouped by class; removed instances are gone for good) and
+    ``estimate`` the re-run three-fold estimate on it.
     """
 
     dataset: Dataset
-    s_hat: tuple[tuple[int, ...], ...]
     estimate: NoiseEstimate
     transcript: ExchangeTranscript
 
@@ -157,18 +160,18 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
             f"participant and server share instance ids: {overlap[:5].tolist()}")
 
     class_sizes = participant.class_sizes()
-    parts = []
-    s_hat: list[tuple[int, ...]] = []
+    survivors = participant.by_ids(estimate.noise_free_ids)
+    kept = survivors.class_sizes()
+    parts = [survivors]
     transfers: dict[int, tuple[int, ...]] = {}
     truncated: dict[int, int] = {}
     for k in range(c):
-        survivors = participant.by_ids(estimate.per_class[k].noise_free_ids)
         grant = int(plan.final[k])
         pool = np.flatnonzero(server.observed_labels == k)
         if grant > pool.size:
             raise AllocationError(
                 f"class {k}: granted {grant} but server holds only {pool.size}")
-        room = int(class_sizes[k]) - survivors.n
+        room = int(class_sizes[k] - kept[k])
         if grant > room:
             truncated[k] = grant - room
             logger.warning("class %d: truncating grant %d to %d to respect the size cap",
@@ -176,18 +179,13 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
             grant = room
         if grant > 0:
             rng = derive_rng(seed, EXCHANGE, k)
-            rows = np.sort(rng.choice(pool, size=grant, replace=False))
-            chunk = server.take(rows)
-            transfers[k] = tuple(int(i) for i in chunk.ids)
-            parts.extend([survivors, chunk] if survivors.n else [chunk])
-            s_hat.append(tuple(int(i) for i in survivors.ids) + transfers[k])
-        else:
-            if survivors.n:
-                parts.append(survivors)
-            s_hat.append(tuple(int(i) for i in survivors.ids))
+            chunk = server.take(np.sort(rng.choice(pool, size=grant, replace=False)))
+            transfers[k] = tuple(chunk.ids.tolist())
+            parts.append(chunk)
 
-    new_dataset = concat_datasets(parts, name=participant.name) if parts else participant.take(
-        np.array([], dtype=np.int64))
+    # Class by class: survivors in participant row order, then the transfers.
+    merged = concat_datasets(parts, name=participant.name)
+    new_dataset = merged.take(np.argsort(merged.observed_labels, kind="stable"))
     new_estimate = estimate_noise(
         new_dataset, trainer_config, derive_seed(seed, EXCHANGE, c),
         per_class_resplit=per_class_resplit)
@@ -200,8 +198,7 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
         truncated=truncated,
         starved=plan.starved,
     )
-    return ExchangeResult(dataset=new_dataset, s_hat=tuple(s_hat),
-                          estimate=new_estimate, transcript=transcript)
+    return ExchangeResult(dataset=new_dataset, estimate=new_estimate, transcript=transcript)
 
 
 def normalize_noise(participant: Dataset, estimate: NoiseEstimate, server: Dataset,

@@ -168,9 +168,8 @@ def inject_noise(dataset: Dataset, matrix: TransitionMatrix,
     cum = np.cumsum(matrix.probs, axis=1)
     cum[:, -1] = 1.0
     draws = derive_rng(seed, INJECT).random(n)
-    cols = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        cols[j] = np.searchsorted(cum[truth[j]], draws[j], side="right")
+    # Per row, the count of cumulative entries <= its draw: searchsorted(side="right").
+    cols = np.add.reduce(cum[truth] <= draws[:, None], axis=1)
     observed = np.where(cols < c, cols, OUT_OF_SPACE).astype(np.int64)
 
     width = matrix.probs.shape[1]

@@ -171,14 +171,14 @@ def test_partition_deterministic():
 # ---------------------------------------------------------------- folds
 
 def test_folds_exact_division(tiny_dataset):
-    split = split_three_folds(tiny_dataset, seed=1)
-    assert [f.n for f in split.folds] == [3, 3, 3]
+    folds = split_three_folds(tiny_dataset, seed=1)
+    assert [f.size for f in folds] == [3, 3, 3]
 
 
 def test_folds_remainder_to_earliest():
     ds = make_dataset([[float(i)] for i in range(10)], [i % 2 for i in range(10)], c=2)
-    split = split_three_folds(ds, seed=1)
-    assert [f.n for f in split.folds] == [4, 3, 3]
+    folds = split_three_folds(ds, seed=1)
+    assert [f.size for f in folds] == [4, 3, 3]
 
 
 def test_folds_too_small():
@@ -189,10 +189,11 @@ def test_folds_too_small():
 
 def test_folds_disjoint_union():
     ds = synth_gaussian(3, 11, 2, 5.0, seed=6)
-    split = split_three_folds(ds, seed=6)
-    sizes = [f.n for f in split.folds]
+    folds = split_three_folds(ds, seed=6)
+    sizes = [f.size for f in folds]
     assert max(sizes) - min(sizes) <= 1
-    all_ids = np.concatenate([f.ids for f in split.folds])
+    assert all(np.all(np.diff(f) > 0) for f in folds)
+    all_ids = np.concatenate([ds.ids[f] for f in folds])
     assert len(np.unique(all_ids)) == ds.n
     assert set(all_ids.tolist()) == set(ds.ids.tolist())
 

@@ -9,6 +9,7 @@ from fednl import (
     ContributionWeights,
     Dataset,
     Diminishing,
+    EstimationError,
     FederationConfig,
     ModelParams,
     ShuffleSplit,
@@ -19,11 +20,13 @@ from fednl import (
     run_fedavg,
     run_fednl,
     server_init,
-    split_server,
     synth_gaussian,
     train_local,
 )
 from fednl._rng import TRAIN, derive_seed
+from fednl.engine import _server_rows
+
+from conftest import make_dataset
 
 
 def weights_of(values, c=2):
@@ -78,7 +81,7 @@ def test_server_init_deterministic_and_bounded():
 
 def test_split_server_fraction_and_disjoint():
     server = synth_gaussian(3, 50, 2, 6.0, seed=2)
-    pool, test = split_server(server, 0.2, seed=2)
+    pool, test = (server.take(rows) for rows in _server_rows(server.n, 0.2, seed=2))
     assert test.n == 30
     assert pool.n == 120
     assert set(pool.ids.tolist()).isdisjoint(test.ids.tolist())
@@ -89,7 +92,7 @@ def test_split_server_fraction_and_disjoint():
 def test_pool_is_taken_only_for_procedure2(monkeypatch, procedure2):
     parts = make_parts(5)
     server = synth_gaussian(3, 30, 2, 8.0, seed=5, id_base=10_000)
-    pool, test = split_server(server, 0.2, seed=5)
+    pool, test = (server.take(rows) for rows in _server_rows(server.n, 0.2, seed=5))
     taken = {}
     take = Dataset.take
 
@@ -242,27 +245,14 @@ def test_freeze_epsilon_holds_round_one_weights():
 def test_participant_order_permutation_same_aggregate():
     parts = make_parts(10)
     trainer = TrainerConfig(local_epochs=2, batch_size=16, seed=10)
-    seeds = (101, 202, 303, 404)
+    broadcast = server_init(2, 3, seed=10)
+    models = [train_local(broadcast, p, trainer)[0] for p in parts]
+    eps = np.array([0.1, 0.2, 0.3, 0.4])
     perm = [2, 0, 3, 1]
-    config_a = FederationConfig(
-        n_participants=4, rounds=4, trainer=trainer, seed=10,
-        run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
-        participant_seeds=seeds,
-    )
-    config_b = FederationConfig(
-        n_participants=4, rounds=4, trainer=trainer, seed=10,
-        run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
-        participant_seeds=tuple(seeds[p] for p in perm),
-    )
-    a = run_fedavg(config_a, parts)
-    b = run_fedavg(config_b, [parts[p] for p in perm])
-    np.testing.assert_allclose(
-        a.global_model.weights, b.global_model.weights, atol=1e-9
-    )
-    # per-participant records permute with the participants
-    for ra, rb in zip(a.records, b.records):
-        for i, p in enumerate(perm):
-            assert rb.local_losses[i] == pytest.approx(ra.local_losses[p], abs=1e-12)
+    a = aggregate(models, ContributionWeights(eps))
+    b = aggregate([models[p] for p in perm], ContributionWeights(eps[perm]))
+    np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
+    assert not np.allclose(a.weights, aggregate(models, ContributionWeights(eps[perm])).weights)
 
 
 def test_procedure2_requires_server():
@@ -274,6 +264,30 @@ def test_procedure2_requires_server():
     )
     with pytest.raises(ValueError):
         run_fednl(config, parts)
+
+
+@pytest.mark.parametrize("labels, server_classes, error, message", [
+    ([0, 1], 3, EstimationError,
+     "participant 1, estimate: need at least 3 in-space instances to form folds, got 2"),
+    # One row per class: every fold model is fit to another class, so the
+    # estimate removes all three rows, no class demands anything and the
+    # re-estimate sees none.
+    ([0, 1, 2], 3, EstimationError, "participant 1, re-estimate after exchange: "
+     "need at least 3 in-space instances to form folds, got 0"),
+    ([0, 1, 2], 4, ValueError,
+     "participant 0, exchange: server_class_sizes length disagrees with the plan"),
+])
+def test_prepare_errors_name_participant_and_stage(labels, server_classes, error, message):
+    parts = make_parts(13, n_parts=1)
+    features = [[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]][:len(labels)]
+    small = make_dataset(features, labels, c=3, ids=[5000 + j for j in range(len(labels))])
+    server = synth_gaussian(server_classes, 50, 2, 8.0, seed=13, id_base=10_000)
+    config = FederationConfig(n_participants=2, rounds=1, seed=13,
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16, seed=13))
+    with pytest.raises(error) as caught:
+        run_fednl(config, parts + [small], server)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_duplicate_ids_rejected():

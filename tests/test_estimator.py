@@ -1,22 +1,28 @@
 """Per-class noise-ratio estimation via three-fold cross-prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fednl import (
-    NOISE_FREE,
-    NOISY,
     OUT_OF_SPACE,
+    ClassEstimate,
     EstimationError,
+    NoiseEstimate,
     TrainerConfig,
     classify_instance,
     estimate_noise,
     estimate_to_dict,
     format_estimate,
+    init_model,
     inject_noise,
+    predict,
     symmetric_matrix,
     synth_gaussian,
+    train_local,
 )
+from fednl._rng import ESTIMATE, FOLDS, derive_rng, derive_seed
 
 from conftest import make_dataset
 
@@ -39,15 +45,21 @@ def removed_ids(estimate):
 # ---------------------------------------------------------------- agreement rule
 
 def test_agreement_rule_unanimous_is_noise_free():
-    assert classify_instance(0, 0, 0) == NOISE_FREE
+    assert classify_instance(0, 0, 0)
 
 
 def test_agreement_rule_existing_disagrees():
-    assert classify_instance(0, 1, 1) == NOISY
+    assert not classify_instance(0, 1, 1)
 
 
 def test_agreement_rule_single_disagreement():
-    assert classify_instance(2, 2, 1) == NOISY
+    assert not classify_instance(2, 2, 1)
+
+
+def test_agreement_rule_on_arrays():
+    existing = np.array([0, 0, 2, 2])
+    verdict = classify_instance(existing, np.array([0, 1, 2, 2]), np.array([0, 1, 1, 2]))
+    np.testing.assert_array_equal(verdict, [True, False, False, True])
 
 
 # ---------------------------------------------------------------- estimation
@@ -196,3 +208,86 @@ def test_report_serialization_smoke():
     assert "per_class" in payload and len(payload["per_class"]) == 3
     text = format_estimate(estimate)
     assert "class" in text
+
+
+# ---------------------------------------------------------------- per-id reference
+
+def reference_cross_predict(dataset, trainer_config, seed_keys):
+    """Cross-prediction with per-fold datasets and an id -> (pred, pred) dict."""
+    n = dataset.n
+    order = derive_rng(derive_seed(*seed_keys, 0), FOLDS).permutation(n)
+    folds, start = [], 0
+    for q in range(3):
+        size = n // 3 + (1 if q < n % 3 else 0)
+        folds.append(dataset.take(np.sort(order[start:start + size])))
+        start += size
+    preds = {int(i): [] for i in dataset.ids}
+    for j, fold in enumerate(folds):
+        model = init_model(dataset.d, dataset.class_count)
+        cfg = replace(trainer_config, seed=derive_seed(*seed_keys, 1 + j))
+        model, _ = train_local(model, fold.training_view(), cfg)
+        for other in (folds[(j + 1) % 3], folds[(j + 2) % 3]):
+            labels = predict(model, other.features)
+            for pos in range(other.n):
+                preds[int(other.ids[pos])].append(int(labels[pos]))
+    for instance_id, got in preds.items():
+        assert len(got) == 2, f"instance {instance_id} got {len(got)} predictions"
+    return {i: (p[0], p[1]) for i, p in preds.items()}
+
+
+def reference_score_class(dataset, k, preds):
+    """One class's split, deciding each row by id."""
+    rows = np.flatnonzero(dataset.observed_labels == k)
+    if rows.size == 0:
+        return ClassEstimate(class_id=k, size=0, noise_free_ids=(), removed_ids=(),
+                             beta=0.0, empty=True)
+    kept, removed = [], []
+    for pos in rows:
+        instance_id = int(dataset.ids[pos])
+        p1, p2 = preds[instance_id]
+        (kept if k == p1 == p2 else removed).append(instance_id)
+    return ClassEstimate(class_id=k, size=int(rows.size), noise_free_ids=tuple(kept),
+                         removed_ids=tuple(removed), beta=len(removed) / rows.size)
+
+
+def reference_estimate(dataset, trainer_config, seed, per_class_resplit=False):
+    in_space = dataset.in_space()
+    c = dataset.class_count
+    if per_class_resplit:
+        estimates = [reference_score_class(
+            in_space, k, reference_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k)))
+            for k in range(c)]
+    else:
+        preds = reference_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))
+        estimates = [reference_score_class(in_space, k, preds) for k in range(c)]
+    betas = np.array([e.beta for e in estimates])
+    best = int(np.argmin(betas))
+    return NoiseEstimate(
+        per_class=tuple(estimates),
+        beta_min=float(betas[best]),
+        best_class=best,
+        beta_mean=float(betas.mean()),
+        out_of_space_ids=tuple(int(i) for i in dataset.out_of_space_ids()),
+        trainings=3 * c if per_class_resplit else 3,
+    )
+
+
+@pytest.mark.parametrize("per_class_resplit", [False, True])
+def test_estimate_matches_per_id_reference(per_class_resplit):
+    # Noisy labels with truth kept, five out-of-space rows and an empty
+    # fourth class; ids out of row order so that id and position differ.
+    clean = synth_gaussian(3, 40, 2, 6.0, seed=12, id_base=500)
+    noisy, _ = inject_noise(clean, symmetric_matrix(3, 0.3), seed=12)
+    order = np.random.default_rng(12).permutation(noisy.n)
+    labels = noisy.observed_labels[order].copy()
+    labels[:5] = OUT_OF_SPACE
+    dataset = make_dataset(noisy.features[order], labels, c=4, ids=noisy.ids[order],
+                           true_labels=noisy.true_labels[order])
+    got = estimate_noise(dataset, ESTIMATE_CONFIG, seed=12,
+                         per_class_resplit=per_class_resplit)
+    want = reference_estimate(dataset, ESTIMATE_CONFIG, 12,
+                              per_class_resplit=per_class_resplit)
+    assert got.per_class[3].empty
+    assert len(got.out_of_space_ids) == 5
+    assert 0 < got.beta_mean
+    assert got == want

@@ -6,11 +6,14 @@ import pytest
 from fednl import (
     AllocationError,
     ClassEstimate,
+    DemandPlan,
+    ExchangeTranscript,
     NoiseEstimate,
     TrainerConfig,
     apply_exchange,
     asymmetric_matrix,
     compute_demands,
+    concat_datasets,
     estimate_noise,
     fulfill_demands,
     inject_noise,
@@ -18,6 +21,7 @@ from fednl import (
     synth_gaussian,
     transcript_to_dict,
 )
+from fednl._rng import EXCHANGE, derive_rng, derive_seed
 
 CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01, seed=0)
 
@@ -156,7 +160,7 @@ def test_allocation_adds_exactly_u_per_demanding_class():
     for k, ce in enumerate(estimate.per_class):
         expected = len(ce.noise_free_ids) + plan.final[k]
         expected = min(expected, ce.size)  # hard cap at original class size
-        assert len(result.s_hat[k]) == expected
+        assert result.dataset.class_sizes()[k] == expected
 
 
 def test_transfers_come_from_server_only():
@@ -244,3 +248,63 @@ def test_apply_rejects_shared_ids_naming_first_five():
     plan = fulfill_demands(compute_demands(estimate, [10, 10, 10]), server.class_sizes())
     with pytest.raises(ValueError, match=r"share instance ids: \[23, 24, 25, 26, 27\]$"):
         apply_exchange(participant, estimate, server, plan, seed=10, trainer_config=CONFIG)
+
+
+# ---------------------------------------------------------------- per-class reference
+
+def reference_exchange(participant, estimate, server, plan, seed):
+    """Post-exchange dataset and transcript, assembled class by class."""
+    class_sizes = participant.class_sizes()
+    parts, transfers, truncated = [], {}, {}
+    for k in range(participant.class_count):
+        survivors = participant.by_ids(estimate.per_class[k].noise_free_ids)
+        grant = int(plan.final[k])
+        pool = np.flatnonzero(server.observed_labels == k)
+        room = int(class_sizes[k]) - survivors.n
+        if grant > room:
+            truncated[k] = grant - room
+            grant = room
+        if grant > 0:
+            rng = derive_rng(seed, EXCHANGE, k)
+            chunk = server.take(np.sort(rng.choice(pool, size=grant, replace=False)))
+            transfers[k] = tuple(int(i) for i in chunk.ids)
+            parts.extend([survivors, chunk] if survivors.n else [chunk])
+        elif survivors.n:
+            parts.append(survivors)
+    dataset = concat_datasets(parts, name=participant.name) if parts else participant.take(
+        np.array([], dtype=np.int64))
+    transcript = ExchangeTranscript(
+        demands={k: plan.demanded[k] for k in plan.demanding_classes},
+        delta1=plan.delta1, u=int(plan.u), final=plan.final, transfers=transfers,
+        truncated=truncated, starved=plan.starved)
+    return dataset, transcript
+
+
+def _plan(kind, estimate, participant):
+    plan = compute_demands(estimate, participant.class_sizes())
+    if kind == "normal":
+        return fulfill_demands(plan, [400, 400, 400])
+    if kind == "starved":
+        return fulfill_demands(plan, [0, 0, 0])
+    # Grant three more than each class lost, so every class hits its size cap.
+    final = tuple(len(ce.removed_ids) + 3 for ce in estimate.per_class)
+    return DemandPlan(fractions=plan.fractions, demanded=final, delta1=final,
+                      u=min(final), final=final)
+
+
+@pytest.mark.parametrize("kind", ["normal", "starved", "truncated"])
+def test_apply_matches_per_class_reference(kind):
+    participant = _noisy_participant(12)
+    estimate = estimate_noise(participant, CONFIG, seed=12)
+    server = synth_gaussian(3, 400, 2, 8.0, seed=93, id_base=10_000).training_view()
+    plan = _plan(kind, estimate, participant)
+    result = apply_exchange(participant, estimate, server, plan, seed=12, trainer_config=CONFIG)
+    dataset, transcript = reference_exchange(participant, estimate, server, plan, 12)
+    assert bool(transcript.transfers) == (kind != "starved")
+    assert bool(transcript.truncated) == (kind == "truncated")
+    assert result.dataset.name == dataset.name
+    np.testing.assert_array_equal(result.dataset.ids, dataset.ids)
+    assert result.dataset.features.tobytes() == dataset.features.tobytes()
+    np.testing.assert_array_equal(result.dataset.observed_labels, dataset.observed_labels)
+    assert result.transcript == transcript
+    assert result.estimate == estimate_noise(dataset, CONFIG, derive_seed(12, EXCHANGE, 3))

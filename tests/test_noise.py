@@ -14,6 +14,8 @@ from fednl import (
     with_out_of_space,
 )
 
+from fednl._rng import INJECT, derive_rng
+
 from conftest import make_dataset
 
 
@@ -133,6 +135,25 @@ def test_realized_rows_normalized():
     ds = synth_gaussian(3, 500, 2, 5.0, seed=7)
     _, report = inject_noise(ds, symmetric_matrix(3, 0.25), seed=7)
     np.testing.assert_allclose(report.realized.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("matrix", [
+    symmetric_matrix(4, 0.3),
+    asymmetric_matrix(3, [(0, 1, 0.3), (2, 0, 0.2)]),
+    with_out_of_space(symmetric_matrix(3, 0.4), 0.15),
+], ids=["symmetric", "asymmetric", "out-of-space"])
+def test_injection_matches_per_row_searchsorted(matrix):
+    c = matrix.class_count
+    cum = np.cumsum(matrix.probs, axis=1)
+    cum[:, -1] = 1.0
+    for seed in range(20):
+        ds = synth_gaussian(c, 25, 2, 5.0, seed=seed)
+        noisy, _ = inject_noise(ds, matrix, seed=seed)
+        draws = derive_rng(seed, INJECT).random(ds.n)
+        cols = np.array([np.searchsorted(cum[t], u, side="right")
+                         for t, u in zip(ds.true_labels, draws)])
+        np.testing.assert_array_equal(noisy.observed_labels,
+                                      np.where(cols < c, cols, OUT_OF_SPACE))
 
 
 # ---------------------------------------------------------------- persistence
