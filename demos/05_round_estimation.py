@@ -23,7 +23,6 @@ from fednl import (
     measure_smoothness,
     partition_non_iid,
     server_init,
-    solve_optimum,
     synth_gaussian,
     train_local,
 )
@@ -50,7 +49,7 @@ def main():
     pooled = concat_datasets(parts, name="pooled")
     smooth = measure_smoothness(pooled, trainer, seed=SEED)
     comps = measure_b_components(parts, models, init, trainer, seed=SEED)
-    w_star = solve_optimum(pooled, trainer, start=init)
+    w_star = comps.optimum
     gap = measure_init_gap(base.d, base.class_count, SEED, w_star.model)
 
     print(f"L = {smooth.L:.3f}, mu = {smooth.mu:.3f} ({smooth.provenance})")

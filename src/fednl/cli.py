@@ -27,9 +27,9 @@ from .exchange import transcript_to_dict
 from .metrics import format_snapshot
 from .noise import (asymmetric_matrix, inject_noise, save_matrix,
                     symmetric_matrix, with_out_of_space)
-from .rounds import (RoundParams, compute_B, estimate_rounds, measure_b_components,
-                     measure_init_gap, measure_smoothness, solve_optimum)
-from .trainer import Constant, TrainerConfig, save_model, train_local
+from .rounds import (MeasurementError, RoundParams, compute_B, estimate_rounds,
+                     measure_b_components, measure_init_gap, measure_smoothness)
+from .trainer import Constant, DivergenceError, TrainerConfig, save_model, train_local
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -178,6 +178,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+#: Failures `fednl rounds` reports as error rows of one grid point or noise
+#: level before going on: invalid or unmeasurable constants (ValueError covers
+#: NoStrongConvexityError, EstimationError and numpy's LinAlgError) and
+#: diverged training. Anything else is a program error and exits 3.
+_GRID_ERRORS = (ValueError, MeasurementError, DivergenceError)
+
+
 def cmd_rounds(args) -> int:
     config = load_config(args.config)
     seed = config["seed"]
@@ -217,10 +224,9 @@ def cmd_rounds(args) -> int:
             smooth = measure_smoothness(pooled, trainer, seed=seed)
             comps = measure_b_components(train_sets, models, init, trainer,
                                          seed=derive_seed(seed, MEASURE, level_key))
-            w_star = solve_optimum(pooled, trainer, start=init)
-            gap = measure_init_gap(d, c, seed, w_star.model,
+            gap = measure_init_gap(d, c, seed, comps.optimum.model,
                                    init_scale=config["pipeline.init_scale"])
-        except Exception as e:
+        except _GRID_ERRORS as e:
             for epochs in grid_epochs:
                 for q_o in grid_qo:
                     print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
@@ -236,7 +242,7 @@ def cmd_rounds(args) -> int:
                                   epochs, comps.G_sq)
                     est = estimate_rounds(smooth, RoundParams(epochs, q_o, B, gap),
                                           alpha_minus_one=args.alpha_minus_one)
-                except Exception as e:
+                except _GRID_ERRORS as e:
                     print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
                     failures += 1
                     continue

@@ -99,7 +99,7 @@ def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
     return preds
 
 
-def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray) -> ClassEstimate:
+def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray | None) -> ClassEstimate:
     in_class = dataset.observed_labels == k
     size = int(np.count_nonzero(in_class))
     if size == 0:
@@ -121,22 +121,31 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
 
     The default splits the dataset once and scores every class against the
     same three models (3 trainings). ``per_class_resplit`` re-draws the split
-    and re-trains per class (3c trainings), matching the procedure text that
-    nests the split inside the class loop; the agreement rule is identical.
+    and re-trains per class that has in-space rows (3 trainings each),
+    matching the procedure text that nests the split inside the class loop;
+    the agreement rule is identical. Each class's split is seeded by its
+    index, so skipping an empty class leaves the others' estimates unchanged.
     """
     in_space = dataset.training_view().in_space()
     if in_space.n < 3:
         raise EstimationError(
             f"need at least 3 in-space instances to form folds, got {in_space.n}")
     c = dataset.class_count
-    if per_class_resplit:
-        preds = [_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k))
-                 for k in range(c)]
-    else:
-        preds = [_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))] * c
     labels = in_space.observed_labels
-    estimates = [_score_class(in_space, k, classify_instance(labels, p[:, 0], p[:, 1]))
-                 for k, p in enumerate(preds)]
+
+    def agreement(preds):
+        return classify_instance(labels, preds[:, 0], preds[:, 1])
+
+    if per_class_resplit:
+        sizes = np.bincount(labels, minlength=c)
+        noise_free = {k: agreement(_cross_predict(in_space, trainer_config,
+                                                  (seed, ESTIMATE, 1, k)))
+                      for k in range(c) if sizes[k]}
+    else:
+        shared = agreement(_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0)))
+        noise_free = dict.fromkeys(range(c), shared)
+    # An empty class is scored without reading its (absent) predictions.
+    estimates = [_score_class(in_space, k, noise_free.get(k)) for k in range(c)]
 
     betas = np.array([e.beta for e in estimates])
     best = int(np.argmin(betas))
@@ -146,7 +155,7 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
         best_class=best,
         beta_mean=float(betas.mean()),
         out_of_space_ids=tuple(dataset.out_of_space_ids().tolist()),
-        trainings=3 * c if per_class_resplit else 3,
+        trainings=3 * len(noise_free) if per_class_resplit else 3,
     )
 
 

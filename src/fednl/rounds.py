@@ -7,6 +7,11 @@ The rest of the module measures those constants from actual data and
 trainer: smoothness L, strong convexity mu, per-participant gradient
 variance sigma_i^2, gradient bound G^2, non-iid degree Gamma, and the
 init-to-optimum gap.
+
+Each L-BFGS solve and the smoothness probe evaluate loss and gradient in one
+buffered pass (`trainer._objective`). The pooled optimum is solved once per
+measurement: `measure_b_components` returns it, and the init gap reads it
+from there.
 """
 
 import logging
@@ -20,7 +25,7 @@ from ._rng import INIT_GAP, MEASURE, derive_rng, derive_seed
 from .contribution import ContributionWeights
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
-from .trainer import ModelParams, TrainerConfig, gradient, loss
+from .trainer import ModelParams, TrainerConfig, _objective, gradient, loss
 
 logger = logging.getLogger(__name__)
 
@@ -94,14 +99,21 @@ class BComponents:
 
     ``Gamma`` is the floored, weight-adjusted value used downstream;
     ``Gamma_unweighted`` keeps the plain difference of optima for reference.
+    ``optimum`` is the pooled optimum, solved from the server model; callers
+    that need w* (the init gap) read it here instead of solving again.
     """
 
     sigma_sq: tuple[float, ...]
     G_sq: float
     Gamma: float
     Gamma_unweighted: float
-    L_star: float
+    optimum: Optimum
     L_i_star: tuple[float, ...]
+
+    @property
+    def L_star(self) -> float:
+        """Pooled optimum loss."""
+        return self.optimum.loss
 
 
 def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
@@ -121,12 +133,13 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
         raise ValueError("dataset is empty")
     rng = derive_rng(seed, MEASURE)
     shape = (ds.d + 1, ds.class_count)
+    objective = _objective(ds, mu)
     best = 0.0
     for _ in range(pairs):
         wa = rng.standard_normal(shape)
         wb = rng.standard_normal(shape)
-        ga = gradient(ModelParams(wa, ds.class_count), ds, mu)
-        gb = gradient(ModelParams(wb, ds.class_count), ds, mu)
+        ga = objective(wa)[1]
+        gb = objective(wb)[1]
         denom = float(np.linalg.norm(wa - wb))
         if denom == 0.0:
             continue
@@ -141,7 +154,8 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
 
     Strong convexity makes the minimum unique; quasi-Newton iterations drive
     the gradient toward grad_tol. A final gradient norm above hard_tol is a
-    failed measurement and raises.
+    failed measurement and raises. The final gradient and loss come from
+    `gradient` and `loss`, after the solver's buffered objective is freed.
     """
     ds = dataset.in_space()
     if ds.n == 0:
@@ -149,12 +163,9 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
     d, c = ds.d, ds.class_count
     lam = trainer_config.l2_lambda
     x0 = (start.weights if start is not None else np.zeros((d + 1, c))).ravel()
-
-    def objective(x):
-        m = ModelParams(weights=x.reshape(d + 1, c), class_count=c)
-        return loss(m, ds, lam), gradient(m, ds, lam).ravel()
-
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+    # No local name for the objective: its features and buffer go with the
+    # solver, before the final check allocates its own.
+    res = minimize(_objective(ds, lam), x0, jac=True, method="L-BFGS-B",
                    options={"maxiter": max_iter, "gtol": min(grad_tol, 1e-9) / 10.0,
                             "ftol": 1e-18})
     model = ModelParams(weights=res.x.reshape(d + 1, c), class_count=c)
@@ -190,6 +201,7 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
     model, and G^2 the worst squared batch-gradient norm over everyone.
     Gamma compares the pooled optimum loss with the weighted per-participant
     optimum losses, floored at 0; optimizations start from the server model.
+    The pooled optimum is returned whole as ``optimum``.
     """
     datasets = [ds.in_space() for ds in datasets]
     models = list(models)
@@ -215,7 +227,8 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
         sigma_sq.append(worst)
 
     pooled = concat_datasets(datasets, name="pooled")
-    l_star = solve_optimum(pooled, trainer_config, start=server_ref_model).loss
+    optimum = solve_optimum(pooled, trainer_config, start=server_ref_model)
+    l_star = optimum.loss
     l_i_star = [solve_optimum(ds, trainer_config, start=server_ref_model).loss
                 for ds in datasets]
     weighted = float(sum(e * v for e, v in zip(eps, l_i_star)))
@@ -225,7 +238,7 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
         G_sq=g_sq,
         Gamma=max(0.0, l_star - weighted),
         Gamma_unweighted=gamma_unweighted,
-        L_star=l_star,
+        optimum=optimum,
         L_i_star=tuple(l_i_star),
     )
 

@@ -184,6 +184,38 @@ def gradient(model: ModelParams, batch: Dataset, l2_lambda: float = 0.0) -> np.n
     return x.T @ probs / batch.n + l2_lambda * model.weights
 
 
+def _objective(dataset: Dataset, l2_lambda: float):
+    """`loss` and flattened `gradient` of one dataset as one function of the weights.
+
+    Validates the dataset and augments its features once, and allocates one
+    (n, c) buffer. Each call of the returned ``evaluate(w)`` runs the whole
+    pass in that buffer: logits, then log-softmax in place, the loss read
+    through a flat label index, then probabilities minus one at the labels.
+    ``w`` holds the (d+1, c) weights in any shape that reshapes to it. The
+    values are bitwise those of `loss` and `gradient`.
+    """
+    _require_trainable(dataset)
+    x = _augment(dataset.features)
+    n, c = dataset.n, dataset.class_count
+    shape = (x.shape[1], c)
+    buf = np.empty((n, c))
+    flat = buf.reshape(-1)
+    picked = np.arange(n) * c + dataset.observed_labels
+    add = np.add.reduce
+
+    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
+        weights = w.reshape(shape)
+        np.matmul(x, weights, out=buf)
+        np.subtract(buf, np.maximum.reduce(buf, axis=-1, keepdims=True), out=buf)
+        np.subtract(buf, np.log(add(np.exp(buf), axis=-1, keepdims=True)), out=buf)
+        value = float(-(add(flat[picked]) / n) + 0.5 * l2_lambda * add(weights ** 2, axis=None))
+        np.exp(buf, out=buf)
+        flat[picked] -= 1.0
+        return value, (x.T @ buf / n + l2_lambda * weights).reshape(-1)
+
+    return evaluate
+
+
 def predict(model: ModelParams, x):
     """Most probable class; ties go to the lowest class index.
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fednl import Dataset
+from fednl import Dataset, ModelParams, gradient, loss
 
 
 def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"):
@@ -34,6 +34,17 @@ def reference_loss(weights, dataset, l2_lambda):
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     nll = -logp[np.arange(dataset.n), dataset.observed_labels].mean()
     return float(nll + 0.5 * l2_lambda * np.sum(weights ** 2))
+
+
+def reference_objective(dataset, l2_lambda):
+    """Per-call `loss` and `gradient` of flat weights, the solver objective before buffering."""
+    shape = (dataset.d + 1, dataset.class_count)
+
+    def evaluate(w):
+        model = ModelParams(weights=w.reshape(shape), class_count=dataset.class_count)
+        return loss(model, dataset, l2_lambda), gradient(model, dataset, l2_lambda).ravel()
+
+    return evaluate
 
 
 @pytest.fixture

@@ -287,8 +287,7 @@ def _measured_round_constants(seed, noise_level, trainer):
     smooth = measure_smoothness(pooled, trainer, seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer,
                                  seed=derive_seed(seed, MEASURE, key))
-    w_star = solve_optimum(pooled, trainer, start=init)
-    gap = measure_init_gap(d, c, seed, w_star.model, init_scale=0.01)
+    gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=0.01)
     uniform = np.full(len(train_sets), 1.0 / len(train_sets))
     return smooth, comps, gap, uniform
 

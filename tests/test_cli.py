@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from fednl import MeasurementError, cli, rounds
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+
+from conftest import reference_objective
 
 
 def run_cli(*argv):
@@ -241,6 +244,55 @@ def test_rounds_empty_grid_rejected(tmp_path):
     config = write_config(tmp_path, ROUNDS_CONFIG.replace(
         "rounds_grid.q_o = 0.1, 0.01", "rounds_grid.q_o ="))
     assert run_cli("rounds", "--config", str(config)) == EXIT_VALIDATION
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = rounds.solve_optimum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rounds, "solve_optimum", counted)
+    return calls
+
+
+def test_rounds_table_bitwise_equals_per_call_objective(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path, ROUNDS_CONFIG)
+    solves = _count_solves(monkeypatch)
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    got = capsys.readouterr().out
+    # One pooled solve and one per participant: the init gap reuses the pooled one.
+    assert len(solves) == 4
+    monkeypatch.setattr(rounds, "_objective", reference_objective)
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    assert capsys.readouterr().out == got
+    assert "error" not in got
+
+
+def test_rounds_measurement_failure_prints_error_rows(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MeasurementError("optimizer stopped")
+
+    monkeypatch.setattr(cli, "measure_smoothness", fail)
+    config = write_config(tmp_path, ROUNDS_CONFIG)
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("error: optimizer stopped") == 2
+    assert "2 grid point(s) failed" in out
+
+
+def test_rounds_program_error_is_runtime_exit(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the measurement path")
+
+    monkeypatch.setattr(cli, "measure_smoothness", broken)
+    config = write_config(tmp_path, ROUNDS_CONFIG)
+    assert run_cli("rounds", "--config", str(config)) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "error:" not in captured.out
+    assert "bug in the measurement path" in captured.err
 
 
 # ---------------------------------------------------------------- report

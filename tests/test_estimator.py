@@ -253,9 +253,12 @@ def reference_score_class(dataset, k, preds):
 def reference_estimate(dataset, trainer_config, seed, per_class_resplit=False):
     in_space = dataset.in_space()
     c = dataset.class_count
+    # A class with no rows is scored without predictions, so it costs no trainings.
+    present = [k for k in range(c) if np.any(in_space.observed_labels == k)]
     if per_class_resplit:
         estimates = [reference_score_class(
-            in_space, k, reference_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k)))
+            in_space, k, reference_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 1, k))
+            if k in present else None)
             for k in range(c)]
     else:
         preds = reference_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0))
@@ -268,7 +271,7 @@ def reference_estimate(dataset, trainer_config, seed, per_class_resplit=False):
         best_class=best,
         beta_mean=float(betas.mean()),
         out_of_space_ids=tuple(int(i) for i in dataset.out_of_space_ids()),
-        trainings=3 * c if per_class_resplit else 3,
+        trainings=3 * len(present) if per_class_resplit else 3,
     )
 
 
@@ -288,6 +291,7 @@ def test_estimate_matches_per_id_reference(per_class_resplit):
     want = reference_estimate(dataset, ESTIMATE_CONFIG, 12,
                               per_class_resplit=per_class_resplit)
     assert got.per_class[3].empty
+    assert got.trainings == (9 if per_class_resplit else 3)
     assert len(got.out_of_space_ids) == 5
     assert 0 < got.beta_mean
     assert got == want

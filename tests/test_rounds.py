@@ -10,12 +10,14 @@ from fednl import (
     Diminishing,
     FederationConfig,
     MeasurementError,
+    ModelParams,
     NoStrongConvexityError,
     RoundParams,
     ShuffleSplit,
     SmoothnessParams,
     TrainerConfig,
     compute_B,
+    concat_datasets,
     estimate_rounds,
     gradient,
     measure_b_components,
@@ -28,7 +30,12 @@ from fednl import (
     synth_gaussian,
     verify_rate,
 )
+from fednl import rounds
+from fednl._rng import MEASURE, derive_rng
+from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
+
+from conftest import make_dataset, reference_objective
 
 
 CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05, seed=0)
@@ -70,6 +77,36 @@ def test_smoothness_params_validation():
         SmoothnessParams(L=1.0, mu=0.0)
 
 
+def reference_smoothness_L(dataset, trainer_config, seed=0, pairs=100):
+    """The L of `measure_smoothness`, one `gradient` call per weight draw."""
+    mu = trainer_config.l2_lambda
+    ds = dataset.in_space()
+    rng = derive_rng(seed, MEASURE)
+    shape = (ds.d + 1, ds.class_count)
+    best = 0.0
+    for _ in range(pairs):
+        wa = rng.standard_normal(shape)
+        wb = rng.standard_normal(shape)
+        ga = gradient(ModelParams(wa, ds.class_count), ds, mu)
+        gb = gradient(ModelParams(wb, ds.class_count), ds, mu)
+        denom = float(np.linalg.norm(wa - wb))
+        if denom == 0.0:
+            continue
+        best = max(best, float(np.linalg.norm(ga - gb)) / denom)
+    return max(mu, 1.2 * best)
+
+
+def test_smoothness_bitwise_equals_per_call_gradients():
+    wide = synth_gaussian(10, 30, 20, 3.0, seed=11)
+    small = synth_gaussian(3, 20, 2, 6.0, seed=12)
+    labels = small.observed_labels.copy()
+    labels[:4] = OUT_OF_SPACE
+    with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
+    for ds, seed in ((wide, 11), (small, 12), (with_out_of_space, 13)):
+        got = measure_smoothness(ds, CONFIG, seed=seed, pairs=30)
+        assert got.L == reference_smoothness_L(ds, CONFIG, seed=seed, pairs=30)
+
+
 # ---------------------------------------------------------------- optimum
 
 def test_solved_optimum_has_small_gradient():
@@ -77,6 +114,16 @@ def test_solved_optimum_has_small_gradient():
     opt = solve_optimum(ds, CONFIG)
     assert opt.grad_norm <= 1e-6
     assert np.linalg.norm(gradient(opt.model, ds, CONFIG.l2_lambda)) <= 1e-6
+
+
+def test_optimum_bitwise_equals_per_call_objective(monkeypatch):
+    ds = synth_gaussian(4, 40, 3, 4.0, seed=14)
+    start = server_init(ds.d, 4, seed=14)
+    got = solve_optimum(ds, CONFIG, start=start)
+    monkeypatch.setattr(rounds, "_objective", reference_objective)
+    want = solve_optimum(ds, CONFIG, start=start)
+    assert got.model.weights.tobytes() == want.model.weights.tobytes()
+    assert (got.loss, got.grad_norm) == (want.loss, want.grad_norm)
 
 
 def test_optimum_nonconvergence_reported():
@@ -106,6 +153,17 @@ def test_gamma_zero_for_identical_data():
     model = server_init(copies[0].d, 3, seed=8)
     comps = measure_b_components(copies, [model] * 3, model, CONFIG, seed=8)
     assert comps.Gamma <= 1e-6
+
+
+def test_b_components_carry_the_pooled_optimum():
+    base = synth_gaussian(3, 40, 2, 6.0, seed=15)
+    parts = partition_non_iid(base, 3, seed=15, strategy=ShuffleSplit())
+    model = server_init(base.d, 3, seed=15)
+    comps = measure_b_components(parts, [model] * 3, model, CONFIG, seed=15)
+    fresh = solve_optimum(concat_datasets(parts, name="pooled"), CONFIG, start=model)
+    assert comps.optimum.model.weights.tobytes() == fresh.model.weights.tobytes()
+    assert (comps.optimum.loss, comps.optimum.grad_norm) == (fresh.loss, fresh.grad_norm)
+    assert comps.L_star == fresh.loss
 
 
 def test_full_batch_variance_vanishes():

@@ -25,6 +25,7 @@ from fednl import (
 )
 from fednl import ModelParams
 from fednl._rng import TRAIN, derive_rng
+from fednl.trainer import _objective
 
 from conftest import make_dataset, reference_loss
 
@@ -114,6 +115,47 @@ def test_loss_rejects_empty_dataset():
     empty = make_dataset(np.zeros((0, 2)), [], c=3)
     with pytest.raises(ValueError):
         loss(init_model(2, 3), empty)
+
+
+# ---------------------------------------------------------------- buffered objective
+
+def _objective_cases():
+    """Datasets for the buffered objective: wide, one row, and an empty class."""
+    yield synth_gaussian(10, 100, 20, 3.0, seed=21)
+    yield make_dataset([[0.5, -1.0]], [2], c=3)
+    rng = np.random.default_rng(22)
+    yield make_dataset(rng.normal(size=(12, 3)), [0, 1, 3] * 4, c=4)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_objective_bitwise_equals_loss_and_gradient(lam):
+    rng = np.random.default_rng(23)
+    for ds in _objective_cases():
+        evaluate = _objective(ds, lam)
+        # Repeated calls on one closure reuse its buffer; none may see another's values.
+        for _ in range(4):
+            weights = rng.normal(size=(ds.d + 1, ds.class_count))
+            value, grad = evaluate(weights.ravel())
+            model = ModelParams(weights, ds.class_count)
+            assert value == loss(model, ds, lam)
+            assert grad.shape == (weights.size,)
+            assert grad.tobytes() == gradient(model, ds, lam).ravel().tobytes()
+
+
+def test_objective_result_survives_next_call():
+    ds = synth_gaussian(3, 20, 2, 3.0, seed=24)
+    evaluate = _objective(ds, 0.01)
+    first = evaluate(np.zeros(9))[1]
+    kept = first.copy()
+    evaluate(np.ones(9))
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_objective_rejects_untrainable_dataset():
+    with pytest.raises(ValueError):
+        _objective(make_dataset(np.zeros((0, 2)), [], c=3), 0.0)
+    with pytest.raises(ValueError):
+        _objective(make_dataset([[0.0, 1.0]], [-1], c=3), 0.0)
 
 
 # ---------------------------------------------------------------- gradient
