@@ -12,9 +12,9 @@ from .contribution import (GAMMA_MIN, ContributionWeights, DegenerateAggregateEr
                            InfluenceState, contributions, decay_factor, effective_sizes,
                            influence, leave_one_out_aggregates, size_weights)
 from .data import (OUT_OF_SPACE, ColumnSchema, Dataset, LabelSkew, ParseError,
-                   PartitionError, SchemaError, ShuffleSplit, SplitError, class_subset,
-                   concat_datasets, load_dataset, partition_non_iid, save_dataset,
-                   split_three_folds, synth_gaussian)
+                   PartitionError, SchemaError, ShuffleSplit, SplitError, concat_datasets,
+                   load_dataset, partition_non_iid, save_dataset, split_three_folds,
+                   synth_gaussian)
 from .engine import (AggregationError, FederationConfig, RoundRecord, RunReport,
                      aggregate, record_to_dict, run_fedavg, run_fednl, server_init)
 from .estimator import (ClassEstimate, EstimationError, NoiseEstimate, classify_instance,
@@ -22,17 +22,17 @@ from .estimator import (ClassEstimate, EstimationError, NoiseEstimate, classify_
 from .exchange import (AllocationError, DemandPlan, ExchangeResult, ExchangeTranscript,
                        apply_exchange, compute_demands, fulfill_demands, normalize_noise,
                        transcript_to_dict)
-from .metrics import (MetricsSnapshot, confusion_matrix, contribution_ratio,
-                      detection_scores, evaluate, format_snapshot)
+from .metrics import (MetricsSnapshot, confusion_matrix, detection_scores, evaluate,
+                      format_snapshot)
 from .noise import (NoiseReport, TransitionMatrix, asymmetric_matrix, inject_noise,
-                    load_matrix, save_matrix, symmetric_matrix, with_out_of_space)
+                    save_matrix, symmetric_matrix, with_out_of_space)
 from .rounds import (BComponents, MeasurementError, NoStrongConvexityError, Optimum,
-                     RoundEstimate, RoundParams, SmoothnessParams, compute_B,
-                     estimate_rounds, measure_b_components, measure_init_gap,
-                     measure_smoothness, solve_optimum, verify_rate)
+                     RoundConstants, RoundEstimate, RoundParams, SmoothnessParams,
+                     compute_B, estimate_rounds, measure_b_components, measure_init_gap,
+                     measure_round_constants, measure_smoothness, solve_optimum,
+                     verify_rate)
 from .trainer import (Constant, Diminishing, DivergenceError, ModelParams,
-                      TrainerConfig, epoch_batches, gradient, init_model, load_model,
-                      loss, lr_at, predict, save_model, smoothness_bound,
-                      steps_per_round, train_local)
+                      TrainerConfig, epoch_batches, gradient, init_model, loss, lr_at,
+                      predict, save_model, smoothness_bound, steps_per_round, train_local)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

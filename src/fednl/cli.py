@@ -10,26 +10,19 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from ._rng import INJECT, MEASURE, TRAIN, derive_seed
 from .config import (ConfigError, ExperimentConfig, build_datasets,
                      build_federation_config, build_trainer_config, load_config,
                      parse_flip_rules)
-from .data import (ColumnSchema, ParseError, SchemaError, concat_datasets,
-                   load_dataset, save_dataset, synth_gaussian)
-from .engine import record_to_dict, run_fedavg, run_fednl, server_init
+from .data import ColumnSchema, ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
+from .engine import record_to_dict, run_fedavg, run_fednl
 from .estimator import estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
 from .metrics import format_snapshot
-from .noise import (asymmetric_matrix, inject_noise, save_matrix,
-                    symmetric_matrix, with_out_of_space)
-from .rounds import (MeasurementError, RoundParams, compute_B, estimate_rounds,
-                     measure_b_components, measure_init_gap, measure_smoothness)
-from .trainer import Constant, DivergenceError, TrainerConfig, save_model, train_local
+from .noise import asymmetric_matrix, inject_noise, save_matrix, symmetric_matrix, with_out_of_space
+from .rounds import MeasurementError, measure_round_constants
+from .trainer import Constant, DivergenceError, TrainerConfig, save_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -187,16 +180,9 @@ _GRID_ERRORS = (ValueError, MeasurementError, DivergenceError)
 
 def cmd_rounds(args) -> int:
     config = load_config(args.config)
-    seed = config["seed"]
     clean_cfg = ExperimentConfig(values={**config.values, "noise.kind": "none"})
     participants, _ = build_datasets(clean_cfg)
     trainer = build_trainer_config(config)
-    d, c = participants[0].d, participants[0].class_count
-    init = server_init(d, c, seed, config["pipeline.init_scale"])
-    n = len(participants)
-    uniform = np.full(n, 1.0 / n)
-
-    grid_noise = config["rounds_grid.noise"]
     grid_epochs = config["rounds_grid.local_epochs"]
     grid_qo = config["rounds_grid.q_o"]
 
@@ -205,43 +191,25 @@ def cmd_rounds(args) -> int:
     print(header)
     print("-" * len(header))
     failures = 0
-    for level in grid_noise:
-        level_key = int(round(level * 10**6))
+    for level in config["rounds_grid.noise"]:
         try:
-            if level > 0.0:
-                matrix = symmetric_matrix(c, level)
-                noisy = [inject_noise(ds, matrix, derive_seed(seed, INJECT, level_key, i))[0]
-                         for i, ds in enumerate(participants)]
-            else:
-                noisy = participants
-            train_sets = [ds.training_view().in_space() for ds in noisy]
-            models = []
-            for i, ds in enumerate(train_sets):
-                cfg_i = replace(trainer, seed=derive_seed(seed, TRAIN, level_key, i))
-                model, _ = train_local(init, ds, cfg_i)
-                models.append(model)
-            pooled = concat_datasets(train_sets, name="pooled")
-            smooth = measure_smoothness(pooled, trainer, seed=seed)
-            comps = measure_b_components(train_sets, models, init, trainer,
-                                         seed=derive_seed(seed, MEASURE, level_key))
-            gap = measure_init_gap(d, c, seed, comps.optimum.model,
-                                   init_scale=config["pipeline.init_scale"])
+            constants = measure_round_constants(participants, trainer, config["seed"], level,
+                                                config["pipeline.init_scale"])
         except _GRID_ERRORS as e:
             for epochs in grid_epochs:
                 for q_o in grid_qo:
                     print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
                     failures += 1
             continue
+        smooth, comps = constants.smooth, constants.components
         print(f"# noise {level:.3f}: L={smooth.L:.4g} mu={smooth.mu:.4g} "
               f"max sigma^2={max(comps.sigma_sq):.4g} G^2={comps.G_sq:.4g} "
-              f"Gamma={comps.Gamma:.4g} gap={gap:.4g}")
+              f"Gamma={comps.Gamma:.4g} gap={constants.init_gap:.4g}")
         for epochs in grid_epochs:
             for q_o in grid_qo:
                 try:
-                    B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma,
-                                  epochs, comps.G_sq)
-                    est = estimate_rounds(smooth, RoundParams(epochs, q_o, B, gap),
-                                          alpha_minus_one=args.alpha_minus_one)
+                    B, est = constants.rounds(epochs, q_o,
+                                              alpha_minus_one=args.alpha_minus_one)
                 except _GRID_ERRORS as e:
                     print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
                     failures += 1

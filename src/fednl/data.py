@@ -399,13 +399,6 @@ def split_three_folds(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarr
     return tuple(np.sort(fold) for fold in np.split(order, bounds))
 
 
-def class_subset(dataset: Dataset, k: int) -> Dataset:
-    """All and only instances with observed label k, order preserved."""
-    if not 0 <= k < dataset.class_count:
-        raise ValueError(f"class {k} outside [0, {dataset.class_count})")
-    return dataset.take(np.flatnonzero(dataset.observed_labels == k))
-
-
 def concat_datasets(parts, name: str | None = None) -> Dataset:
     """Stack datasets over the same feature space; ids must stay unique.
 

@@ -78,7 +78,9 @@ class ExchangeResult:
 
     ``dataset`` is the new training set (noise-free survivors plus
     transfers, grouped by class; removed instances are gone for good) and
-    ``estimate`` the re-run three-fold estimate on it.
+    ``estimate`` the re-run three-fold estimate on it. A new set of fewer
+    than 3 rows cannot form the three folds: its re-estimate is skipped with
+    a warning, and ``estimate`` is the pre-exchange estimate.
     """
 
     dataset: Dataset
@@ -147,7 +149,8 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     class-k pool; each class is then capped at its pre-exchange size (the
     grant rule makes the cap unreachable, but a hit is truncated and
     reported). The returned estimate re-runs the three-fold procedure on the
-    new dataset with a derived seed.
+    new dataset with a derived seed, or is the given one when the new
+    dataset is too small for three folds.
     """
     if plan.final is None:
         raise ValueError("plan has no final grants; run fulfill_demands first")
@@ -186,9 +189,15 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     # Class by class: survivors in participant row order, then the transfers.
     merged = concat_datasets(parts, name=participant.name)
     new_dataset = merged.take(np.argsort(merged.observed_labels, kind="stable"))
-    new_estimate = estimate_noise(
-        new_dataset, trainer_config, derive_seed(seed, EXCHANGE, c),
-        per_class_resplit=per_class_resplit)
+    # Every row is in-space, so the estimator's fold minimum is a row count.
+    if new_dataset.n < 3:
+        logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
+                       "keeping the pre-exchange estimate", participant.name, new_dataset.n)
+        new_estimate = estimate
+    else:
+        new_estimate = estimate_noise(
+            new_dataset, trainer_config, derive_seed(seed, EXCHANGE, c),
+            per_class_resplit=per_class_resplit)
     transcript = ExchangeTranscript(
         demands={k: plan.demanded[k] for k in plan.demanding_classes},
         delta1=plan.delta1,

@@ -107,13 +107,6 @@ def evaluate(model: ModelParams, dataset: Dataset, label_source: str = "observed
     return scores_from_confusion(confusion, scope=scope)
 
 
-def contribution_ratio(eps_noisy: float, eps_clean: float) -> float:
-    """Weighted contribution at some noise level relative to the clean-data one."""
-    if eps_clean <= 0.0:
-        raise ValueError("clean-data contribution must be positive to form a ratio")
-    return eps_noisy / eps_clean
-
-
 def detection_scores(flagged_ids, actual_ids) -> tuple[float, float]:
     """Precision and recall of a flagged id set against the actual positive set.
 

@@ -7,7 +7,6 @@ space entirely.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -109,20 +108,6 @@ def save_matrix(matrix: TransitionMatrix, path) -> None:
                  f"{int(matrix.has_out_of_space)}\n")
         for row in matrix.probs:
             fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_matrix(path) -> TransitionMatrix:
-    path = Path(path)
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != _MATRIX_MAGIC:
-            raise ValueError(f"{path}: not a transition-matrix file (bad magic {magic!r})")
-        try:
-            c, oos = (int(v) for v in fh.readline().split())
-        except ValueError:
-            raise ValueError(f"{path}: malformed header line") from None
-        probs = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    return TransitionMatrix(probs=probs, class_count=c, has_out_of_space=bool(oos))
 
 
 @dataclass(frozen=True)

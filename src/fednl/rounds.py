@@ -8,6 +8,10 @@ trainer: smoothness L, strong convexity mu, per-participant gradient
 variance sigma_i^2, gradient bound G^2, non-iid degree Gamma, and the
 init-to-optimum gap.
 
+`measure_round_constants` runs the whole measurement (noise, one local
+round, then L, the B components and the init gap) for every caller;
+`RoundConstants.rounds` turns it into B and a round estimate.
+
 Each L-BFGS solve and the smoothness probe evaluate loss and gradient in one
 buffered pass (`trainer._objective`). The pooled optimum is solved once per
 measurement: `measure_b_components` returns it, and the init gap reads it
@@ -16,16 +20,17 @@ from there.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from ._rng import INIT_GAP, MEASURE, derive_rng, derive_seed
+from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .contribution import ContributionWeights
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
-from .trainer import ModelParams, TrainerConfig, _objective, gradient, loss
+from .noise import inject_noise, symmetric_matrix
+from .trainer import ModelParams, TrainerConfig, _objective, gradient, loss, train_local
 
 logger = logging.getLogger(__name__)
 
@@ -273,6 +278,64 @@ def estimate_rounds(smooth: SmoothnessParams, params: RoundParams,
     bracket = 4.0 * params.B + mu ** 2 * alpha * params.init_gap
     raw = (L / (2.0 * mu ** 2 * params.q_o) * bracket + 1.0 - alpha) / params.local_epochs
     return RoundEstimate(raw=raw, rounds=max(1, math.ceil(raw)), alpha=alpha)
+
+
+@dataclass(frozen=True)
+class RoundConstants:
+    """Measured inputs of the round formula at one noise level.
+
+    ``components`` carries sigma_i^2, G^2, Gamma and the pooled optimum;
+    ``init_gap`` is the mean squared distance from server inits to it.
+    """
+
+    smooth: SmoothnessParams
+    components: BComponents
+    init_gap: float
+
+    def rounds(self, local_epochs: int, q_o: float, epsilon=None,
+               alpha_minus_one: bool = False) -> tuple[float, RoundEstimate]:
+        """B and the round estimate for E local epochs and target q_o.
+
+        ``epsilon`` weighs the participants' variances and defaults to uniform.
+        """
+        comps = self.components
+        if epsilon is None:
+            epsilon = np.full(len(comps.sigma_sq), 1.0 / len(comps.sigma_sq))
+        B = compute_B(epsilon, comps.sigma_sq, self.smooth.L, comps.Gamma,
+                      local_epochs, comps.G_sq)
+        return B, estimate_rounds(self.smooth,
+                                  RoundParams(local_epochs, q_o, B, self.init_gap),
+                                  alpha_minus_one=alpha_minus_one)
+
+
+def measure_round_constants(participants, trainer_config: TrainerConfig, seed: int,
+                            noise_level: float = 0.0,
+                            init_scale: float = 0.01) -> RoundConstants:
+    """Measure L, the B components and the init gap after one local round.
+
+    Labels pass through a symmetric channel of flip rate ``noise_level``
+    (none at 0), then each participant trains from the server init on its
+    in-space view. With key = the level in millionths, injection and training
+    draw from (INJECT|TRAIN, key, i), the B measurement from (MEASURE, key),
+    and L's probe and the init gap from ``seed``, shared by every level.
+    """
+    d, c = participants[0].d, participants[0].class_count
+    key = int(round(noise_level * 10**6))
+    if noise_level > 0.0:
+        matrix = symmetric_matrix(c, noise_level)
+        participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
+                        for i, ds in enumerate(participants)]
+    train_sets = [ds.training_view().in_space() for ds in participants]
+    init = server_init(d, c, seed, init_scale)
+    models = [train_local(init, ds, replace(trainer_config,
+                                            seed=derive_seed(seed, TRAIN, key, i)))[0]
+              for i, ds in enumerate(train_sets)]
+    smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer_config,
+                                seed=seed)
+    comps = measure_b_components(train_sets, models, init, trainer_config,
+                                 seed=derive_seed(seed, MEASURE, key))
+    gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
+    return RoundConstants(smooth=smooth, components=comps, init_gap=gap)
 
 
 def verify_rate(run: RunReport, optimum_loss: float) -> float:

@@ -307,26 +307,11 @@ _MODEL_MAGIC = "softmax-weights v1"
 def save_model(model: ModelParams, path) -> None:
     """Write weights as text: magic, shape, then one %.17g row per line.
 
-    %.17g round-trips float64 exactly, so save/load is lossless and the
-    bytes are a pure function of the weights.
+    %.17g round-trips float64 exactly, so the file parses back to the same
+    bits and its bytes are a pure function of the weights.
     """
     rows, cols = model.weights.shape
     with open(path, "w") as fh:
         fh.write(f"{_MODEL_MAGIC}\n{rows} {cols}\n")
         for row in model.weights:
             fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
-def load_model(path) -> ModelParams:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file (bad magic {magic!r})")
-        try:
-            rows, cols = (int(v) for v in fh.readline().split())
-        except ValueError:
-            raise ValueError(f"{path}: malformed shape line") from None
-        weights = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-    if weights.shape != (rows, cols):
-        raise ValueError(f"{path}: shape header says {(rows, cols)}, data is {weights.shape}")
-    return ModelParams(weights=weights, class_count=cols)

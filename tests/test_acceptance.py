@@ -27,24 +27,19 @@ from fednl import (
     gradient,
     inject_noise,
     loss,
-    measure_b_components,
-    measure_init_gap,
+    measure_round_constants,
     measure_smoothness,
     normalize_noise,
     partition_non_iid,
     run_fedavg,
     run_fednl,
     save_model,
-    server_init,
     solve_optimum,
     symmetric_matrix,
     asymmetric_matrix,
     synth_gaussian,
-    train_local,
     verify_rate,
 )
-from fednl._rng import derive_seed, INJECT, MEASURE, TRAIN
-from dataclasses import replace
 
 # Estimator runs want a longer local fit than the federated trainer default.
 ESTIMATE_CONFIG = TrainerConfig(local_epochs=20, batch_size=32,
@@ -267,29 +262,11 @@ def test_round_formula_matches_recomputation():
 
 def _measured_round_constants(seed, noise_level, trainer):
     """One local round per participant at the given noise level, then the
-    measured constants the round estimate needs. Mirrors the grid command."""
+    measured constants the round estimate needs, as `fednl rounds` measures
+    them."""
     base = synth_gaussian(3, 200, 2, 4.0, seed=seed)
     parts = partition_non_iid(base, 3, seed=seed, strategy=ShuffleSplit())
-    d, c = base.d, base.class_count
-    init = server_init(d, c, seed, 0.01)
-    key = int(round(noise_level * 10 ** 6))
-    if noise_level > 0.0:
-        matrix = symmetric_matrix(c, noise_level)
-        parts = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
-                 for i, ds in enumerate(parts)]
-    train_sets = [ds.training_view().in_space() for ds in parts]
-    models = []
-    for i, ds in enumerate(train_sets):
-        cfg = replace(trainer, seed=derive_seed(seed, TRAIN, key, i))
-        model, _ = train_local(init, ds, cfg)
-        models.append(model)
-    pooled = concat_datasets(train_sets, name="pooled")
-    smooth = measure_smoothness(pooled, trainer, seed=seed)
-    comps = measure_b_components(train_sets, models, init, trainer,
-                                 seed=derive_seed(seed, MEASURE, key))
-    gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=0.01)
-    uniform = np.full(len(train_sets), 1.0 / len(train_sets))
-    return smooth, comps, gap, uniform
+    return measure_round_constants(parts, trainer, seed, noise_level)
 
 
 def test_round_estimate_trends():
@@ -302,18 +279,13 @@ def test_round_estimate_trends():
     by_noise = []
     clean_constants = None
     for level in (0.0, 0.2, 0.4):
-        smooth, comps, gap, uniform = _measured_round_constants(13, level, trainer)
-        B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma, 5, comps.G_sq)
-        est = estimate_rounds(smooth, RoundParams(5, 0.01, B, gap))
-        by_noise.append(est.rounds)
+        constants = _measured_round_constants(13, level, trainer)
+        by_noise.append(constants.rounds(5, 0.01)[1].rounds)
         if level == 0.0:
-            clean_constants = (smooth, comps, gap, uniform)
+            clean_constants = constants
     assert by_noise[0] < by_noise[1] < by_noise[2], f"rounds vs noise: {by_noise}"
 
-    smooth, comps, gap, uniform = clean_constants
-    B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma, 5, comps.G_sq)
-    by_target = [estimate_rounds(smooth, RoundParams(5, q_o, B, gap)).rounds
-                 for q_o in (0.1, 0.01, 0.001)]
+    by_target = [clean_constants.rounds(5, q_o)[1].rounds for q_o in (0.1, 0.01, 0.001)]
     assert by_target[0] < by_target[1] < by_target[2], f"rounds vs target: {by_target}"
     print(f"criterion 8 PASS: rounds rise with noise {by_noise} and fall with looser targets {by_target[::-1]}")
 

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fednl import MeasurementError, cli, rounds
+from fednl import MeasurementError, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 from conftest import reference_objective
@@ -86,6 +87,20 @@ def test_inject_then_estimate_chain(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert len(payload["per_class"]) == 3
     assert 0.1 <= payload["beta_mean"] <= 0.5
+
+
+def test_estimate_per_class_resplit_trains_each_nonempty_class(tmp_path):
+    # Labels 0 and 2 only: class 1 is in the class space but empty.
+    base = synth_gaussian(3, 30, 2, 8.0, seed=5)
+    data = tmp_path / "gap.csv"
+    save_dataset(base.take(np.flatnonzero(base.observed_labels != 1)), data)
+    report = tmp_path / "estimate.json"
+    assert run_cli("estimate", "--data", str(data), "--seed", "5", "--per-class-resplit",
+                   "--json", str(report)) == EXIT_OK
+    payload = json.loads(report.read_text())
+    nonempty = [c for c in payload["per_class"] if not c["empty"]]
+    assert len(payload["per_class"]) == 3 and len(nonempty) == 2
+    assert payload["trainings"] == 3 * len(nonempty)
 
 
 def test_inject_requires_exactly_one_channel(tmp_path):
@@ -240,6 +255,28 @@ def test_rounds_grid_monotone_in_target(tmp_path, capsys):
     assert by_q[0.01] > by_q[0.1]
 
 
+def test_rounds_alpha_minus_one_shifts_only_alpha(tmp_path, capsys, monkeypatch):
+    estimates = []
+    estimate = rounds.estimate_rounds
+
+    def recorded(*args, **kwargs):
+        estimates.append(estimate(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(rounds, "estimate_rounds", recorded)
+    config = write_config(tmp_path, ROUNDS_CONFIG)
+    columns = []
+    for flag in (), ("--alpha-minus-one",):
+        assert run_cli("rounds", "--config", str(config), *flag) == EXIT_OK
+        # The B column of every table row (a noise level, not "#" or the header).
+        columns.append([line.split()[3] for line in capsys.readouterr().out.splitlines()
+                        if line.startswith(" 0.000")])
+    assert len(columns[0]) == 2 and columns[1] == columns[0]
+    assert len(estimates) == 4
+    for before, after in zip(estimates[:2], estimates[2:]):
+        assert after.alpha == before.alpha - 1.0
+
+
 def test_rounds_empty_grid_rejected(tmp_path):
     config = write_config(tmp_path, ROUNDS_CONFIG.replace(
         "rounds_grid.q_o = 0.1, 0.01", "rounds_grid.q_o ="))
@@ -275,7 +312,7 @@ def test_rounds_measurement_failure_prints_error_rows(tmp_path, capsys, monkeypa
     def fail(*args, **kwargs):
         raise MeasurementError("optimizer stopped")
 
-    monkeypatch.setattr(cli, "measure_smoothness", fail)
+    monkeypatch.setattr(rounds, "measure_smoothness", fail)
     config = write_config(tmp_path, ROUNDS_CONFIG)
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     out = capsys.readouterr().out
@@ -287,7 +324,7 @@ def test_rounds_program_error_is_runtime_exit(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the measurement path")
 
-    monkeypatch.setattr(cli, "measure_smoothness", broken)
+    monkeypatch.setattr(rounds, "measure_smoothness", broken)
     config = write_config(tmp_path, ROUNDS_CONFIG)
     assert run_cli("rounds", "--config", str(config)) == EXIT_RUNTIME
     captured = capsys.readouterr()

@@ -12,7 +12,6 @@ from fednl import (
     SchemaError,
     ShuffleSplit,
     SplitError,
-    class_subset,
     concat_datasets,
     load_dataset,
     partition_non_iid,
@@ -200,26 +199,15 @@ def test_folds_disjoint_union():
 
 # ---------------------------------------------------------------- class views
 
-def test_class_subset_basic():
-    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2)
-    sub = class_subset(ds, 0)
-    assert sub.n == 2
-    assert set(sub.ids.tolist()) == {0, 2}
-
-
-def test_class_subset_absent_class():
-    ds = make_dataset([[0.0], [1.0]], [0, 0], c=3)
-    assert class_subset(ds, 2).n == 0
-
-
 def test_class_subsets_partition_dataset():
     labels = [0, 1, 2, OUT_OF_SPACE, 1, 0]
     ds = make_dataset([[float(i)] for i in range(6)], labels, c=3)
-    covered = []
-    for k in range(3):
-        covered.extend(class_subset(ds, k).ids.tolist())
-    covered.extend(ds.out_of_space_ids().tolist())
-    assert sorted(covered) == ds.ids.tolist()
+    # The in-space rows, counted per class, and the out-of-space ids cover
+    # every row exactly once.
+    assert ds.class_sizes().tolist() == [2, 2, 1]
+    in_space = ds.in_space().ids.tolist()
+    assert sorted(in_space + ds.out_of_space_ids().tolist()) == ds.ids.tolist()
+    assert ds.out_of_space_ids().tolist() == [3]
 
 
 # ---------------------------------------------------------------- views

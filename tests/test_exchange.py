@@ -21,7 +21,9 @@ from fednl import (
     synth_gaussian,
     transcript_to_dict,
 )
-from fednl._rng import EXCHANGE, derive_rng, derive_seed
+from fednl._rng import ESTIMATE, EXCHANGE, derive_rng, derive_seed
+from fednl.config import build_datasets, build_federation_config, parse_config_text
+from fednl.engine import _participant_seed, _server_rows
 
 CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01, seed=0)
 
@@ -308,3 +310,39 @@ def test_apply_matches_per_class_reference(kind):
     np.testing.assert_array_equal(result.dataset.observed_labels, dataset.observed_labels)
     assert result.transcript == transcript
     assert result.estimate == estimate_noise(dataset, CONFIG, derive_seed(12, EXCHANGE, 3))
+
+
+# The fednl_wide benchmark scenario at config seed 57: participant 2's estimate
+# keeps 1 of its 75 rows and no class demands anything.
+WIDE_SEED_57 = """
+seed = 57
+participants = 160
+rounds = 12
+data.classes = 3
+data.dim = 2
+data.separation = 4
+data.per_class = 4000
+server.per_class = 400
+noise.kind = symmetric
+noise.beta = 0.4
+noise.participants = {noisy}
+trainer.local_epochs = 2
+""".format(noisy=",".join(str(i) for i in range(40)))
+
+
+def test_too_small_for_folds_keeps_pre_exchange_estimate(caplog):
+    config = parse_config_text(WIDE_SEED_57)
+    participants, server = build_datasets(config)
+    fed = build_federation_config(config)
+    pool_rows, _ = _server_rows(server.n, fed.server_test_fraction, fed.seed)
+    view = participants[2].training_view()
+    estimate = estimate_noise(view, fed.trainer, _participant_seed(fed, 2, ESTIMATE))
+    with caplog.at_level("WARNING", logger="fednl.exchange"):
+        result = normalize_noise(view, estimate, server.take(pool_rows),
+                                 _participant_seed(fed, 2, EXCHANGE), fed.trainer)
+    assert result.dataset.n == 1
+    assert result.estimate is estimate
+    assert not result.transcript.demands
+    assert [r.getMessage() for r in caplog.records] == [
+        "participants/p2: 1 row(s) after the exchange cannot form three folds; "
+        "keeping the pre-exchange estimate"]

@@ -6,7 +6,6 @@ import pytest
 from fednl import (
     ModelParams,
     confusion_matrix,
-    contribution_ratio,
     detection_scores,
     evaluate,
     format_snapshot,
@@ -109,21 +108,6 @@ def test_format_snapshot_smoke():
     text = format_snapshot(evaluate(perfect_model_for(ds), ds))
     assert "accuracy" in text
     assert "macro F1" in text
-
-
-# ---------------------------------------------------------------- ratios
-
-def test_contribution_ratio_equal():
-    assert contribution_ratio(0.25, 0.25) == 1.0
-
-
-def test_contribution_ratio_half():
-    assert contribution_ratio(0.05, 0.10) == pytest.approx(0.5)
-
-
-def test_contribution_ratio_rejects_zero_baseline():
-    with pytest.raises(ValueError):
-        contribution_ratio(0.1, 0.0)
 
 
 # ---------------------------------------------------------------- detection

@@ -1,6 +1,7 @@
 """Communication-round estimation and measured constants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,18 +21,22 @@ from fednl import (
     concat_datasets,
     estimate_rounds,
     gradient,
+    inject_noise,
     measure_b_components,
     measure_init_gap,
+    measure_round_constants,
     measure_smoothness,
     partition_non_iid,
     run_fedavg,
     server_init,
     solve_optimum,
+    symmetric_matrix,
     synth_gaussian,
+    train_local,
     verify_rate,
 )
 from fednl import rounds
-from fednl._rng import MEASURE, derive_rng
+from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
@@ -164,6 +169,50 @@ def test_b_components_carry_the_pooled_optimum():
     assert comps.optimum.model.weights.tobytes() == fresh.model.weights.tobytes()
     assert (comps.optimum.loss, comps.optimum.grad_norm) == (fresh.loss, fresh.grad_norm)
     assert comps.L_star == fresh.loss
+
+
+def reference_round_constants(participants, trainer, seed, level, init_scale):
+    """The measurement sequence `fednl rounds` once wrote out inline."""
+    d, c = participants[0].d, participants[0].class_count
+    init = server_init(d, c, seed, init_scale)
+    key = int(round(level * 10**6))
+    if level > 0.0:
+        matrix = symmetric_matrix(c, level)
+        participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
+                        for i, ds in enumerate(participants)]
+    train_sets = [ds.training_view().in_space() for ds in participants]
+    models = [train_local(init, ds, replace(trainer, seed=derive_seed(seed, TRAIN, key, i)))[0]
+              for i, ds in enumerate(train_sets)]
+    smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer, seed=seed)
+    comps = measure_b_components(train_sets, models, init, trainer,
+                                 seed=derive_seed(seed, MEASURE, key))
+    gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
+    return smooth, comps, gap
+
+
+@pytest.mark.parametrize("level", [0.0, 0.3])
+def test_round_constants_match_inline_reference(level):
+    base = synth_gaussian(3, 40, 2, 8.0, seed=13)
+    parts = partition_non_iid(base, 3, seed=13, strategy=ShuffleSplit())
+    trainer = TrainerConfig(local_epochs=5, batch_size=16, l2_lambda=0.01, seed=13)
+    got = measure_round_constants(parts, trainer, 13, level, init_scale=0.02)
+    smooth, comps, gap = reference_round_constants(parts, trainer, 13, level, 0.02)
+    assert got.smooth == smooth
+    assert got.init_gap == gap
+    # The optimum's weights are compared by bytes; every other field by ==.
+    assert replace(got.components, optimum=None) == replace(comps, optimum=None)
+    assert got.components.optimum.model.weights.tobytes() == comps.optimum.model.weights.tobytes()
+    assert ((got.components.optimum.loss, got.components.optimum.grad_norm)
+            == (comps.optimum.loss, comps.optimum.grad_norm))
+    uniform = np.full(3, 1.0 / 3)
+    for epochs, q_o, shifted in [(5, 0.1, False), (20, 0.01, True)]:
+        B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma, epochs, comps.G_sq)
+        est = estimate_rounds(smooth, RoundParams(epochs, q_o, B, gap), alpha_minus_one=shifted)
+        assert got.rounds(epochs, q_o, alpha_minus_one=shifted) == (B, est)
+    weights = np.array([0.5, 0.3, 0.2])
+    B = compute_B(weights, comps.sigma_sq, smooth.L, comps.Gamma, 5, comps.G_sq)
+    assert got.rounds(5, 0.1, epsilon=weights) == (B, estimate_rounds(
+        smooth, RoundParams(5, 0.1, B, gap)))
 
 
 def test_full_batch_variance_vanishes():
