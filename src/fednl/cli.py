@@ -208,8 +208,7 @@ def cmd_rounds(args) -> int:
         for epochs in grid_epochs:
             for q_o in grid_qo:
                 try:
-                    B, est = constants.rounds(epochs, q_o,
-                                              alpha_minus_one=args.alpha_minus_one)
+                    B, est = constants.rounds(epochs, q_o, alpha_minus_one=args.alpha_minus_one)
                 except _GRID_ERRORS as e:
                     print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
                     failures += 1

@@ -14,7 +14,7 @@ from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_r
 from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effective_sizes,
                            influence, size_weights)
 from .data import Dataset
-from .estimator import NoiseEstimate, estimate_noise
+from .estimator import EstimationError, NoiseEstimate, estimate_noise
 from .exchange import ExchangeTranscript, normalize_noise
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import ModelParams, TrainerConfig, lr_at, steps_per_round, train_local
@@ -168,8 +168,8 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
 def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
     """Run the pre-loop pipeline; return training sets, betas, artifacts.
 
-    An error names the participant and the stage it came from: the estimate
-    or the exchange (which includes the re-estimate after it).
+    An error names the participant and the stage it came from: the estimate,
+    the exchange, or the re-estimate after the exchange.
     """
     train_sets, betas = [], []
     estimates, transcripts = [], []
@@ -191,6 +191,8 @@ def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
                                          config.trainer, demand_cap=config.demand_cap,
                                          per_class_resplit=config.per_class_resplit)
         except Exception as e:
+            if stage == "exchange" and isinstance(e, EstimationError):
+                stage = "re-estimate after exchange"
             raise type(e)(f"participant {i}, {stage}: {e}") from e
         if config.run_procedure2:
             train_sets.append(result.dataset)

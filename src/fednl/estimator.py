@@ -22,6 +22,9 @@ from .data import Dataset, split_three_folds
 from .trainer import TrainerConfig, init_model, predict, train_local
 
 
+MIN_FOLD_ROWS = 3  # fewest in-space rows that can form the three folds
+
+
 class EstimationError(ValueError):
     """The dataset cannot support a three-fold estimate."""
 
@@ -127,9 +130,9 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     index, so skipping an empty class leaves the others' estimates unchanged.
     """
     in_space = dataset.training_view().in_space()
-    if in_space.n < 3:
-        raise EstimationError(
-            f"need at least 3 in-space instances to form folds, got {in_space.n}")
+    if in_space.n < MIN_FOLD_ROWS:
+        raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
+                              f"to form folds, got {in_space.n}")
     c = dataset.class_count
     labels = in_space.observed_labels
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import EXCHANGE, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
-from .estimator import NoiseEstimate, estimate_noise
+from .estimator import MIN_FOLD_ROWS, NoiseEstimate, estimate_noise
 from .trainer import TrainerConfig
 
 logger = logging.getLogger(__name__)
@@ -78,9 +78,10 @@ class ExchangeResult:
 
     ``dataset`` is the new training set (noise-free survivors plus
     transfers, grouped by class; removed instances are gone for good) and
-    ``estimate`` the re-run three-fold estimate on it. A new set of fewer
-    than 3 rows cannot form the three folds: its re-estimate is skipped with
-    a warning, and ``estimate`` is the pre-exchange estimate.
+    ``estimate`` the re-run three-fold estimate on it. A new set of 1 or 2
+    rows cannot form the three folds: its re-estimate is skipped with a
+    warning, and ``estimate`` is the pre-exchange estimate. An empty new set
+    still raises ``EstimationError`` from the re-estimate.
     """
 
     dataset: Dataset
@@ -150,7 +151,7 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     grant rule makes the cap unreachable, but a hit is truncated and
     reported). The returned estimate re-runs the three-fold procedure on the
     new dataset with a derived seed, or is the given one when the new
-    dataset is too small for three folds.
+    dataset is non-empty but too small for three folds.
     """
     if plan.final is None:
         raise ValueError("plan has no final grants; run fulfill_demands first")
@@ -190,7 +191,8 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     merged = concat_datasets(parts, name=participant.name)
     new_dataset = merged.take(np.argsort(merged.observed_labels, kind="stable"))
     # Every row is in-space, so the estimator's fold minimum is a row count.
-    if new_dataset.n < 3:
+    # An empty set has nothing to train on: its re-estimate fails as before.
+    if 0 < new_dataset.n < MIN_FOLD_ROWS:
         logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
                        "keeping the pre-exchange estimate", participant.name, new_dataset.n)
         new_estimate = estimate

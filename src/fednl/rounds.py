@@ -292,16 +292,12 @@ class RoundConstants:
     components: BComponents
     init_gap: float
 
-    def rounds(self, local_epochs: int, q_o: float, epsilon=None,
+    def rounds(self, local_epochs: int, q_o: float,
                alpha_minus_one: bool = False) -> tuple[float, RoundEstimate]:
-        """B and the round estimate for E local epochs and target q_o.
-
-        ``epsilon`` weighs the participants' variances and defaults to uniform.
-        """
+        """B, with uniform participant weights, and the rounds for E epochs and q_o."""
         comps = self.components
-        if epsilon is None:
-            epsilon = np.full(len(comps.sigma_sq), 1.0 / len(comps.sigma_sq))
-        B = compute_B(epsilon, comps.sigma_sq, self.smooth.L, comps.Gamma,
+        n = len(comps.sigma_sq)
+        B = compute_B(np.full(n, 1.0 / n), comps.sigma_sq, self.smooth.L, comps.Gamma,
                       local_epochs, comps.G_sq)
         return B, estimate_rounds(self.smooth,
                                   RoundParams(local_epochs, q_o, B, self.init_gap),

@@ -270,9 +270,10 @@ def test_procedure2_requires_server():
     ([0, 1], 3, EstimationError,
      "participant 1, estimate: need at least 3 in-space instances to form folds, got 2"),
     # One row per class: every fold model is fit to another class, so the
-    # estimate removes all three rows and no class demands anything. The
-    # empty post-exchange set keeps its estimate and fails in training.
-    ([0, 1, 2], 3, ValueError, "round 1, participant 1: dataset is empty"),
+    # estimate removes all three rows, no class demands anything and the
+    # re-estimate sees none.
+    ([0, 1, 2], 3, EstimationError, "participant 1, re-estimate after exchange: "
+     "need at least 3 in-space instances to form folds, got 0"),
     ([0, 1, 2], 4, ValueError,
      "participant 0, exchange: server_class_sizes length disagrees with the plan"),
 ])

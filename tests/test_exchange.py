@@ -18,12 +18,12 @@ from fednl import (
     fulfill_demands,
     inject_noise,
     normalize_noise,
+    run_fednl,
     synth_gaussian,
     transcript_to_dict,
 )
-from fednl._rng import ESTIMATE, EXCHANGE, derive_rng, derive_seed
+from fednl._rng import EXCHANGE, derive_rng, derive_seed
 from fednl.config import build_datasets, build_federation_config, parse_config_text
-from fednl.engine import _participant_seed, _server_rows
 
 CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01, seed=0)
 
@@ -333,16 +333,16 @@ trainer.local_epochs = 2
 def test_too_small_for_folds_keeps_pre_exchange_estimate(caplog):
     config = parse_config_text(WIDE_SEED_57)
     participants, server = build_datasets(config)
-    fed = build_federation_config(config)
-    pool_rows, _ = _server_rows(server.n, fed.server_test_fraction, fed.seed)
-    view = participants[2].training_view()
-    estimate = estimate_noise(view, fed.trainer, _participant_seed(fed, 2, ESTIMATE))
     with caplog.at_level("WARNING", logger="fednl.exchange"):
-        result = normalize_noise(view, estimate, server.take(pool_rows),
-                                 _participant_seed(fed, 2, EXCHANGE), fed.trainer)
-    assert result.dataset.n == 1
-    assert result.estimate is estimate
-    assert not result.transcript.demands
+        report = run_fednl(build_federation_config(config), participants, server)
+    assert report.training_sizes[2] == 1
+    assert not report.transcripts[2].demands
+    # The estimate covers all of participant 2's rows, not the one left.
+    estimate = report.estimates[2]
+    assert sum(k.size for k in estimate.per_class) + len(estimate.out_of_space_ids) == 75
+    assert participants[2].n == 75
+    assert len(estimate.noise_free_ids) == 1
     assert [r.getMessage() for r in caplog.records] == [
         "participants/p2: 1 row(s) after the exchange cannot form three folds; "
         "keeping the pre-exchange estimate"]
+    assert len(report.records) == 12

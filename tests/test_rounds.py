@@ -209,10 +209,6 @@ def test_round_constants_match_inline_reference(level):
         B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma, epochs, comps.G_sq)
         est = estimate_rounds(smooth, RoundParams(epochs, q_o, B, gap), alpha_minus_one=shifted)
         assert got.rounds(epochs, q_o, alpha_minus_one=shifted) == (B, est)
-    weights = np.array([0.5, 0.3, 0.2])
-    B = compute_B(weights, comps.sigma_sq, smooth.L, comps.Gamma, 5, comps.G_sq)
-    assert got.rounds(5, 0.1, epsilon=weights) == (B, estimate_rounds(
-        smooth, RoundParams(5, 0.1, B, gap)))
 
 
 def test_full_batch_variance_vanishes():
