@@ -31,8 +31,8 @@ from .rounds import (BComponents, MeasurementError, NoStrongConvexityError, Opti
                      compute_B, estimate_rounds, measure_b_components, measure_init_gap,
                      measure_round_constants, measure_smoothness, solve_optimum,
                      verify_rate)
-from .trainer import (Constant, Diminishing, DivergenceError, ModelParams,
-                      TrainerConfig, epoch_batches, gradient, init_model, loss, lr_at,
-                      predict, save_model, smoothness_bound, steps_per_round, train_local)
+from .trainer import (Constant, DatasetStack, Diminishing, DivergenceError, ModelParams,
+                      TrainerConfig, gradient, init_model, loss, lr_at, predict, save_model,
+                      smoothness_bound, steps_per_round, train_local)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

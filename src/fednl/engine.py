@@ -17,7 +17,8 @@ from .data import Dataset
 from .estimator import EstimationError, NoiseEstimate, estimate_noise
 from .exchange import ExchangeTranscript, normalize_noise
 from .metrics import MetricsSnapshot, evaluate
-from .trainer import ModelParams, TrainerConfig, lr_at, steps_per_round, train_local
+from .trainer import (DatasetStack, ModelParams, TrainerConfig, lr_at, steps_per_round,
+                      train_local)
 
 
 class AggregationError(ValueError):
@@ -150,18 +151,23 @@ def _check_disjoint_ids(participant_datasets, server_dataset) -> None:
 
 def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: int,
                step_bases: list[int]) -> tuple[list[ModelParams], list[float], list[float]]:
-    """One round of local training; advances step_bases in place."""
-    models, losses, rates = [], [], []
+    """One round of local training, all participants in one lockstep call.
+
+    Advances step_bases in place. An error names the round and the
+    lowest-indexed failing participant, as training them in turn would.
+    """
+    trainer = config.trainer
+    seeds = [_participant_seed(config, i, TRAIN, t) for i in range(len(train_sets))]
+    rates = [lr_at(trainer.lr_schedule, base + 1) for base in step_bases]
+    try:
+        models, losses = train_local(broadcast, DatasetStack(train_sets, seeds, step_bases),
+                                     trainer)
+    except Exception as e:
+        if not hasattr(e, "member"):
+            raise
+        raise type(e)(f"round {t}, participant {e.member}: {e}") from e
     for i, ds in enumerate(train_sets):
-        cfg = replace(config.trainer, seed=_participant_seed(config, i, TRAIN, t))
-        rates.append(lr_at(cfg.lr_schedule, step_bases[i] + 1))
-        try:
-            model, final_loss = train_local(broadcast, ds, cfg, global_step_base=step_bases[i])
-        except Exception as e:
-            raise type(e)(f"round {t}, participant {i}: {e}") from e
-        step_bases[i] += steps_per_round(ds.n, cfg)
-        models.append(model)
-        losses.append(final_loss)
+        step_bases[i] += steps_per_round(ds.n, trainer)
     return models, losses, rates
 
 

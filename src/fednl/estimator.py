@@ -13,13 +13,13 @@ only in the returned estimate. True labels are stripped once, on entry, so no
 fold model ever sees them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import ESTIMATE, derive_seed
 from .data import Dataset, split_three_folds
-from .trainer import TrainerConfig, init_model, predict, train_local
+from .trainer import DatasetStack, TrainerConfig, init_model, predict, train_local
 
 
 MIN_FOLD_ROWS = 3  # fewest in-space rows that can form the three folds
@@ -86,17 +86,17 @@ class NoiseEstimate:
 
 def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
                    seed_keys: tuple) -> np.ndarray:
-    """Train one fresh model per fold, predict the other two folds.
+    """Train one fresh model per fold, all three in one call; predict the other two folds.
 
     Row j of the returned (n, 2) array holds the predictions for row j of the
     two models that never trained on it, ordered by training-fold index.
     """
     folds = split_three_folds(dataset, derive_seed(*seed_keys, 0))
+    stack = DatasetStack([dataset._take_distinct(fold) for fold in folds],
+                         [derive_seed(*seed_keys, 1 + j) for j in range(3)])
+    models, _ = train_local(init_model(dataset.d, dataset.class_count), stack, trainer_config)
     preds = np.empty((dataset.n, 2), dtype=np.int64)
-    for j, fold in enumerate(folds):
-        model = init_model(dataset.d, dataset.class_count)
-        cfg = replace(trainer_config, seed=derive_seed(*seed_keys, 1 + j))
-        model, _ = train_local(model, dataset.take(fold), cfg)
+    for j, model in enumerate(models):
         for q in (j + 1) % 3, (j + 2) % 3:
             preds[folds[q], j - (q < j)] = predict(model, dataset.features[folds[q]])
     return preds

@@ -20,7 +20,7 @@ from there.
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -30,7 +30,8 @@ from .contribution import ContributionWeights
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
-from .trainer import ModelParams, TrainerConfig, _objective, gradient, loss, train_local
+from .trainer import (DatasetStack, ModelParams, TrainerConfig, _objective, gradient, loss,
+                      train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -323,9 +324,8 @@ def measure_round_constants(participants, trainer_config: TrainerConfig, seed: i
                         for i, ds in enumerate(participants)]
     train_sets = [ds.training_view().in_space() for ds in participants]
     init = server_init(d, c, seed, init_scale)
-    models = [train_local(init, ds, replace(trainer_config,
-                                            seed=derive_seed(seed, TRAIN, key, i)))[0]
-              for i, ds in enumerate(train_sets)]
+    seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
+    models, _ = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
     smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer_config,
                                 seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer_config,

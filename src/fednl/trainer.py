@@ -8,6 +8,15 @@ checkable against this trainer.
 
 Learning rates come from a schedule indexed by the global SGD step, which
 advances across rounds; callers pass the step count already consumed.
+
+`train_local` trains one model, or a `DatasetStack` of k models from one
+start in lockstep: the round's participants, Procedure 1's three fold models,
+or the participants of a round-constant measurement. At each step the models
+whose batches have the same row count share one stacked matmul each way and
+one log-softmax, so the per-step interpreter cost is paid once per group
+instead of once per model. A single model is a stack of one, on the same
+loop. Every model's weights, loss and divergence step are bitwise those of
+training it alone.
 """
 
 import math
@@ -123,10 +132,16 @@ def _require_trainable(dataset: Dataset) -> None:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis, written over ``logits`` and returned.
+
+    Every caller passes a fresh product, so working in place only saves the
+    two temporaries of its size; the arithmetic is the same.
+    """
     # The ufunc reductions that `.max` and `.sum` dispatch to, called
     # directly: the same arithmetic without the wrappers' per-call cost.
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
+    return logits
 
 
 def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
@@ -148,6 +163,11 @@ def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
 #: (64 KiB) keep each temporary small enough that scoring many models at once
 #: leaves peak memory where scoring them one by one does.
 _LOSS_BLOCK = 1 << 13
+
+#: Batch logits per block of a lockstep SGD step. Half a loss block: a step
+#: holds its gathered batches, and every model of the stack holds a random
+#: stream and an epoch order, all while the block's temporaries exist.
+_STEP_BLOCK = 1 << 12
 
 
 def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
@@ -230,15 +250,75 @@ def predict(model: ModelParams, x):
     return int(labels[0]) if single else labels
 
 
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One epoch's batches: a fresh permutation cut into contiguous runs."""
-    batch = min(batch_size, n)
-    order = rng.permutation(n)
-    return [order[start:start + batch] for start in range(0, n, batch)]
+@dataclass(frozen=True)
+class DatasetStack:
+    """Training sets of the k models one `train_local` call trains in lockstep.
+
+    Member j draws its batches from the TRAIN stream of ``seeds[j]``, and its
+    step i runs at the rate of global step ``step_bases[j] + i`` (all 0 when
+    omitted). ``n`` is the row count over all members.
+    """
+
+    members: tuple[Dataset, ...]
+    seeds: tuple[int, ...]
+    step_bases: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        members, seeds = tuple(self.members), tuple(self.seeds)
+        bases = (0,) * len(members) if self.step_bases is None else tuple(self.step_bases)
+        if not members:
+            raise ValueError("a dataset stack needs at least one member")
+        if len(seeds) != len(members) or len(bases) != len(members):
+            raise ValueError(f"{len(members)} members need as many seeds and step bases, "
+                             f"got {len(seeds)} and {len(bases)}")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "step_bases", bases)
+
+    @property
+    def n(self) -> int:
+        return sum(ds.n for ds in self.members)
 
 
-def train_local(model: ModelParams, dataset: Dataset, config: TrainerConfig,
-                global_step_base: int = 0) -> tuple[ModelParams, float]:
+def _sgd_block(weights: np.ndarray, block: list, m: int, features: list, labels: list,
+               xbuf: np.ndarray, ybuf: np.ndarray, lam: float, rates) -> np.ndarray:
+    """One SGD step of the models in ``block``, each on m rows of its own data.
+
+    ``block`` lists (member, batch rows) pairs in member order; their weights,
+    rows of the (k, d+1, c) stack, are stepped in place. The batches are
+    gathered into the leading slots of the (slots, b, d+1) buffer, whose
+    last column holds the bias 1, so the block shares one matmul each way
+    and one log-softmax. Returns the batch losses, taken before the step.
+    """
+    g, d = len(block), xbuf.shape[2] - 1
+    members = [j for j, _ in block]
+    for slot, (j, rows) in enumerate(block):
+        features[j].take(rows, axis=0, out=xbuf[slot, :m, :d])
+        ybuf[slot, :m] = labels[j][rows]
+    first = members[0]
+    contiguous = members[-1] - first == g - 1
+    w = weights[first:first + g] if contiguous else weights[members]
+    x = xbuf[:g, :m]
+    c = w.shape[2]
+    logp = _log_softmax(np.matmul(x, w))
+    flat = logp.reshape(-1)
+    # Each model's mean NLL and L2 term are reduced along the last axis,
+    # which sums in the same order as the single-model reductions.
+    picked = np.arange(0, g * m * c, c).reshape(g, m) + ybuf[:g, :m]
+    add = np.add.reduce
+    batch_loss = (-(add(flat[picked], axis=-1) / m)
+                  + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1))
+    probs = np.exp(logp, out=logp)
+    flat[picked] -= 1.0
+    grad = np.matmul(x.transpose(0, 2, 1), probs) / m + lam * w
+    w -= rates * grad
+    if not contiguous:
+        weights[members] = w
+    return batch_loss
+
+
+def train_local(model: ModelParams, data: Dataset | DatasetStack, config: TrainerConfig,
+                global_step_base: int = 0):
     """Run ``local_epochs`` passes of mini-batch SGD from the given weights.
 
     Each epoch draws a fresh permutation from the config seed and walks it in
@@ -247,42 +327,92 @@ def train_local(model: ModelParams, dataset: Dataset, config: TrainerConfig,
     every step applies the full-strength L2 term. Returns the trained model
     and its full-dataset regularized loss. Raises DivergenceError at the
     first non-finite batch loss, naming the global step.
+
+    Given a `DatasetStack`, it trains one model per member from the same
+    start, in lockstep, with the members' own seeds and step bases in place
+    of ``config.seed`` and ``global_step_base``. At each step every member
+    takes its next batch from its own stream, and members whose batches have
+    the same row count are stepped together, in blocks of models. Each model
+    gets bitwise the weights and loss that a call on its dataset alone would
+    give; the call returns a list of models and a list of losses. When
+    members fail, the error is the lowest-indexed one's, with its index as
+    ``member``: members above it are dropped, and the ones below it are
+    trained to the end first.
     """
-    _require_trainable(dataset)
-    x = _augment(dataset.features)
-    y = dataset.observed_labels
-    n = dataset.n
-    if x.shape[1] != model.weights.shape[0]:
-        raise ValueError(
-            f"model expects {model.weights.shape[0] - 1} features, dataset has {dataset.d}")
-    weights = model.weights.copy()
-    rng = derive_rng(config.seed, TRAIN)
+    single = isinstance(data, Dataset)
+    stack = DatasetStack((data,), (config.seed,), (global_step_base,)) if single else data
+    c, d1 = model.class_count, model.weights.shape[0]
+    failure = None  # (member, error) of the lowest-indexed member known to fail
+    for j, ds in enumerate(stack.members):
+        try:
+            _require_trainable(ds)
+            if ds.d + 1 != d1:
+                raise ValueError(f"model expects {d1 - 1} features, dataset has {ds.d}")
+        except ValueError as e:
+            failure = (j, e)
+            break
+    live = len(stack.members) if failure is None else failure[0]
+    members = stack.members[:live]
+    features = [ds.features for ds in members]
+    labels = [ds.observed_labels for ds in members]
+    sizes = [ds.n for ds in members]
+    batch = [min(config.batch_size, n) for n in sizes]
+    per_epoch = [-(-n // b) for n, b in zip(sizes, batch)]
+    ends = [config.local_epochs * p for p in per_epoch]
+    rngs = [derive_rng(seed, TRAIN) for seed in stack.seeds[:live]]
+    bases = stack.step_bases[:live]
+    orders = [None] * live
     lam = config.l2_lambda
     schedule = config.lr_schedule
-    fixed_eta = lr_at(schedule, global_step_base + 1) if isinstance(schedule, Constant) else None
-    add = np.add.reduce
-    # Row starts in a flattened (batch, c) array: a batch's label entries
-    # are `row_starts[:m] + yb`, cheaper to index than (rows, labels) pairs.
-    row_starts = np.arange(min(config.batch_size, n)) * model.class_count
-    step = global_step_base
-    for _ in range(config.local_epochs):
-        for rows in epoch_batches(n, config.batch_size, rng):
-            step += 1
-            m = len(rows)
-            xb, yb = x[rows], y[rows]
-            picked = row_starts[:m] + yb
-            logp = _log_softmax(xb @ weights)
-            nll = -(add(logp.ravel()[picked]) / m)
-            batch_loss = nll + 0.5 * lam * add(weights ** 2, axis=None)
-            if not math.isfinite(batch_loss):
-                raise DivergenceError(
-                    f"loss went non-finite at global step {step}; lower the learning rate")
-            probs = np.exp(logp)
-            probs.ravel()[picked] -= 1.0
-            grad = xb.T @ probs / m + lam * weights
-            weights -= (fixed_eta if fixed_eta is not None else lr_at(schedule, step)) * grad
-    trained = ModelParams(weights=weights, class_count=model.class_count)
-    return trained, _losses(trained.weights[None], x, y, lam)[0]
+    weights = np.repeat(model.weights[None], live, axis=0)
+    b_max = max(batch, default=1)
+    # Models per block: as in `_losses`, so no temporary outgrows the
+    # single-model ones by much however many models the stack holds.
+    per_block = max(1, _STEP_BLOCK // (b_max * c))
+    xbuf = np.empty((min(live, per_block), b_max, d1))
+    xbuf[..., -1] = 1.0
+    ybuf = np.empty((min(live, per_block), b_max), dtype=np.int64)
+    for s in range(max(ends, default=0)):
+        groups: dict[int, list] = {}
+        for j in range(live):
+            if s >= ends[j]:
+                continue
+            q = s % per_epoch[j]
+            if q == 0:
+                orders[j] = rngs[j].permutation(sizes[j])
+            rows = orders[j][q * batch[j]:(q + 1) * batch[j]]
+            groups.setdefault(len(rows), []).append((j, rows))
+        for m, entries in groups.items():
+            for start in range(0, len(entries), per_block):
+                block = [entry for entry in entries[start:start + per_block] if entry[0] < live]
+                if not block:
+                    continue
+                if isinstance(schedule, Constant):
+                    rates = schedule.eta
+                else:
+                    rates = np.array([lr_at(schedule, bases[j] + s + 1)
+                                      for j, _ in block])[:, None, None]
+                batch_loss = _sgd_block(weights, block, m, features, labels, xbuf, ybuf,
+                                        lam, rates)
+                if math.isfinite(np.add.reduce(batch_loss)):
+                    continue
+                for slot in np.flatnonzero(~np.isfinite(batch_loss)):
+                    j = block[slot][0]
+                    if j < live:
+                        failure = (j, DivergenceError(
+                            f"loss went non-finite at global step {bases[j] + s + 1}; "
+                            "lower the learning rate"))
+                        live = j
+        if live == 0:
+            break
+    if failure is not None:
+        member, error = failure
+        error.member = member
+        raise error
+    models = [ModelParams(weights=w.copy(), class_count=c) for w in weights]
+    losses = [_losses(w[None], _augment(f), y, lam)[0]
+              for w, f, y in zip(weights, features, labels)]
+    return (models[0], losses[0]) if single else (models, losses)
 
 
 def steps_per_round(n: int, config: TrainerConfig) -> int:

@@ -247,6 +247,34 @@ def test_by_ids_empty_unordered_and_absent(wanted, expected):
     assert picked.features[:, 0].tolist() == [float(ids.index(i)) for i in expected]
 
 
+def test_take_with_repeated_position_still_validates():
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[10, 20, 30])
+    with pytest.raises(ValueError, match="instance ids must be unique"):
+        ds.take([0, 2, 0])
+
+
+@pytest.mark.parametrize("true_labels", [None, [1, 1, 0, 0, 1]])
+def test_trusted_subsets_equal_validated_take(true_labels):
+    # by_ids, in_space and the fold takes skip re-validation; what they build
+    # must be what the public take builds, frozen the same way.
+    ds = make_dataset([[0.0, 5.0], [1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]],
+                      [0, OUT_OF_SPACE, 1, 1, OUT_OF_SPACE], c=2, ids=[7, 3, 9, 1, 5],
+                      true_labels=true_labels)
+    for positions in (np.array([0, 2, 3]), np.array([], dtype=np.int64), np.arange(5)):
+        trusted, checked = ds._take_distinct(positions), ds.take(positions)
+        for field in ("features", "observed_labels", "ids", "true_labels"):
+            got, want = getattr(trusted, field), getattr(checked, field)
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and got.flags.c_contiguous
+        assert (trusted.class_count, trusted.name) == (checked.class_count, checked.name)
+    assert ds.in_space().ids.tolist() == [7, 9, 1]
+    assert ds.by_ids([1, 7]).ids.tolist() == [7, 1]
+
+
 def test_concat_disjoint_ids():
     a = make_dataset([[0.0]], [0], c=2, ids=[0])
     b = make_dataset([[1.0]], [1], c=2, ids=[1])

@@ -1,5 +1,7 @@
 """Federation round loop, aggregation, and the size-weighted baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fednl import (
     ContributionWeights,
     Dataset,
     Diminishing,
+    DivergenceError,
     EstimationError,
     FederationConfig,
     ModelParams,
@@ -288,6 +291,32 @@ def test_prepare_errors_name_participant_and_stage(labels, server_classes, error
         run_fednl(config, parts + [small], server)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_divergence_names_lowest_participant_not_first_in_lockstep():
+    # Participant 1's features are 1e50 times larger, so it diverges at an
+    # earlier step; trained in turn, participant 0 would have failed first.
+    calm = synth_gaussian(3, 30, 2, 4.0, seed=35)
+    wild = make_dataset(calm.features * 1e50, calm.observed_labels, c=3,
+                        ids=calm.ids + 1000)
+    trainer = TrainerConfig(local_epochs=5, batch_size=8, lr_schedule=Constant(1e6),
+                            l2_lambda=0.01)
+    config = FederationConfig(n_participants=2, rounds=2, trainer=trainer, seed=35,
+                              run_procedure1=False, run_procedure2=False,
+                              weighting="fedavg-size")
+    broadcast = server_init(2, 3, 35, config.init_scale)
+    alone = {}
+    for i, ds in enumerate((calm, wild)):
+        with pytest.raises(DivergenceError) as raised:
+            train_local(broadcast, ds, replace(trainer, seed=derive_seed(35, TRAIN, 1, i)))
+        alone[i] = str(raised.value)
+    step = {i: int(message.split("global step ")[1].split(";")[0])
+            for i, message in alone.items()}
+    assert step[1] < step[0]
+    with pytest.raises(DivergenceError) as raised:
+        run_fedavg(config, [calm, wild])
+    assert str(raised.value) == f"round 1, participant 0: {alone[0]}"
 
 
 def test_duplicate_ids_rejected():

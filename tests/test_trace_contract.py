@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from fednl import (FederationConfig, ShuffleSplit, TrainerConfig, measure_round_constants,
+                   partition_non_iid, run_fednl, synth_gaussian)
+from fednl import engine, estimator, rounds
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -58,3 +62,45 @@ def test_expected_caller_spans_have_a_binding():
             module = importlib.import_module(f"fednl.{holder}")
             assert any(value is fn for value in vars(module).values()), (
                 f"fednl.{holder} holds no binding of {qualified}; span {span} would be empty")
+
+
+class _StubTracer:
+    def __init__(self):
+        self.counts = {}
+
+    def count(self, name, value):
+        self.counts[name] = self.counts.get(name, 0) + value
+
+
+def _capture_train_local(monkeypatch, module, calls):
+    real = module.train_local
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(module, "train_local", recording)
+
+
+def test_train_local_observer_reads_every_program_call(monkeypatch):
+    # The observer runs `steps_per_round(args[1].n, args[2])` on every traced
+    # call, so each caller's second argument must expose `.n` and its third
+    # must be the trainer config.
+    calls = {"loop": [], "estimate": [], "rounds": []}
+    for module, tag in ((engine, "loop"), (estimator, "estimate"), (rounds, "rounds")):
+        _capture_train_local(monkeypatch, module, calls[tag])
+    base = synth_gaussian(3, 40, 2, 6.0, seed=41)
+    parts = partition_non_iid(base, 3, seed=41, strategy=ShuffleSplit())
+    server = synth_gaussian(3, 30, 2, 6.0, seed=42, id_base=10_000)
+    trainer = TrainerConfig(local_epochs=2, batch_size=16, seed=41)
+    run_fednl(FederationConfig(n_participants=3, rounds=2, trainer=trainer, seed=41),
+              parts, server)
+    measure_round_constants(parts, trainer, 41, noise_level=0.2)
+    assert [len(calls[tag]) for tag in ("loop", "estimate", "rounds")] == [2, 6, 1]
+    for tag, recorded in calls.items():
+        for args, kwargs, result in recorded:
+            tracer = _StubTracer()
+            spans._observe_train_local(tracer, tag, args, kwargs, result)
+            assert tracer.counts["trainer.train_local.steps"] > 0
+            assert tracer.counts[f"trainer.train_local.{tag}.steps"] > 0

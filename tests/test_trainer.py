@@ -1,16 +1,17 @@
 """Softmax-regression trainer: schedules, loss, gradient, SGD loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fednl import (
     Constant,
+    DatasetStack,
     Diminishing,
     DivergenceError,
     TrainerConfig,
-    epoch_batches,
     gradient,
     init_model,
     loss,
@@ -292,8 +293,11 @@ def reference_train_local(model, dataset, config, global_step_base=0):
     rng = derive_rng(config.seed, TRAIN)
     lam = config.l2_lambda
     step = global_step_base
+    batch = min(config.batch_size, dataset.n)
     for _ in range(config.local_epochs):
-        for rows in epoch_batches(dataset.n, config.batch_size, rng):
+        order = rng.permutation(dataset.n)
+        for start in range(0, dataset.n, batch):
+            rows = order[start:start + batch]
             step += 1
             xb, yb = x[rows], y[rows]
             logits = xb @ weights
@@ -325,6 +329,88 @@ def test_train_local_matches_step_loop_reference(schedule, batch_size, step_base
     ref_weights, ref_loss = reference_train_local(start, ds, config, step_base)
     assert model.weights.tobytes() == ref_weights.tobytes()
     assert final_loss == ref_loss
+
+
+def _stack_members(sizes, c, d, seed):
+    """One dataset per size, cut from one blob set so every member has its own rows."""
+    ds = synth_gaussian(c, -(-sum(sizes) // c), d, 4.0, seed=seed)
+    order = derive_rng(seed, 99).permutation(ds.n)
+    bounds = np.cumsum([0] + list(sizes))
+    return [ds.take(np.sort(order[a:b])) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
+@pytest.mark.parametrize("sizes, bases, batch_size, c", [
+    # batch 8: 50 rows end each epoch on a batch of 2 at step 7, 19 rows on
+    # 3 at step 3, 33 rows on 1 at step 5; 5 rows are fewer than a batch,
+    # 24 rows have no short batch; step bases all differ.
+    ((50, 19, 5, 24, 33), (0, 17, 120, 3, 55), 8, 5),
+    # 30 models of 10 to 150 rows with batch 64: blocks of 6 models, and
+    # groups of equal row counts that are not adjacent in the stack.
+    (tuple(10 + (37 * j) % 141 for j in range(30)), tuple(7 * j for j in range(30)), 64, 10),
+])
+def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases, batch_size, c):
+    members = _stack_members(sizes, c, 4, seed=31)
+    config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
+                           l2_lambda=0.01, seed=0)
+    seeds = [1000 + j for j in range(len(members))]
+    start = init_model(4, c, seed=31, scale=0.3)
+    models, losses = train_local(start, DatasetStack(members, seeds, bases), config)
+    assert len(models) == len(losses) == len(members)
+    for ds, seed, base, model, final_loss in zip(members, seeds, bases, models, losses):
+        ref_weights, ref_loss = reference_train_local(start, ds, replace(config, seed=seed), base)
+        assert model.weights.tobytes() == ref_weights.tobytes()
+        assert final_loss == ref_loss
+
+
+def test_stack_of_one_equals_single_call():
+    ds = synth_gaussian(3, 17, 2, 4.0, seed=32)
+    config = TrainerConfig(local_epochs=2, batch_size=8, seed=5)
+    start = init_model(2, 3, seed=32, scale=0.2)
+    single, single_loss = train_local(start, ds, config, global_step_base=4)
+    models, losses = train_local(start, DatasetStack([ds], [5], [4]), config)
+    assert models[0].weights.tobytes() == single.weights.tobytes()
+    assert losses == [single_loss]
+
+
+def test_dataset_stack_validation():
+    ds = synth_gaussian(3, 5, 2, 4.0, seed=33)
+    with pytest.raises(ValueError, match="at least one member"):
+        DatasetStack([], [])
+    with pytest.raises(ValueError, match="as many seeds"):
+        DatasetStack([ds, ds], [1])
+    with pytest.raises(ValueError, match="as many seeds"):
+        DatasetStack([ds], [1], [0, 0])
+    assert DatasetStack([ds, ds], [1, 2]).step_bases == (0, 0)
+    assert DatasetStack([ds, ds], [1, 2]).n == 2 * ds.n
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_stack_reports_lowest_failing_member():
+    config = TrainerConfig(local_epochs=5, batch_size=8, lr_schedule=Constant(1e6),
+                           l2_lambda=0.01, seed=0)
+    calm = synth_gaussian(3, 30, 2, 4.0, seed=34)
+    wild = make_dataset(calm.features * 1e50, calm.observed_labels, c=3)
+    empty = make_dataset(np.zeros((0, 2)), [], c=3)
+    start = init_model(2, 3)
+    errors = {}
+    for name, ds in (("calm", calm), ("wild", wild)):
+        with pytest.raises(DivergenceError) as raised:
+            train_local(start, ds, config)
+        errors[name] = str(raised.value)
+    steps = {name: int(message.split("global step ")[1].split(";")[0])
+             for name, message in errors.items()}
+    assert steps["wild"] < steps["calm"]
+    # Member 1 diverges first in lockstep order; member 0 still decides.
+    with pytest.raises(DivergenceError) as raised:
+        train_local(start, DatasetStack([calm, wild, empty], [0, 0, 0]), config)
+    assert str(raised.value) == errors["calm"]
+    assert raised.value.member == 0
+    # A member that cannot train at all fails after the ones below it finish.
+    with pytest.raises(ValueError, match="dataset is empty") as raised:
+        train_local(start, DatasetStack([calm.take(np.arange(8)), empty, wild], [0, 0, 0]),
+                    replace(config, lr_schedule=Constant(0.1)))
+    assert raised.value.member == 1
 
 
 def test_training_deterministic_bitwise():
@@ -380,13 +466,6 @@ def test_steps_per_round():
     assert steps_per_round(24, config) == 9
     assert steps_per_round(25, config) == 12
     assert steps_per_round(4, config) == 3  # batch clipped to dataset size
-
-
-def test_epoch_batches_cover_dataset():
-    rng = derive_rng(0, 99)
-    batches = epoch_batches(10, 4, rng)
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert sorted(np.concatenate(batches).tolist()) == list(range(10))
 
 
 # ---------------------------------------------------------------- predict
