@@ -25,7 +25,7 @@ def main():
     # what the estimator gets to see: observed labels only
     view = noisy.training_view()
     config = TrainerConfig(local_epochs=20, batch_size=32,
-                           lr_schedule=Constant(0.1), l2_lambda=0.01, seed=0)
+                           lr_schedule=Constant(0.1), l2_lambda=0.01)
     estimate = estimate_noise(view, config, seed=7)
 
     print(f"injected symmetric noise: beta = {TRUE_BETA}")

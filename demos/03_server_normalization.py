@@ -32,7 +32,7 @@ def main():
 
     view = noisy.training_view()
     config = TrainerConfig(local_epochs=20, batch_size=32,
-                           lr_schedule=Constant(0.1), l2_lambda=0.01, seed=0)
+                           lr_schedule=Constant(0.1), l2_lambda=0.01)
     before = estimate_noise(view, config, seed=4)
     print("per-class ratios before exchange:",
           [round(ce.beta, 3) for ce in before.per_class])

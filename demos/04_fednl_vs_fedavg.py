@@ -31,7 +31,7 @@ def main():
     server = synth_gaussian(3, per_class=400, d=2, separation=4.0,
                             seed=700 + SEED, id_base=10_000)
 
-    trainer = TrainerConfig(local_epochs=5, batch_size=32, seed=SEED)
+    trainer = TrainerConfig(local_epochs=5, batch_size=32)
     full = FederationConfig(n_participants=4, rounds=30, trainer=trainer,
                             seed=SEED, weighting="fednl")
     plain = FederationConfig(n_participants=4, rounds=30, trainer=trainer,

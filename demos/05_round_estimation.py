@@ -22,7 +22,7 @@ def main():
     base = synth_gaussian(3, per_class=200, d=2, separation=4.0, seed=SEED)
     parts = partition_non_iid(base, 3, seed=SEED, strategy=ShuffleSplit())
     trainer = TrainerConfig(local_epochs=5, batch_size=16,
-                            lr_schedule=Constant(0.1), l2_lambda=0.01, seed=SEED)
+                            lr_schedule=Constant(0.1), l2_lambda=0.01)
 
     # one local round per participant gives the models the variance terms
     # are measured at

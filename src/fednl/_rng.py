@@ -22,33 +22,13 @@ MEASURE = 10
 INIT_GAP = 11
 
 
-def _entropy(seed: int, keys: tuple) -> int | tuple[int, ...]:
-    """SeedSequence entropy for (seed, *keys), packed into one int when that is exact.
-
-    numpy turns a tuple of non-negative ints into the concatenation of each
-    int's 32-bit words, low word first (0 gives one zero word), and a single
-    int into its own words. One int whose words are that concatenation gives
-    the same stream whenever the last word is non-zero, that is when the last
-    value is, and numpy builds that SeedSequence faster. A trailing 0 keeps the
-    tuple. A negative value packs to a negative int, which numpy rejects as
-    it rejects the tuple.
-    """
-    if not (keys[-1] if keys else seed):
-        return (int(seed),) + tuple(int(k) for k in keys)
-    packed = int(seed)
-    shift = 32 * (-(-packed.bit_length() // 32) or 1)
-    for key in keys:
-        key = int(key)
-        packed |= key << shift
-        shift += 32 * (-(-key.bit_length() // 32) or 1)
-    return packed
-
-
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *keys)."""
-    return np.random.default_rng(np.random.SeedSequence(_entropy(seed, keys)))
+    entropy = (int(seed),) + tuple(int(k) for k in keys)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed: int, *keys: int) -> int:
     """A plain integer seed derived from (seed, *keys), for APIs taking one seed."""
-    return int(np.random.SeedSequence(_entropy(seed, keys)).generate_state(1, np.uint64)[0])
+    entropy = (int(seed),) + tuple(int(k) for k in keys)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])

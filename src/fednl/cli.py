@@ -108,8 +108,7 @@ def cmd_inject(args) -> int:
 def cmd_estimate(args) -> int:
     dataset = load_dataset(args.data, ColumnSchema(allow_out_of_space=True))
     trainer = TrainerConfig(local_epochs=args.epochs, batch_size=args.batch_size,
-                            lr_schedule=Constant(args.eta), l2_lambda=args.l2,
-                            seed=args.seed)
+                            lr_schedule=Constant(args.eta), l2_lambda=args.l2)
     estimate = estimate_noise(dataset, trainer, args.seed,
                               per_class_resplit=args.per_class_resplit)
     print(format_estimate(estimate))

@@ -289,7 +289,6 @@ def build_trainer_config(config: ExperimentConfig) -> TrainerConfig:
         batch_size=config["trainer.batch_size"],
         lr_schedule=schedule,
         l2_lambda=config["trainer.l2_lambda"],
-        seed=config["seed"],
     )
 
 

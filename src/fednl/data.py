@@ -106,26 +106,6 @@ class Dataset:
             name=self.name if name is None else name,
         )
 
-    def _take_distinct(self, positions: np.ndarray) -> "Dataset":
-        """`take` for integer positions known not to repeat, without re-validation.
-
-        Distinct rows of a valid dataset form a valid one, so the checks of
-        `__post_init__` (unique ids, labels in range) cannot fail here; only
-        the arrays are cut and frozen. Only for positions that cannot repeat:
-        `np.flatnonzero` output or a fold split.
-        """
-        sub = object.__new__(Dataset)
-        tru = None if self.true_labels is None else self.true_labels[positions]
-        for field, value in (("features", self.features[positions]),
-                             ("observed_labels", self.observed_labels[positions]),
-                             ("ids", self.ids[positions]), ("true_labels", tru)):
-            if value is not None:
-                value.setflags(write=False)
-            object.__setattr__(sub, field, value)
-        object.__setattr__(sub, "class_count", self.class_count)
-        object.__setattr__(sub, "name", self.name)
-        return sub
-
     def by_ids(self, wanted_ids) -> "Dataset":
         """Sub-dataset of the given instance ids, in this dataset's row order.
 
@@ -133,7 +113,7 @@ class Dataset:
         does not hold; those are ignored.
         """
         wanted = np.asarray(wanted_ids, dtype=np.int64)
-        return self._take_distinct(np.flatnonzero(np.isin(self.ids, wanted)))
+        return self.take(np.flatnonzero(np.isin(self.ids, wanted)))
 
     def training_view(self) -> "Dataset":
         """Copy with true labels stripped; hand this to training/estimation code."""
@@ -153,7 +133,7 @@ class Dataset:
         mask = self.observed_labels != OUT_OF_SPACE
         if bool(mask.all()):
             return self
-        return self._take_distinct(np.flatnonzero(mask))
+        return self.take(np.flatnonzero(mask))
 
     def out_of_space_ids(self) -> np.ndarray:
         return self.ids[self.observed_labels == OUT_OF_SPACE]

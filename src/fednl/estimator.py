@@ -92,7 +92,7 @@ def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
     two models that never trained on it, ordered by training-fold index.
     """
     folds = split_three_folds(dataset, derive_seed(*seed_keys, 0))
-    stack = DatasetStack([dataset._take_distinct(fold) for fold in folds],
+    stack = DatasetStack([dataset.take(fold) for fold in folds],
                          [derive_seed(*seed_keys, 1 + j) for j in range(3)])
     models, _ = train_local(init_model(dataset.d, dataset.class_count), stack, trainer_config)
     preds = np.empty((dataset.n, 2), dtype=np.int64)

@@ -7,16 +7,17 @@ L-smooth, so convergence-rate claims about the federation are actually
 checkable against this trainer.
 
 Learning rates come from a schedule indexed by the global SGD step, which
-advances across rounds; callers pass the step count already consumed.
+advances across rounds; callers pass each model's step count already
+consumed.
 
-`train_local` trains one model, or a `DatasetStack` of k models from one
-start in lockstep: the round's participants, Procedure 1's three fold models,
-or the participants of a round-constant measurement. At each step the models
-whose batches have the same row count share one stacked matmul each way and
-one log-softmax, so the per-step interpreter cost is paid once per group
-instead of once per model. A single model is a stack of one, on the same
-loop. Every model's weights, loss and divergence step are bitwise those of
-training it alone.
+`train_local` trains a `DatasetStack` of k models from one start in
+lockstep: the round's participants, Procedure 1's three fold models, or the
+participants of a round-constant measurement. At each step the models whose
+batches have the same row count share one stacked matmul each way and one
+log-softmax, so the per-step interpreter cost is paid once per group instead
+of once per model. One model is a stack of one, on the same loop. Every
+model's weights, loss and divergence step are bitwise those of training it
+alone.
 """
 
 import math
@@ -92,14 +93,14 @@ class TrainerConfig:
 
     ``local_epochs`` full passes of mini-batch SGD with per-epoch
     reshuffling; ``batch_size`` is clipped to the dataset size. One shared
-    config drives every trainer in a run, with the seed swapped per call.
+    config drives every trainer in a run; seeds and step bases come with
+    each `DatasetStack`.
     """
 
     local_epochs: int = 5
     batch_size: int = 32
     lr_schedule: Constant | Diminishing = Constant(0.1)
     l2_lambda: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -134,8 +135,8 @@ def _require_trainable(dataset: Dataset) -> None:
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis, written over ``logits`` and returned.
 
-    Every caller passes a fresh product, so working in place only saves the
-    two temporaries of its size; the arithmetic is the same.
+    Every caller passes a product it owns, so working in place only saves
+    the two temporaries of its size; the arithmetic is the same.
     """
     # The ufunc reductions that `.max` and `.sum` dispatch to, called
     # directly: the same arithmetic without the wrappers' per-call cost.
@@ -209,7 +210,7 @@ def _objective(dataset: Dataset, l2_lambda: float):
 
     Validates the dataset and augments its features once, and allocates one
     (n, c) buffer. Each call of the returned ``evaluate(w)`` runs the whole
-    pass in that buffer: logits, then log-softmax in place, the loss read
+    pass in that buffer: logits, then `_log_softmax` in place, the loss read
     through a flat label index, then probabilities minus one at the labels.
     ``w`` holds the (d+1, c) weights in any shape that reshapes to it. The
     values are bitwise those of `loss` and `gradient`.
@@ -225,9 +226,7 @@ def _objective(dataset: Dataset, l2_lambda: float):
 
     def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
         weights = w.reshape(shape)
-        np.matmul(x, weights, out=buf)
-        np.subtract(buf, np.maximum.reduce(buf, axis=-1, keepdims=True), out=buf)
-        np.subtract(buf, np.log(add(np.exp(buf), axis=-1, keepdims=True)), out=buf)
+        _log_softmax(np.matmul(x, weights, out=buf))
         value = float(-(add(flat[picked]) / n) + 0.5 * l2_lambda * add(weights ** 2, axis=None))
         np.exp(buf, out=buf)
         flat[picked] -= 1.0
@@ -317,30 +316,24 @@ def _sgd_block(weights: np.ndarray, block: list, m: int, features: list, labels:
     return batch_loss
 
 
-def train_local(model: ModelParams, data: Dataset | DatasetStack, config: TrainerConfig,
-                global_step_base: int = 0):
-    """Run ``local_epochs`` passes of mini-batch SGD from the given weights.
+def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
+    """Train one model per member of ``stack`` from the given weights, in lockstep.
 
-    Each epoch draws a fresh permutation from the config seed and walks it in
-    contiguous batches (the last batch may be short). Step k of this call
-    runs at the schedule's rate for global step ``global_step_base + k``, and
-    every step applies the full-strength L2 term. Returns the trained model
-    and its full-dataset regularized loss. Raises DivergenceError at the
-    first non-finite batch loss, naming the global step.
+    Each model runs ``local_epochs`` passes of mini-batch SGD over its
+    member. Each epoch draws a fresh permutation from the member's TRAIN
+    stream and walks it in contiguous batches (the last batch may be short).
+    Step i of member j runs at the schedule's rate for global step
+    ``step_bases[j] + i``, and every step applies the full-strength L2 term.
+    At each step the members whose batches have the same row count are
+    stepped together, in blocks of models. Returns the list of trained
+    models and the list of their full-dataset regularized losses; each is
+    bitwise what a stack of that member alone gives.
 
-    Given a `DatasetStack`, it trains one model per member from the same
-    start, in lockstep, with the members' own seeds and step bases in place
-    of ``config.seed`` and ``global_step_base``. At each step every member
-    takes its next batch from its own stream, and members whose batches have
-    the same row count are stepped together, in blocks of models. Each model
-    gets bitwise the weights and loss that a call on its dataset alone would
-    give; the call returns a list of models and a list of losses. When
-    members fail, the error is the lowest-indexed one's, with its index as
-    ``member``: members above it are dropped, and the ones below it are
-    trained to the end first.
+    Raises DivergenceError at the first non-finite batch loss, naming the
+    global step. When members fail, the error is the lowest-indexed one's,
+    with its index as ``member``: members above it are dropped, and the ones
+    below it are trained to the end first.
     """
-    single = isinstance(data, Dataset)
-    stack = DatasetStack((data,), (config.seed,), (global_step_base,)) if single else data
     c, d1 = model.class_count, model.weights.shape[0]
     failure = None  # (member, error) of the lowest-indexed member known to fail
     for j, ds in enumerate(stack.members):
@@ -412,7 +405,7 @@ def train_local(model: ModelParams, data: Dataset | DatasetStack, config: Traine
     models = [ModelParams(weights=w.copy(), class_count=c) for w in weights]
     losses = [_losses(w[None], _augment(f), y, lam)[0]
               for w, f, y in zip(weights, features, labels)]
-    return (models[0], losses[0]) if single else (models, losses)
+    return models, losses
 
 
 def steps_per_round(n: int, config: TrainerConfig) -> int:

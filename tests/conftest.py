@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fednl import Dataset, ModelParams, gradient, loss
+from fednl import Dataset, DatasetStack, ModelParams, gradient, loss, train_local
 
 
 def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"):
@@ -25,6 +25,12 @@ def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"
         name=name,
     )
 
+
+
+def train_one(model, dataset, config, seed, step_base=0):
+    """`train_local` on a stack of one: the trained model and its loss."""
+    models, losses = train_local(model, DatasetStack([dataset], [seed], [step_base]), config)
+    return models[0], losses[0]
 
 def reference_loss(weights, dataset, l2_lambda):
     """Regularized mean cross-entropy of one weight matrix, written out step by step."""

@@ -43,8 +43,7 @@ from fednl import (
 
 # Estimator runs want a longer local fit than the federated trainer default.
 ESTIMATE_CONFIG = TrainerConfig(local_epochs=20, batch_size=32,
-                                lr_schedule=Constant(0.1), l2_lambda=0.01,
-                                seed=0)
+                                lr_schedule=Constant(0.1), l2_lambda=0.01)
 
 
 def test_disabled_pipeline_reduces_to_fedavg(tmp_path):
@@ -54,7 +53,7 @@ def test_disabled_pipeline_reduces_to_fedavg(tmp_path):
     base = synth_gaussian(3, 30, 2, 6.0, seed=5)
     parts = partition_non_iid(base, 4, seed=5, strategy=ShuffleSplit())
     trainer = TrainerConfig(local_epochs=2, batch_size=16,
-                            lr_schedule=Constant(0.1), seed=5)
+                            lr_schedule=Constant(0.1))
     for rounds in range(1, 11):
         config = FederationConfig(n_participants=4, rounds=rounds,
                                   trainer=trainer, seed=5,
@@ -173,7 +172,7 @@ def test_contribution_weights_properties_and_trend():
         parts = [noisy] + parts[1:]
         server = synth_gaussian(3, 200, 2, 8.0, seed=900 + seed, id_base=10_000)
         trainer = TrainerConfig(local_epochs=5, batch_size=32,
-                                lr_schedule=Constant(0.1), seed=seed)
+                                lr_schedule=Constant(0.1))
         config = FederationConfig(n_participants=4, rounds=5, trainer=trainer,
                                   seed=seed, weighting="fednl")
         report = run_fednl(config, parts, server)
@@ -196,7 +195,7 @@ def test_noise_aware_run_matches_or_beats_fedavg():
         parts = [noisy] + parts[1:]
         server = synth_gaussian(3, 400, 2, 4.0, seed=700 + seed, id_base=10_000)
         trainer = TrainerConfig(local_epochs=5, batch_size=32,
-                                lr_schedule=Constant(0.1), seed=seed)
+                                lr_schedule=Constant(0.1))
         full = FederationConfig(n_participants=4, rounds=50, trainer=trainer,
                                 seed=seed, weighting="fednl")
         plain = FederationConfig(n_participants=4, rounds=50, trainer=trainer,
@@ -274,7 +273,7 @@ def test_round_estimate_trends():
     decreases in the precision target and strictly increases with the
     injected noise ratio at fixed local epochs."""
     trainer = TrainerConfig(local_epochs=5, batch_size=16,
-                            lr_schedule=Constant(0.1), l2_lambda=0.01, seed=13)
+                            lr_schedule=Constant(0.1), l2_lambda=0.01)
 
     by_noise = []
     clean_constants = None
@@ -301,12 +300,12 @@ def test_convergence_rate_slope():
 
     probe = TrainerConfig(local_epochs=1, batch_size=60,
                           lr_schedule=Diminishing(2.0 / lam, 1.0),
-                          l2_lambda=lam, seed=1)
+                          l2_lambda=lam)
     smooth = measure_smoothness(pooled, probe, seed=1)
     alpha = max(8.0 * smooth.L / smooth.mu, 1.0)
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),
-                            l2_lambda=lam, seed=1)
+                            l2_lambda=lam)
     config = FederationConfig(n_participants=4, rounds=200, trainer=trainer,
                               seed=1, run_procedure1=False,
                               run_procedure2=False, weighting="fedavg-size")

@@ -90,7 +90,7 @@ def test_loo_degenerate_when_others_have_no_mass():
 
 def _influence_setup(seed=2):
     server_test = synth_gaussian(2, 20, 2, 6.0, seed=seed, id_base=900)
-    config = TrainerConfig(local_epochs=5, batch_size=16, l2_lambda=0.01, seed=seed)
+    config = TrainerConfig(local_epochs=5, batch_size=16, l2_lambda=0.01)
     return server_test, config
 
 
@@ -177,7 +177,7 @@ def test_influence_matches_per_participant_reference(matrix_norm):
     # 19 participants on a 300-row, 3-class split: the losses are scored in
     # several blocks of models, and every value must still be bitwise equal.
     server_test = synth_gaussian(3, 100, 4, 3.0, seed=6, id_base=900)
-    config = TrainerConfig(local_epochs=3, l2_lambda=0.02, seed=6)
+    config = TrainerConfig(local_epochs=3, l2_lambda=0.02)
     rng = np.random.default_rng(6)
     n = 19
     models = [ModelParams(rng.normal(scale=0.5, size=(5, 3)), 3) for _ in range(n)]
@@ -273,7 +273,7 @@ def test_noisy_participant_ends_with_smallest_weight():
         config = FederationConfig(
             n_participants=3,
             rounds=5,
-            trainer=TrainerConfig(local_epochs=5, batch_size=32, seed=seed),
+            trainer=TrainerConfig(local_epochs=5, batch_size=32),
             seed=seed,
             weighting="fednl",
         )

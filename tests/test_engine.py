@@ -1,7 +1,5 @@
 """Federation round loop, aggregation, and the size-weighted baseline."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from fednl import (
     Constant,
     ContributionWeights,
     Dataset,
+    DatasetStack,
     Diminishing,
     DivergenceError,
     EstimationError,
@@ -29,7 +28,7 @@ from fednl import (
 from fednl._rng import TRAIN, derive_seed
 from fednl.engine import _server_rows
 
-from conftest import make_dataset
+from conftest import make_dataset, train_one
 
 
 def weights_of(values, c=2):
@@ -106,7 +105,7 @@ def test_pool_is_taken_only_for_procedure2(monkeypatch, procedure2):
 
     monkeypatch.setattr(Dataset, "take", recording_take)
     config = FederationConfig(n_participants=4, rounds=1, seed=5,
-                              trainer=TrainerConfig(local_epochs=1, seed=5),
+                              trainer=TrainerConfig(local_epochs=1),
                               run_procedure2=procedure2)
     run_fednl(config, parts, server)
     assert taken[f"{server.name}/test"][0] == test.ids.tolist()
@@ -117,7 +116,7 @@ def test_pool_is_taken_only_for_procedure2(monkeypatch, procedure2):
 
 def test_single_participant_equals_local_training():
     parts = make_parts(3, n_parts=1)
-    trainer = TrainerConfig(local_epochs=4, batch_size=16, seed=3)
+    trainer = TrainerConfig(local_epochs=4, batch_size=16)
     config = FederationConfig(
         n_participants=1, rounds=3, trainer=trainer, seed=3,
         run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
@@ -127,12 +126,7 @@ def test_single_participant_equals_local_training():
     ds = parts[0].training_view().in_space()
     step = 0
     for t in range(1, 4):
-        seeded = TrainerConfig(
-            local_epochs=4, batch_size=16,
-            lr_schedule=trainer.lr_schedule, l2_lambda=trainer.l2_lambda,
-            seed=derive_seed(3, TRAIN, t, 0),
-        )
-        nonfed, _ = train_local(nonfed, ds, seeded, global_step_base=step)
+        nonfed, _ = train_one(nonfed, ds, trainer, derive_seed(3, TRAIN, t, 0), step)
         step += 4 * -(-ds.n // 16)
     np.testing.assert_allclose(run.global_model.weights, nonfed.weights, atol=0)
     for record in run.records:
@@ -141,7 +135,7 @@ def test_single_participant_equals_local_training():
 
 def test_fedavg_reduction_is_bitwise():
     parts = make_parts(4)
-    trainer = TrainerConfig(local_epochs=3, batch_size=16, seed=4)
+    trainer = TrainerConfig(local_epochs=3, batch_size=16)
     fednl_config = FederationConfig(
         n_participants=4, rounds=5, trainer=trainer, seed=4,
         run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
@@ -168,7 +162,7 @@ def test_fedavg_size_weights_every_round():
     b = base.take(order[10:], name="large")
     config = FederationConfig(
         n_participants=2, rounds=4,
-        trainer=TrainerConfig(local_epochs=2, batch_size=8, seed=5),
+        trainer=TrainerConfig(local_epochs=2, batch_size=8),
         seed=5, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
     )
     run = run_fedavg(config, [a, b])
@@ -182,7 +176,7 @@ def test_fedavg_loss_trend_mostly_decreasing():
         n_participants=4, rounds=50,
         trainer=TrainerConfig(
             local_epochs=2, batch_size=32,
-            lr_schedule=Constant(0.02), seed=6,
+            lr_schedule=Constant(0.02),
         ),
         seed=6, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
     )
@@ -199,7 +193,7 @@ def test_round_records_bookkeeping():
     server = synth_gaussian(3, 50, 2, 8.0, seed=700, id_base=10_000)
     config = FederationConfig(
         n_participants=4, rounds=4,
-        trainer=TrainerConfig(local_epochs=3, batch_size=16, seed=7),
+        trainer=TrainerConfig(local_epochs=3, batch_size=16),
         seed=7, weighting="fednl",
     )
     run = run_fednl(config, parts, server)
@@ -222,7 +216,7 @@ def test_diminishing_rates_decrease_across_rounds():
         n_participants=4, rounds=5,
         trainer=TrainerConfig(
             local_epochs=2, batch_size=16,
-            lr_schedule=Diminishing(theta=10.0, alpha=50.0), seed=8,
+            lr_schedule=Diminishing(theta=10.0, alpha=50.0),
         ),
         seed=8, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
     )
@@ -236,7 +230,7 @@ def test_freeze_epsilon_holds_round_one_weights():
     server = synth_gaussian(3, 50, 2, 8.0, seed=900, id_base=10_000)
     config = FederationConfig(
         n_participants=4, rounds=5,
-        trainer=TrainerConfig(local_epochs=2, batch_size=16, seed=9),
+        trainer=TrainerConfig(local_epochs=2, batch_size=16),
         seed=9, weighting="fednl", freeze_epsilon=True,
     )
     run = run_fednl(config, parts, server)
@@ -247,9 +241,9 @@ def test_freeze_epsilon_holds_round_one_weights():
 
 def test_participant_order_permutation_same_aggregate():
     parts = make_parts(10)
-    trainer = TrainerConfig(local_epochs=2, batch_size=16, seed=10)
+    trainer = TrainerConfig(local_epochs=2, batch_size=16)
     broadcast = server_init(2, 3, seed=10)
-    models = [train_local(broadcast, p, trainer)[0] for p in parts]
+    models, _ = train_local(broadcast, DatasetStack(parts, [10] * len(parts)), trainer)
     eps = np.array([0.1, 0.2, 0.3, 0.4])
     perm = [2, 0, 3, 1]
     a = aggregate(models, ContributionWeights(eps))
@@ -262,7 +256,7 @@ def test_procedure2_requires_server():
     parts = make_parts(11)
     config = FederationConfig(
         n_participants=4, rounds=2,
-        trainer=TrainerConfig(local_epochs=2, batch_size=16, seed=11),
+        trainer=TrainerConfig(local_epochs=2, batch_size=16),
         seed=11, run_procedure1=True, run_procedure2=True, weighting="fednl",
     )
     with pytest.raises(ValueError):
@@ -286,7 +280,7 @@ def test_prepare_errors_name_participant_and_stage(labels, server_classes, error
     small = make_dataset(features, labels, c=3, ids=[5000 + j for j in range(len(labels))])
     server = synth_gaussian(server_classes, 50, 2, 8.0, seed=13, id_base=10_000)
     config = FederationConfig(n_participants=2, rounds=1, seed=13,
-                              trainer=TrainerConfig(local_epochs=2, batch_size=16, seed=13))
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16))
     with pytest.raises(error) as caught:
         run_fednl(config, parts + [small], server)
     assert type(caught.value) is error
@@ -309,7 +303,7 @@ def test_divergence_names_lowest_participant_not_first_in_lockstep():
     alone = {}
     for i, ds in enumerate((calm, wild)):
         with pytest.raises(DivergenceError) as raised:
-            train_local(broadcast, ds, replace(trainer, seed=derive_seed(35, TRAIN, 1, i)))
+            train_one(broadcast, ds, trainer, derive_seed(35, TRAIN, 1, i))
         alone[i] = str(raised.value)
     step = {i: int(message.split("global step ")[1].split(";")[0])
             for i, message in alone.items()}
@@ -323,7 +317,7 @@ def test_duplicate_ids_rejected():
     base = synth_gaussian(2, 10, 2, 6.0, seed=12)
     config = FederationConfig(
         n_participants=2, rounds=2,
-        trainer=TrainerConfig(local_epochs=1, batch_size=8, seed=12),
+        trainer=TrainerConfig(local_epochs=1, batch_size=8),
         seed=12, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
     )
     with pytest.raises(ValueError):

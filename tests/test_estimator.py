@@ -1,7 +1,5 @@
 """Per-class noise-ratio estimation via three-fold cross-prediction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -20,13 +18,12 @@ from fednl import (
     predict,
     symmetric_matrix,
     synth_gaussian,
-    train_local,
 )
 from fednl._rng import ESTIMATE, FOLDS, derive_rng, derive_seed
 
-from conftest import make_dataset
+from conftest import make_dataset, train_one
 
-ESTIMATE_CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01, seed=0)
+ESTIMATE_CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01)
 
 
 def flipped_ids(clean, noisy):
@@ -224,8 +221,8 @@ def reference_cross_predict(dataset, trainer_config, seed_keys):
     preds = {int(i): [] for i in dataset.ids}
     for j, fold in enumerate(folds):
         model = init_model(dataset.d, dataset.class_count)
-        cfg = replace(trainer_config, seed=derive_seed(*seed_keys, 1 + j))
-        model, _ = train_local(model, fold.training_view(), cfg)
+        model, _ = train_one(model, fold.training_view(), trainer_config,
+                             derive_seed(*seed_keys, 1 + j))
         for other in (folds[(j + 1) % 3], folds[(j + 2) % 3]):
             labels = predict(model, other.features)
             for pos in range(other.n):

@@ -25,7 +25,7 @@ from fednl import (
 from fednl._rng import EXCHANGE, derive_rng, derive_seed
 from fednl.config import build_datasets, build_federation_config, parse_config_text
 
-CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01, seed=0)
+CONFIG = TrainerConfig(local_epochs=20, batch_size=32, l2_lambda=0.01)
 
 
 def fake_estimate(betas, sizes, ids_start=0):

@@ -32,7 +32,6 @@ from fednl import (
     solve_optimum,
     symmetric_matrix,
     synth_gaussian,
-    train_local,
     verify_rate,
 )
 from fednl import rounds
@@ -40,10 +39,10 @@ from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
-from conftest import make_dataset, reference_objective
+from conftest import make_dataset, reference_objective, train_one
 
 
-CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05, seed=0)
+CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
 
 
 # ---------------------------------------------------------------- smoothness
@@ -70,7 +69,7 @@ def test_L_stable_across_seeds():
 
 def test_zero_lambda_rejected():
     ds = synth_gaussian(2, 10, 2, 3.0, seed=4)
-    loose = TrainerConfig(local_epochs=1, batch_size=8, l2_lambda=0.0, seed=4)
+    loose = TrainerConfig(local_epochs=1, batch_size=8, l2_lambda=0.0)
     with pytest.raises(NoStrongConvexityError):
         measure_smoothness(ds, loose, seed=4)
 
@@ -181,7 +180,7 @@ def reference_round_constants(participants, trainer, seed, level, init_scale):
         participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
                         for i, ds in enumerate(participants)]
     train_sets = [ds.training_view().in_space() for ds in participants]
-    models = [train_local(init, ds, replace(trainer, seed=derive_seed(seed, TRAIN, key, i)))[0]
+    models = [train_one(init, ds, trainer, derive_seed(seed, TRAIN, key, i))[0]
               for i, ds in enumerate(train_sets)]
     smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer, seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer,
@@ -194,7 +193,7 @@ def reference_round_constants(participants, trainer, seed, level, init_scale):
 def test_round_constants_match_inline_reference(level):
     base = synth_gaussian(3, 40, 2, 8.0, seed=13)
     parts = partition_non_iid(base, 3, seed=13, strategy=ShuffleSplit())
-    trainer = TrainerConfig(local_epochs=5, batch_size=16, l2_lambda=0.01, seed=13)
+    trainer = TrainerConfig(local_epochs=5, batch_size=16, l2_lambda=0.01)
     got = measure_round_constants(parts, trainer, 13, level, init_scale=0.02)
     smooth, comps, gap = reference_round_constants(parts, trainer, 13, level, 0.02)
     assert got.smooth == smooth
@@ -213,7 +212,7 @@ def test_round_constants_match_inline_reference(level):
 
 def test_full_batch_variance_vanishes():
     ds = synth_gaussian(3, 30, 2, 6.0, seed=9)
-    full = TrainerConfig(local_epochs=1, batch_size=ds.n, l2_lambda=0.05, seed=9)
+    full = TrainerConfig(local_epochs=1, batch_size=ds.n, l2_lambda=0.05)
     model = server_init(ds.d, 3, seed=9)
     comps = measure_b_components([ds], [model], model, full, seed=9)
     assert max(comps.sigma_sq) <= 1e-12
@@ -224,9 +223,9 @@ def test_variance_grows_as_batch_shrinks():
     for seed in range(5):
         ds = synth_gaussian(3, 40, 2, 6.0, seed=seed)
         model = server_init(ds.d, 3, seed=seed)
-        big = TrainerConfig(local_epochs=1, batch_size=ds.n, l2_lambda=0.05, seed=seed)
+        big = TrainerConfig(local_epochs=1, batch_size=ds.n, l2_lambda=0.05)
         small = TrainerConfig(local_epochs=1, batch_size=max(1, ds.n // 10),
-                              l2_lambda=0.05, seed=seed)
+                              l2_lambda=0.05)
         s_big = measure_b_components([ds], [model], model, big, seed=seed).sigma_sq[0]
         s_small = measure_b_components([ds], [model], model, small, seed=seed).sigma_sq[0]
         if s_small > s_big:
@@ -342,7 +341,7 @@ def _fabricated_run(gaps, epochs_per_round=1):
         ))
     trainer = TrainerConfig(local_epochs=epochs_per_round, batch_size=8,
                             lr_schedule=Diminishing(theta=2.0, alpha=10.0),
-                            l2_lambda=0.01, seed=0)
+                            l2_lambda=0.01)
     config = FederationConfig(n_participants=1, rounds=len(gaps), trainer=trainer,
                               seed=0, run_procedure1=False, run_procedure2=False,
                               weighting="fedavg-size")
@@ -393,12 +392,12 @@ def test_real_run_slope_in_theorem_band():
     pooled = concat_datasets(pooled_views, name="pooled")
     probe = TrainerConfig(local_epochs=1, batch_size=60,
                           lr_schedule=Diminishing(2.0 / lam, 1.0),
-                          l2_lambda=lam, seed=1)
+                          l2_lambda=lam)
     smooth = measure_smoothness(pooled, probe, seed=1)
     alpha = max(8.0 * smooth.L / smooth.mu, 1.0)
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),
-                            l2_lambda=lam, seed=1)
+                            l2_lambda=lam)
     config = FederationConfig(n_participants=4, rounds=200, trainer=trainer,
                               seed=1, run_procedure1=False, run_procedure2=False,
                               weighting="fedavg-size")

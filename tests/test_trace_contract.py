@@ -93,7 +93,7 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
     base = synth_gaussian(3, 40, 2, 6.0, seed=41)
     parts = partition_non_iid(base, 3, seed=41, strategy=ShuffleSplit())
     server = synth_gaussian(3, 30, 2, 6.0, seed=42, id_base=10_000)
-    trainer = TrainerConfig(local_epochs=2, batch_size=16, seed=41)
+    trainer = TrainerConfig(local_epochs=2, batch_size=16)
     run_fednl(FederationConfig(n_participants=3, rounds=2, trainer=trainer, seed=41),
               parts, server)
     measure_round_constants(parts, trainer, 41, noise_level=0.2)

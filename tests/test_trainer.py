@@ -27,7 +27,7 @@ from fednl import ModelParams
 from fednl._rng import TRAIN, derive_rng
 from fednl.trainer import _objective
 
-from conftest import make_dataset, reference_loss
+from conftest import make_dataset, reference_loss, train_one
 
 
 def reference_gradient(weights, features, labels, lam):
@@ -195,7 +195,7 @@ def test_gradient_small_at_solved_optimum():
     from fednl import solve_optimum
 
     ds = synth_gaussian(3, 40, 2, 4.0, seed=5)
-    config = TrainerConfig(l2_lambda=0.1, seed=5)
+    config = TrainerConfig(l2_lambda=0.1)
     opt = solve_optimum(ds, config)
     grad = gradient(opt.model, ds, l2_lambda=0.1)
     assert np.linalg.norm(grad) <= 1e-6
@@ -248,12 +248,11 @@ def test_full_batch_descent_is_monotone():
     lam = 0.01
     eta = 1.0 / smoothness_bound(ds, l2_lambda=lam)
     config = TrainerConfig(
-        local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam, seed=9
-    )
+        local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam)
     model = init_model(2, 3, seed=9, scale=0.5)
     previous = loss(model, ds, lam)
     for k in range(20):
-        model, final = train_local(model, ds, config, global_step_base=k)
+        model, final = train_one(model, ds, config, 9, k)
         assert final <= previous + 1e-12
         previous = final
 
@@ -274,10 +273,9 @@ def test_single_full_batch_step_is_one_gradient_step():
     lam = 0.01
     for eta in (1e-3, 1e-4):
         config = TrainerConfig(
-            local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam, seed=10
-        )
+            local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam)
         start = init_model(2, 3, seed=10, scale=0.2)
-        trained, _ = train_local(start, ds, config)
+        trained, _ = train_one(start, ds, config, 10)
         expected = reference_gradient(
             start.weights, ds.features, ds.observed_labels, lam
         )
@@ -285,14 +283,14 @@ def test_single_full_batch_step_is_one_gradient_step():
         np.testing.assert_allclose(step, expected, atol=1e-12 / eta)
 
 
-def reference_train_local(model, dataset, config, global_step_base=0):
+def reference_train_local(model, dataset, config, seed, step_base=0):
     """The SGD step loop written with the array methods and a schedule lookup per step."""
     x = np.hstack([dataset.features, np.ones((dataset.n, 1))])
     y = dataset.observed_labels
     weights = model.weights.copy()
-    rng = derive_rng(config.seed, TRAIN)
+    rng = derive_rng(seed, TRAIN)
     lam = config.l2_lambda
-    step = global_step_base
+    step = step_base
     batch = min(config.batch_size, dataset.n)
     for _ in range(config.local_epochs):
         order = rng.permutation(dataset.n)
@@ -323,10 +321,10 @@ def reference_train_local(model, dataset, config, global_step_base=0):
 def test_train_local_matches_step_loop_reference(schedule, batch_size, step_base):
     ds = synth_gaussian(5, 10, 3, 4.0, seed=14)
     config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
-                           l2_lambda=0.01, seed=14)
+                           l2_lambda=0.01)
     start = init_model(3, 5, seed=14, scale=0.3)
-    model, final_loss = train_local(start, ds, config, global_step_base=step_base)
-    ref_weights, ref_loss = reference_train_local(start, ds, config, step_base)
+    model, final_loss = train_one(start, ds, config, 14, step_base)
+    ref_weights, ref_loss = reference_train_local(start, ds, config, 14, step_base)
     assert model.weights.tobytes() == ref_weights.tobytes()
     assert final_loss == ref_loss
 
@@ -352,25 +350,15 @@ def _stack_members(sizes, c, d, seed):
 def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases, batch_size, c):
     members = _stack_members(sizes, c, 4, seed=31)
     config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
-                           l2_lambda=0.01, seed=0)
+                           l2_lambda=0.01)
     seeds = [1000 + j for j in range(len(members))]
     start = init_model(4, c, seed=31, scale=0.3)
     models, losses = train_local(start, DatasetStack(members, seeds, bases), config)
     assert len(models) == len(losses) == len(members)
     for ds, seed, base, model, final_loss in zip(members, seeds, bases, models, losses):
-        ref_weights, ref_loss = reference_train_local(start, ds, replace(config, seed=seed), base)
+        ref_weights, ref_loss = reference_train_local(start, ds, config, seed, base)
         assert model.weights.tobytes() == ref_weights.tobytes()
         assert final_loss == ref_loss
-
-
-def test_stack_of_one_equals_single_call():
-    ds = synth_gaussian(3, 17, 2, 4.0, seed=32)
-    config = TrainerConfig(local_epochs=2, batch_size=8, seed=5)
-    start = init_model(2, 3, seed=32, scale=0.2)
-    single, single_loss = train_local(start, ds, config, global_step_base=4)
-    models, losses = train_local(start, DatasetStack([ds], [5], [4]), config)
-    assert models[0].weights.tobytes() == single.weights.tobytes()
-    assert losses == [single_loss]
 
 
 def test_dataset_stack_validation():
@@ -388,7 +376,7 @@ def test_dataset_stack_validation():
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_stack_reports_lowest_failing_member():
     config = TrainerConfig(local_epochs=5, batch_size=8, lr_schedule=Constant(1e6),
-                           l2_lambda=0.01, seed=0)
+                           l2_lambda=0.01)
     calm = synth_gaussian(3, 30, 2, 4.0, seed=34)
     wild = make_dataset(calm.features * 1e50, calm.observed_labels, c=3)
     empty = make_dataset(np.zeros((0, 2)), [], c=3)
@@ -396,7 +384,7 @@ def test_stack_reports_lowest_failing_member():
     errors = {}
     for name, ds in (("calm", calm), ("wild", wild)):
         with pytest.raises(DivergenceError) as raised:
-            train_local(start, ds, config)
+            train_one(start, ds, config, 0)
         errors[name] = str(raised.value)
     steps = {name: int(message.split("global step ")[1].split(";")[0])
              for name, message in errors.items()}
@@ -415,17 +403,17 @@ def test_stack_reports_lowest_failing_member():
 
 def test_training_deterministic_bitwise():
     ds = synth_gaussian(3, 50, 2, 5.0, seed=11)
-    config = TrainerConfig(local_epochs=3, batch_size=16, seed=11)
-    a, la = train_local(init_model(2, 3), ds, config)
-    b, lb = train_local(init_model(2, 3), ds, config)
+    config = TrainerConfig(local_epochs=3, batch_size=16)
+    a, la = train_one(init_model(2, 3), ds, config, 11)
+    b, lb = train_one(init_model(2, 3), ds, config, 11)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert la == lb
 
 
 def test_training_reaches_high_accuracy():
     ds = synth_gaussian(3, 200, 2, 8.0, seed=7)
-    config = TrainerConfig(local_epochs=20, batch_size=32, lr_schedule=Constant(0.1), seed=7)
-    model, _ = train_local(init_model(2, 3), ds, config)
+    config = TrainerConfig(local_epochs=20, batch_size=32, lr_schedule=Constant(0.1))
+    model, _ = train_one(init_model(2, 3), ds, config, 7)
     acc = float(np.mean(predict(model, ds.features) == ds.observed_labels))
     assert acc >= 0.98
 
@@ -434,12 +422,11 @@ def test_training_reaches_high_accuracy():
 def test_divergence_guard_names_step():
     ds = synth_gaussian(3, 30, 2, 5.0, seed=12)
     config = TrainerConfig(
-        local_epochs=5, batch_size=8, lr_schedule=Constant(1e6), l2_lambda=0.01, seed=12
-    )
+        local_epochs=5, batch_size=8, lr_schedule=Constant(1e6), l2_lambda=0.01)
     with pytest.raises(DivergenceError, match=r"global step \d+") as raised:
-        train_local(init_model(2, 3), ds, config, global_step_base=40)
+        train_one(init_model(2, 3), ds, config, 12, 40)
     with pytest.raises(DivergenceError) as expected:
-        reference_train_local(init_model(2, 3), ds, config, 40)
+        reference_train_local(init_model(2, 3), ds, config, 12, 40)
     assert str(raised.value) == str(expected.value)
 
 
@@ -447,11 +434,10 @@ def test_global_step_base_moves_diminishing_rate():
     ds = synth_gaussian(2, 10, 1, 5.0, seed=13)
     sched = Diminishing(theta=10.0, alpha=5.0)
     config = TrainerConfig(
-        local_epochs=1, batch_size=ds.n, lr_schedule=sched, l2_lambda=0.01, seed=13
-    )
+        local_epochs=1, batch_size=ds.n, lr_schedule=sched, l2_lambda=0.01)
     start = init_model(1, 2, seed=13, scale=0.2)
-    early, _ = train_local(start, ds, config, global_step_base=0)
-    late, _ = train_local(start, ds, config, global_step_base=100)
+    early, _ = train_one(start, ds, config, 13, 0)
+    late, _ = train_one(start, ds, config, 13, 100)
     # same start, one full-batch step at different schedule positions:
     # the late step uses a smaller rate, so it moves less
     early_move = np.linalg.norm(early.weights - start.weights)
