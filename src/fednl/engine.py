@@ -17,8 +17,8 @@ from .data import Dataset
 from .estimator import EstimationError, NoiseEstimate, estimate_noise
 from .exchange import ExchangeTranscript, normalize_noise
 from .metrics import MetricsSnapshot, evaluate
-from .trainer import (DatasetStack, ModelParams, TrainerConfig, lr_at, steps_per_round,
-                      train_local)
+from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _losses, lr_at,
+                      steps_per_round, train_local)
 
 
 class AggregationError(ValueError):
@@ -153,19 +153,22 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
                step_bases: list[int]) -> tuple[list[ModelParams], list[float], list[float]]:
     """One round of local training, all participants in one lockstep call.
 
-    Advances step_bases in place. An error names the round and the
-    lowest-indexed failing participant, as training them in turn would.
+    Returns the models, each one's regularized loss on its own training set
+    and the rates of their first steps. Advances step_bases in place. An
+    error names the round and the lowest-indexed failing participant, as
+    training them in turn would.
     """
     trainer = config.trainer
     seeds = [_participant_seed(config, i, TRAIN, t) for i in range(len(train_sets))]
     rates = [lr_at(trainer.lr_schedule, base + 1) for base in step_bases]
     try:
-        models, losses = train_local(broadcast, DatasetStack(train_sets, seeds, step_bases),
-                                     trainer)
+        models = train_local(broadcast, DatasetStack(train_sets, seeds, step_bases), trainer)
     except Exception as e:
         if not hasattr(e, "member"):
             raise
         raise type(e)(f"round {t}, participant {e.member}: {e}") from e
+    losses = [_losses(m.weights[None], _augment(ds.features), ds.observed_labels,
+                      trainer.l2_lambda)[0] for m, ds in zip(models, train_sets)]
     for i, ds in enumerate(train_sets):
         step_bases[i] += steps_per_round(ds.n, trainer)
     return models, losses, rates

@@ -94,7 +94,7 @@ def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
     folds = split_three_folds(dataset, derive_seed(*seed_keys, 0))
     stack = DatasetStack([dataset.take(fold) for fold in folds],
                          [derive_seed(*seed_keys, 1 + j) for j in range(3)])
-    models, _ = train_local(init_model(dataset.d, dataset.class_count), stack, trainer_config)
+    models = train_local(init_model(dataset.d, dataset.class_count), stack, trainer_config)
     preds = np.empty((dataset.n, 2), dtype=np.int64)
     for j, model in enumerate(models):
         for q in (j + 1) % 3, (j + 2) % 3:

@@ -12,18 +12,19 @@ init-to-optimum gap.
 round, then L, the B components and the init gap) for every caller;
 `RoundConstants.rounds` turns it into B and a round estimate.
 
-Each L-BFGS solve and the smoothness probe evaluate loss and gradient in one
-buffered pass (`trainer._objective`). The pooled optimum is solved once per
-measurement: `measure_b_components` returns it, and the init gap reads it
-from there.
+Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
+package needs no scipy. Each solve and the smoothness probe evaluate loss
+and gradient in one buffered pass (`trainer._objective`). The pooled optimum
+is solved once per measurement: `measure_b_components` returns it, and the
+init gap reads it from there.
 """
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .contribution import ContributionWeights
@@ -153,12 +154,63 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
     return SmoothnessParams(L=max(mu, 1.2 * best), mu=mu, provenance="measured")
 
 
+def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
+    """Minimize ``objective(x) -> (value, gradient)`` by L-BFGS from ``x``.
+
+    The two-loop recursion (Liu & Nocedal, Math. Prog. 45, 1989) over the
+    last 10 curvature pairs (scipy's default memory), scaled by
+    H0 = s'y / y'y; the first direction is -g/||g||. Armijo backtracking from
+    a unit step halves the step until f falls by 1e-4 of the predicted
+    decrease; a pair with s'y <= 0 is skipped. Stops at max|g| <= gtol, at a
+    relative decrease of at most 1e-18 (no decrease in float64), when no
+    step along the direction changes x, or after ``max_iter`` iterations.
+    Returns the last accepted point.
+    """
+    f, g = objective(x)
+    pairs = deque(maxlen=10)  # (s, y, 1 / s'y), oldest first
+    for _ in range(max_iter):
+        if np.max(np.abs(g)) <= gtol:
+            break
+        # q becomes H g, H the inverse-Hessian estimate; the step is along -q.
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        else:
+            q /= np.linalg.norm(g)
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
+        slope = -(g @ q)
+        t = 1.0
+        while True:
+            x_new = x - t * q
+            if np.array_equal(x_new, x):
+                return x
+            f_new, g_new = objective(x_new)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = s @ y
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if decrease <= 1e-18:
+            break
+    return x
+
+
 def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
                   start: ModelParams | None = None, grad_tol: float = 1e-6,
                   hard_tol: float = 1e-4, max_iter: int = 5000) -> Optimum:
     """Minimize the regularized objective on the dataset.
 
-    Strong convexity makes the minimum unique; quasi-Newton iterations drive
+    Strong convexity makes the minimum unique; L-BFGS (`_lbfgs`) drives
     the gradient toward grad_tol. A final gradient norm above hard_tol is a
     failed measurement and raises. The final gradient and loss come from
     `gradient` and `loss`, after the solver's buffered objective is freed.
@@ -171,10 +223,8 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
     x0 = (start.weights if start is not None else np.zeros((d + 1, c))).ravel()
     # No local name for the objective: its features and buffer go with the
     # solver, before the final check allocates its own.
-    res = minimize(_objective(ds, lam), x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "gtol": min(grad_tol, 1e-9) / 10.0,
-                            "ftol": 1e-18})
-    model = ModelParams(weights=res.x.reshape(d + 1, c), class_count=c)
+    x = _lbfgs(_objective(ds, lam), x0, max_iter, min(grad_tol, 1e-9) / 10.0)
+    model = ModelParams(weights=x.reshape(d + 1, c), class_count=c)
     grad_norm = float(np.linalg.norm(gradient(model, ds, lam)))
     if grad_norm > hard_tol:
         raise MeasurementError(
@@ -325,7 +375,7 @@ def measure_round_constants(participants, trainer_config: TrainerConfig, seed: i
     train_sets = [ds.training_view().in_space() for ds in participants]
     init = server_init(d, c, seed, init_scale)
     seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
-    models, _ = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
+    models = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
     smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer_config,
                                 seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer_config,

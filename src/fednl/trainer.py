@@ -16,8 +16,7 @@ participants of a round-constant measurement. At each step the models whose
 batches have the same row count share one stacked matmul each way and one
 log-softmax, so the per-step interpreter cost is paid once per group instead
 of once per model. One model is a stack of one, on the same loop. Every
-model's weights, loss and divergence step are bitwise those of training it
-alone.
+model's weights and divergence step are bitwise those of training it alone.
 """
 
 import math
@@ -326,8 +325,7 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     ``step_bases[j] + i``, and every step applies the full-strength L2 term.
     At each step the members whose batches have the same row count are
     stepped together, in blocks of models. Returns the list of trained
-    models and the list of their full-dataset regularized losses; each is
-    bitwise what a stack of that member alone gives.
+    models; each is bitwise what a stack of that member alone gives.
 
     Raises DivergenceError at the first non-finite batch loss, naming the
     global step. When members fail, the error is the lowest-indexed one's,
@@ -402,10 +400,7 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
         member, error = failure
         error.member = member
         raise error
-    models = [ModelParams(weights=w.copy(), class_count=c) for w in weights]
-    losses = [_losses(w[None], _augment(f), y, lam)[0]
-              for w, f, y in zip(weights, features, labels)]
-    return models, losses
+    return [ModelParams(weights=w.copy(), class_count=c) for w in weights]
 
 
 def steps_per_round(n: int, config: TrainerConfig) -> int:

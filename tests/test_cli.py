@@ -1,6 +1,8 @@
 """Command-line harness: all six subcommands plus exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,14 @@ server.per_class = 20
 trainer.local_epochs = 2
 trainer.batch_size = 16
 """
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # A module-level scipy import costs every `fednl` process about 0.5 s.
+    probe = "import sys, fednl, fednl.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------- synth
@@ -253,6 +263,23 @@ def test_rounds_grid_monotone_in_target(tmp_path, capsys):
         by_q[q_o] = int(fields[-1])
     assert "error" not in out
     assert by_q[0.01] > by_q[0.1]
+
+
+#: `fednl rounds` on ROUNDS_CONFIG. The rounds column carries up to seven
+#: digits of B and the init gap, so a solver change that moves them fails here.
+ROUNDS_TABLE = """\
+ noise    E        q_o            B     alpha            raw   rounds
+---------------------------------------------------------------------
+# noise 0.000: L=1.581 mu=0.01 max sigma^2=0.01328 G^2=0.05601 Gamma=0.0003706 gap=2.967
+ 0.000    5        0.1       7.1766      1265     4.5952e+05   459517
+ 0.000    5       0.01       7.1766      1265     4.5974e+06  4597442
+"""
+
+
+def test_rounds_table_is_pinned(tmp_path, capsys):
+    config = write_config(tmp_path, ROUNDS_CONFIG)
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    assert capsys.readouterr().out == ROUNDS_TABLE
 
 
 def test_rounds_alpha_minus_one_shifts_only_alpha(tmp_path, capsys, monkeypatch):

@@ -116,7 +116,7 @@ def test_synth_trainable_oracle():
 
     ds = synth_gaussian(3, 200, 2, 8.0, seed=7)
     config = TrainerConfig(local_epochs=20, batch_size=32)
-    model, _ = train_one(init_model(ds.d, 3), ds, config, 7)
+    model = train_one(init_model(ds.d, 3), ds, config, 7)
     acc = float(np.mean(predict(model, ds.features) == ds.observed_labels))
     assert acc >= 0.98
 

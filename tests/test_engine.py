@@ -28,7 +28,7 @@ from fednl import (
 from fednl._rng import TRAIN, derive_seed
 from fednl.engine import _server_rows
 
-from conftest import make_dataset, train_one
+from conftest import make_dataset, reference_loss, train_one
 
 
 def weights_of(values, c=2):
@@ -125,12 +125,12 @@ def test_single_participant_equals_local_training():
     nonfed = server_init(parts[0].d, parts[0].class_count, 3, 0.01)
     ds = parts[0].training_view().in_space()
     step = 0
-    for t in range(1, 4):
-        nonfed, _ = train_one(nonfed, ds, trainer, derive_seed(3, TRAIN, t, 0), step)
+    for t, record in enumerate(run.records, start=1):
+        nonfed = train_one(nonfed, ds, trainer, derive_seed(3, TRAIN, t, 0), step)
         step += 4 * -(-ds.n // 16)
-    np.testing.assert_allclose(run.global_model.weights, nonfed.weights, atol=0)
-    for record in run.records:
+        assert record.local_losses == (reference_loss(nonfed.weights, ds, trainer.l2_lambda),)
         assert record.epsilon == (1.0,)
+    np.testing.assert_allclose(run.global_model.weights, nonfed.weights, atol=0)
 
 
 def test_fedavg_reduction_is_bitwise():
@@ -243,7 +243,7 @@ def test_participant_order_permutation_same_aggregate():
     parts = make_parts(10)
     trainer = TrainerConfig(local_epochs=2, batch_size=16)
     broadcast = server_init(2, 3, seed=10)
-    models, _ = train_local(broadcast, DatasetStack(parts, [10] * len(parts)), trainer)
+    models = train_local(broadcast, DatasetStack(parts, [10] * len(parts)), trainer)
     eps = np.array([0.1, 0.2, 0.3, 0.4])
     perm = [2, 0, 3, 1]
     a = aggregate(models, ContributionWeights(eps))

@@ -221,8 +221,8 @@ def reference_cross_predict(dataset, trainer_config, seed_keys):
     preds = {int(i): [] for i in dataset.ids}
     for j, fold in enumerate(folds):
         model = init_model(dataset.d, dataset.class_count)
-        model, _ = train_one(model, fold.training_view(), trainer_config,
-                             derive_seed(*seed_keys, 1 + j))
+        model = train_one(model, fold.training_view(), trainer_config,
+                          derive_seed(*seed_keys, 1 + j))
         for other in (folds[(j + 1) % 3], folds[(j + 2) % 3]):
             labels = predict(model, other.features)
             for pos in range(other.n):

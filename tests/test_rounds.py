@@ -136,6 +136,19 @@ def test_optimum_nonconvergence_reported():
         solve_optimum(ds, CONFIG, max_iter=1)
 
 
+def test_optimum_matches_scipy_lbfgsb():
+    optimize = pytest.importorskip("scipy.optimize")
+    ds = synth_gaussian(10, 50, 20, 3.0, seed=15)
+    config = TrainerConfig(l2_lambda=0.01)
+    start = server_init(ds.d, 10, seed=15)
+    got = solve_optimum(ds, config, start=start)
+    res = optimize.minimize(rounds._objective(ds, config.l2_lambda), start.weights.ravel(),
+                            jac=True, method="L-BFGS-B",
+                            options={"maxiter": 5000, "gtol": 1e-10, "ftol": 1e-18})
+    assert got.loss == pytest.approx(float(res.fun), rel=1e-12, abs=0.0)
+    assert got.grad_norm <= 1e-6
+
+
 def test_init_gap_positive_and_deterministic():
     ds = synth_gaussian(3, 40, 2, 5.0, seed=7)
     opt = solve_optimum(ds, CONFIG)
@@ -180,7 +193,7 @@ def reference_round_constants(participants, trainer, seed, level, init_scale):
         participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
                         for i, ds in enumerate(participants)]
     train_sets = [ds.training_view().in_space() for ds in participants]
-    models = [train_one(init, ds, trainer, derive_seed(seed, TRAIN, key, i))[0]
+    models = [train_one(init, ds, trainer, derive_seed(seed, TRAIN, key, i))
               for i, ds in enumerate(train_sets)]
     smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer, seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer,

@@ -252,7 +252,8 @@ def test_full_batch_descent_is_monotone():
     model = init_model(2, 3, seed=9, scale=0.5)
     previous = loss(model, ds, lam)
     for k in range(20):
-        model, final = train_one(model, ds, config, 9, k)
+        model = train_one(model, ds, config, 9, k)
+        final = loss(model, ds, lam)
         assert final <= previous + 1e-12
         previous = final
 
@@ -275,7 +276,7 @@ def test_single_full_batch_step_is_one_gradient_step():
         config = TrainerConfig(
             local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam)
         start = init_model(2, 3, seed=10, scale=0.2)
-        trained, _ = train_one(start, ds, config, 10)
+        trained = train_one(start, ds, config, 10)
         expected = reference_gradient(
             start.weights, ds.features, ds.observed_labels, lam
         )
@@ -309,7 +310,7 @@ def reference_train_local(model, dataset, config, seed, step_base=0):
             probs[np.arange(len(rows)), yb] -= 1.0
             grad = xb.T @ probs / len(rows) + lam * weights
             weights -= lr_at(config.lr_schedule, step) * grad
-    return weights, reference_loss(weights, dataset, lam)
+    return weights
 
 
 @pytest.mark.parametrize("schedule, batch_size, step_base", [
@@ -323,10 +324,9 @@ def test_train_local_matches_step_loop_reference(schedule, batch_size, step_base
     config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
                            l2_lambda=0.01)
     start = init_model(3, 5, seed=14, scale=0.3)
-    model, final_loss = train_one(start, ds, config, 14, step_base)
-    ref_weights, ref_loss = reference_train_local(start, ds, config, 14, step_base)
+    model = train_one(start, ds, config, 14, step_base)
+    ref_weights = reference_train_local(start, ds, config, 14, step_base)
     assert model.weights.tobytes() == ref_weights.tobytes()
-    assert final_loss == ref_loss
 
 
 def _stack_members(sizes, c, d, seed):
@@ -353,12 +353,11 @@ def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases
                            l2_lambda=0.01)
     seeds = [1000 + j for j in range(len(members))]
     start = init_model(4, c, seed=31, scale=0.3)
-    models, losses = train_local(start, DatasetStack(members, seeds, bases), config)
-    assert len(models) == len(losses) == len(members)
-    for ds, seed, base, model, final_loss in zip(members, seeds, bases, models, losses):
-        ref_weights, ref_loss = reference_train_local(start, ds, config, seed, base)
+    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    assert len(models) == len(members)
+    for ds, seed, base, model in zip(members, seeds, bases, models):
+        ref_weights = reference_train_local(start, ds, config, seed, base)
         assert model.weights.tobytes() == ref_weights.tobytes()
-        assert final_loss == ref_loss
 
 
 def test_dataset_stack_validation():
@@ -404,16 +403,15 @@ def test_stack_reports_lowest_failing_member():
 def test_training_deterministic_bitwise():
     ds = synth_gaussian(3, 50, 2, 5.0, seed=11)
     config = TrainerConfig(local_epochs=3, batch_size=16)
-    a, la = train_one(init_model(2, 3), ds, config, 11)
-    b, lb = train_one(init_model(2, 3), ds, config, 11)
+    a = train_one(init_model(2, 3), ds, config, 11)
+    b = train_one(init_model(2, 3), ds, config, 11)
     assert a.weights.tobytes() == b.weights.tobytes()
-    assert la == lb
 
 
 def test_training_reaches_high_accuracy():
     ds = synth_gaussian(3, 200, 2, 8.0, seed=7)
     config = TrainerConfig(local_epochs=20, batch_size=32, lr_schedule=Constant(0.1))
-    model, _ = train_one(init_model(2, 3), ds, config, 7)
+    model = train_one(init_model(2, 3), ds, config, 7)
     acc = float(np.mean(predict(model, ds.features) == ds.observed_labels))
     assert acc >= 0.98
 
@@ -436,8 +434,8 @@ def test_global_step_base_moves_diminishing_rate():
     config = TrainerConfig(
         local_epochs=1, batch_size=ds.n, lr_schedule=sched, l2_lambda=0.01)
     start = init_model(1, 2, seed=13, scale=0.2)
-    early, _ = train_one(start, ds, config, 13, 0)
-    late, _ = train_one(start, ds, config, 13, 100)
+    early = train_one(start, ds, config, 13, 0)
+    late = train_one(start, ds, config, 13, 100)
     # same start, one full-batch step at different schedule positions:
     # the late step uses a smaller rate, so it moves less
     early_move = np.linalg.norm(early.weights - start.weights)
