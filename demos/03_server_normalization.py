@@ -13,6 +13,7 @@ from fednl import (
     estimate_noise,
     inject_noise,
     normalize_noise,
+    reestimate_seed,
     synth_gaussian,
 )
 
@@ -38,13 +39,13 @@ def main():
           [round(ce.beta, 3) for ce in before.per_class])
     print(f"spread {spread(before):.3f}, threshold z = {before.beta_min:.3f}")
 
-    result = normalize_noise(view, before, server, seed=4, trainer_config=config)
+    result = normalize_noise(view, before, server, seed=4)
     t = result.transcript
     print(f"\ndemands (class: count): { {k: v for k, v in sorted(t.demands.items())} }")
     print(f"granted after stock check: {list(t.delta1)}")
     print(f"uniform grant u = {t.u}")
 
-    after = result.estimate
+    after = estimate_noise(result.dataset, config, seed=reestimate_seed(4, 3))
     print("\nper-class ratios after exchange: ",
           [round(ce.beta, 3) for ce in after.per_class])
     print(f"spread {spread(before):.3f} -> {spread(after):.3f}")

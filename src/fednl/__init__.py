@@ -21,7 +21,7 @@ from .estimator import (ClassEstimate, EstimationError, NoiseEstimate, classify_
                         estimate_noise, estimate_to_dict, format_estimate)
 from .exchange import (AllocationError, DemandPlan, ExchangeResult, ExchangeTranscript,
                        apply_exchange, compute_demands, fulfill_demands, normalize_noise,
-                       transcript_to_dict)
+                       reestimate_seed, transcript_to_dict)
 from .metrics import (MetricsSnapshot, confusion_matrix, detection_scores, evaluate,
                       format_snapshot)
 from .noise import (NoiseReport, TransitionMatrix, asymmetric_matrix, inject_noise,

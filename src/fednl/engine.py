@@ -6,6 +6,7 @@ weights. FedAvg is the same loop with both procedures off and
 ``fedavg-size`` weighting; ``run_fedavg`` is that call.
 """
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,11 +15,19 @@ from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_r
 from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effective_sizes,
                            influence, size_weights)
 from .data import Dataset
-from .estimator import EstimationError, NoiseEstimate, estimate_noise
-from .exchange import ExchangeTranscript, normalize_noise
+from .estimator import MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, plan_folds, train_folds
+from .exchange import ExchangeTranscript, normalize_noise, reestimate_seed
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _losses, lr_at,
                       steps_per_round, train_local)
+
+logger = logging.getLogger(__name__)
+
+#: Fold-model training rows per chunk of `_prepare_fednl`. A chunk's fold
+#: models train in one stacked call, and its fold sets, estimates and
+#: exchanged sets exist together; this bound keeps them near one
+#: participant's worth. A participant over it forms a chunk alone.
+_ESTIMATE_ROWS = 1 << 11
 
 
 class AggregationError(ValueError):
@@ -174,47 +183,98 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
     return models, losses, rates
 
 
+def _prepare_stacked(config: FederationConfig, chunk, pool) -> list:
+    """Procedures 1 and 2 for a chunk of (participant, view, fold plan) triples.
+
+    The chunk's fold models train in one stacked call, then each participant
+    is scored and exchanged in turn, then the exchanged sets' fold models
+    train in one more. A set of 1 or 2 rows keeps its pre-exchange estimate.
+    Returns one [training set, estimate, transcript] per participant. An
+    error is labelled with the stage and participant at hand, which names
+    the right ones only for a chunk of one.
+    """
+    trainer, resplit = config.trainer, config.per_class_resplit
+    out, replans = [], []
+    stage, i = "estimate", chunk[0][0]
+    try:
+        trained = train_folds([plan for _, _, plan in chunk], trainer)
+        for (i, view, plan), models in zip(chunk, trained):
+            est = estimate_noise(view, trainer, _participant_seed(config, i, ESTIMATE), resplit,
+                                 trained=(plan, models))
+            if not config.run_procedure2:
+                out.append([view.by_ids(est.noise_free_ids), est, None])
+                continue
+            stage = "exchange"
+            seed = _participant_seed(config, i, EXCHANGE)
+            result = normalize_noise(view, est, pool, seed, demand_cap=config.demand_cap)
+            out.append([result.dataset, est, result.transcript])
+            stage = "re-estimate after exchange"
+            new = result.dataset
+            # Every row is in-space, so the fold minimum is a row count. An
+            # empty set has nothing to train on: its re-estimate fails.
+            if 0 < new.n < MIN_FOLD_ROWS:
+                logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
+                               "keeping the pre-exchange estimate", view.name, new.n)
+                continue
+            seed = reestimate_seed(seed, new.class_count)
+            replans.append((out[-1], seed, plan_folds(new, seed, resplit)))
+        if replans:
+            trained = train_folds([plan for _, _, plan in replans], trainer)
+            for (entry, seed, plan), models in zip(replans, trained):
+                entry[1] = estimate_noise(entry[0], trainer, seed, resplit,
+                                          trained=(plan, models))
+    except Exception as e:
+        raise type(e)(f"participant {i}, {stage}: {e}") from e
+    return out
+
+
+def _prepare_chunk(config: FederationConfig, chunk, pool) -> list:
+    """`_prepare_stacked` on a chunk, raising what a participant-by-participant pass would.
+
+    That error is the lowest-indexed failing participant's first failing
+    stage. A failing chunk of several participants is run again one
+    participant at a time to find it.
+    """
+    try:
+        return _prepare_stacked(config, chunk, pool) if chunk else []
+    except Exception:
+        if len(chunk) == 1:
+            raise
+        for item in chunk:
+            _prepare_stacked(config, [item], pool)
+        raise
+
+
 def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
     """Run the pre-loop pipeline; return training sets, betas, artifacts.
 
-    An error names the participant and the stage it came from: the estimate,
-    the exchange, or the re-estimate after the exchange.
+    Participants go in chunks of at most `_ESTIMATE_ROWS` fold-model rows,
+    so Procedure 1 trains many participants' fold models per call. An error
+    names the participant and the stage it came from: the estimate, the
+    exchange, or the re-estimate after the exchange. It is the error a
+    participant-by-participant pass raises.
     """
-    train_sets, betas = [], []
-    estimates, transcripts = [], []
-    for i, ds in enumerate(participant_datasets):
-        view = ds.training_view()
-        if not config.run_procedure1:
-            train_sets.append(view.in_space())
-            betas.append(0.0)
-            continue
-        stage = "estimate"
+    views = [ds.training_view() for ds in participant_datasets]
+    if not config.run_procedure1:
+        return [view.in_space() for view in views], [0.0] * len(views), None, None
+    prepared, chunk, rows = [], [], 0
+    for i, view in enumerate(views):
         try:
-            est = estimate_noise(view, config.trainer,
-                                 _participant_seed(config, i, ESTIMATE),
-                                 per_class_resplit=config.per_class_resplit)
-            if config.run_procedure2:
-                stage = "exchange"
-                result = normalize_noise(view, est, pool,
-                                         _participant_seed(config, i, EXCHANGE),
-                                         config.trainer, demand_cap=config.demand_cap,
-                                         per_class_resplit=config.per_class_resplit)
+            plan = plan_folds(view, _participant_seed(config, i, ESTIMATE),
+                              config.per_class_resplit)
         except Exception as e:
-            if stage == "exchange" and isinstance(e, EstimationError):
-                stage = "re-estimate after exchange"
-            raise type(e)(f"participant {i}, {stage}: {e}") from e
-        if config.run_procedure2:
-            train_sets.append(result.dataset)
-            betas.append(result.estimate.beta_mean)
-            estimates.append(result.estimate)
-            transcripts.append(result.transcript)
-        else:
-            train_sets.append(view.by_ids(est.noise_free_ids))
-            betas.append(est.beta_mean)
-            estimates.append(est)
-    return (train_sets, betas,
-            tuple(estimates) if estimates else None,
-            tuple(transcripts) if transcripts else None)
+            _prepare_chunk(config, chunk, pool)  # earlier participants fail first
+            raise type(e)(f"participant {i}, estimate: {e}") from e
+        if chunk and rows + plan.rows > _ESTIMATE_ROWS:
+            prepared += _prepare_chunk(config, chunk, pool)
+            chunk, rows = [], 0
+        chunk.append((i, view, plan))
+        rows += plan.rows
+    prepared += _prepare_chunk(config, chunk, pool)
+    train_sets = [entry[0] for entry in prepared]
+    estimates = tuple(entry[1] for entry in prepared)
+    transcripts = tuple(entry[2] for entry in prepared) if config.run_procedure2 else None
+    return train_sets, [est.beta_mean for est in estimates], estimates, transcripts
 
 
 def run_fednl(config: FederationConfig, participant_datasets,

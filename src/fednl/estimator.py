@@ -11,15 +11,22 @@ arrays, the two out-of-fold predictions of every row fill one (n, 2) array,
 and the agreement rule is applied to all rows at once. Instance ids appear
 only in the returned estimate. True labels are stripped once, on entry, so no
 fold model ever sees them.
+
+An estimate has three steps: `plan_folds` draws the splits, `train_folds`
+trains the fold models and `estimate_noise` scores them. `train_folds` takes
+the plans of many datasets and trains all their fold models in one lockstep
+call, which is how the pipeline estimates many participants at once;
+`estimate_noise` alone runs all three steps for one dataset.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from ._rng import ESTIMATE, derive_seed
 from .data import Dataset, split_three_folds
-from .trainer import DatasetStack, TrainerConfig, init_model, predict, train_local
+from .trainer import DatasetStack, TrainerConfig, _augment, init_model, train_local
 
 
 MIN_FOLD_ROWS = 3  # fewest in-space rows that can form the three folds
@@ -84,22 +91,85 @@ class NoiseEstimate:
         return tuple(out)
 
 
-def _cross_predict(dataset: Dataset, trainer_config: TrainerConfig,
-                   seed_keys: tuple) -> np.ndarray:
-    """Train one fresh model per fold, all three in one call; predict the other two folds.
+@dataclass(frozen=True)
+class FoldPlan:
+    """Procedure 1's three-fold splits of one dataset, drawn once.
 
-    Row j of the returned (n, 2) array holds the predictions for row j of the
-    two models that never trained on it, ordered by training-fold index.
+    ``in_space`` holds the rows the estimate scores. There is one split per
+    entry of ``folds``: the shared one, or under per-class re-splitting one
+    per class with rows, listed in ``classes``. Split s trains three models,
+    model j on fold ``folds[s][j]`` with seed ``seeds[s][j]``.
     """
-    folds = split_three_folds(dataset, derive_seed(*seed_keys, 0))
-    stack = DatasetStack([dataset.take(fold) for fold in folds],
-                         [derive_seed(*seed_keys, 1 + j) for j in range(3)])
-    models = train_local(init_model(dataset.d, dataset.class_count), stack, trainer_config)
-    preds = np.empty((dataset.n, 2), dtype=np.int64)
-    for j, model in enumerate(models):
-        for q in (j + 1) % 3, (j + 2) % 3:
-            preds[folds[q], j - (q < j)] = predict(model, dataset.features[folds[q]])
-    return preds
+
+    in_space: Dataset
+    classes: tuple[int, ...] | None
+    folds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    seeds: tuple[tuple[int, int, int], ...]
+
+    @property
+    def rows(self) -> int:
+        """Training rows over the plan's fold models: the in-space rows once per split."""
+        return self.in_space.n * len(self.folds)
+
+
+def plan_folds(dataset: Dataset, seed: int, per_class_resplit: bool = False) -> FoldPlan:
+    """Draw the splits `estimate_noise` trains on; see there for the two modes.
+
+    Raises EstimationError when fewer than MIN_FOLD_ROWS rows are in-space.
+    """
+    in_space = dataset.training_view().in_space()
+    if in_space.n < MIN_FOLD_ROWS:
+        raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
+                              f"to form folds, got {in_space.n}")
+    classes = None
+    streams = [(seed, ESTIMATE, 0)]
+    if per_class_resplit:
+        sizes = np.bincount(in_space.observed_labels, minlength=dataset.class_count)
+        classes = tuple(int(k) for k in np.flatnonzero(sizes))
+        streams = [(seed, ESTIMATE, 1, k) for k in classes]
+    return FoldPlan(
+        in_space=in_space,
+        classes=classes,
+        folds=tuple(split_three_folds(in_space, derive_seed(*keys, 0)) for keys in streams),
+        seeds=tuple(tuple(derive_seed(*keys, 1 + j) for j in range(3)) for keys in streams),
+    )
+
+
+def train_folds(plans: list[FoldPlan], trainer_config: TrainerConfig) -> list[tuple]:
+    """Train the fold models of every plan in one lockstep `train_local` call.
+
+    Returns one tuple per plan of its models, split by split, each from a
+    fresh zero model. The datasets must share the feature and class space.
+    """
+    members, seeds = [], []
+    for plan in plans:
+        for folds, fold_seeds in zip(plan.folds, plan.seeds):
+            members.extend(plan.in_space.take(fold) for fold in folds)
+            seeds.extend(fold_seeds)
+    first = plans[0].in_space
+    models = iter(train_local(init_model(first.d, first.class_count),
+                              DatasetStack(members, seeds), trainer_config))
+    return [tuple(islice(models, 3 * len(plan.folds))) for plan in plans]
+
+
+#: Row r of fold q is predicted by the two models trained on the other folds.
+_OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _cross_predict(in_space: Dataset, folds, models) -> np.ndarray:
+    """Out-of-fold predictions of one split's three models, one stacked matmul.
+
+    Row r of the returned (n, 2) array holds the predictions for row r of the
+    two models that never trained on it, ordered by training-fold index.
+    Ties go to the lowest class, as in `predict`.
+    """
+    n = in_space.n
+    weights = np.stack([model.weights for model in models])
+    labels = np.argmax(np.matmul(_augment(in_space.features), weights), axis=2)
+    fold_of = np.empty(n, dtype=np.int64)
+    for q, fold in enumerate(folds):
+        fold_of[fold] = q
+    return labels[_OTHER_FOLDS[fold_of], np.arange(n)[:, None]]
 
 
 def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray | None) -> ClassEstimate:
@@ -119,7 +189,8 @@ def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray | None) -> Cla
 
 
 def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
-                   per_class_resplit: bool = False) -> NoiseEstimate:
+                   per_class_resplit: bool = False,
+                   trained: tuple | None = None) -> NoiseEstimate:
     """Run the three-fold cross-prediction estimate on one participant's data.
 
     The default splits the dataset once and scores every class against the
@@ -128,25 +199,27 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     matching the procedure text that nests the split inside the class loop;
     the agreement rule is identical. Each class's split is seeded by its
     index, so skipping an empty class leaves the others' estimates unchanged.
+
+    ``trained`` is a (plan, models) pair: the `plan_folds` of this dataset,
+    seed and flag, and its `train_folds` models. Given one, the estimate
+    scores those models and draws and trains nothing; the result is the same.
     """
-    in_space = dataset.training_view().in_space()
-    if in_space.n < MIN_FOLD_ROWS:
-        raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
-                              f"to form folds, got {in_space.n}")
+    if trained is None:
+        plan = plan_folds(dataset, seed, per_class_resplit)
+        models = train_folds([plan], trainer_config)[0]
+    else:
+        plan, models = trained
+    in_space = plan.in_space
     c = dataset.class_count
     labels = in_space.observed_labels
-
-    def agreement(preds):
-        return classify_instance(labels, preds[:, 0], preds[:, 1])
-
-    if per_class_resplit:
-        sizes = np.bincount(labels, minlength=c)
-        noise_free = {k: agreement(_cross_predict(in_space, trainer_config,
-                                                  (seed, ESTIMATE, 1, k)))
-                      for k in range(c) if sizes[k]}
+    agreements = []
+    for s, folds in enumerate(plan.folds):
+        preds = _cross_predict(in_space, folds, models[3 * s:3 * s + 3])
+        agreements.append(classify_instance(labels, preds[:, 0], preds[:, 1]))
+    if plan.classes is None:
+        noise_free = dict.fromkeys(range(c), agreements[0])
     else:
-        shared = agreement(_cross_predict(in_space, trainer_config, (seed, ESTIMATE, 0)))
-        noise_free = dict.fromkeys(range(c), shared)
+        noise_free = dict(zip(plan.classes, agreements))
     # An empty class is scored without reading its (absent) predictions.
     estimates = [_score_class(in_space, k, noise_free.get(k)) for k in range(c)]
 
@@ -158,7 +231,7 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
         best_class=best,
         beta_mean=float(betas.mean()),
         out_of_space_ids=tuple(dataset.out_of_space_ids().tolist()),
-        trainings=3 * len(noise_free) if per_class_resplit else 3,
+        trainings=3 * len(plan.folds),
     )
 
 

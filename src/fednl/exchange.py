@@ -20,8 +20,7 @@ import numpy as np
 
 from ._rng import EXCHANGE, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
-from .estimator import MIN_FOLD_ROWS, NoiseEstimate, estimate_noise
-from .trainer import TrainerConfig
+from .estimator import NoiseEstimate
 
 logger = logging.getLogger(__name__)
 
@@ -76,16 +75,13 @@ class ExchangeTranscript:
 class ExchangeResult:
     """Outcome of one participant's normalization pass.
 
-    ``dataset`` is the new training set (noise-free survivors plus
-    transfers, grouped by class; removed instances are gone for good) and
-    ``estimate`` the re-run three-fold estimate on it. A new set of 1 or 2
-    rows cannot form the three folds: its re-estimate is skipped with a
-    warning, and ``estimate`` is the pre-exchange estimate. An empty new set
-    still raises ``EstimationError`` from the re-estimate.
+    ``dataset`` is the new training set: noise-free survivors plus
+    transfers, grouped by class; removed instances are gone for good. The
+    caller re-estimates it (the pipeline seeds that estimate with
+    `reestimate_seed`).
     """
 
     dataset: Dataset
-    estimate: NoiseEstimate
     transcript: ExchangeTranscript
 
 
@@ -142,16 +138,13 @@ def fulfill_demands(plan: DemandPlan, server_class_sizes) -> DemandPlan:
 
 
 def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Dataset,
-                   plan: DemandPlan, seed: int, trainer_config: TrainerConfig,
-                   per_class_resplit: bool = False) -> ExchangeResult:
-    """Drop removed instances, pull the granted server instances, re-estimate.
+                   plan: DemandPlan, seed: int) -> ExchangeResult:
+    """Drop removed instances and pull the granted server instances.
 
     Transfers are sampled uniformly without replacement from the server's
     class-k pool; each class is then capped at its pre-exchange size (the
     grant rule makes the cap unreachable, but a hit is truncated and
-    reported). The returned estimate re-runs the three-fold procedure on the
-    new dataset with a derived seed, or is the given one when the new
-    dataset is non-empty but too small for three folds.
+    reported).
     """
     if plan.final is None:
         raise ValueError("plan has no final grants; run fulfill_demands first")
@@ -190,16 +183,6 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     # Class by class: survivors in participant row order, then the transfers.
     merged = concat_datasets(parts, name=participant.name)
     new_dataset = merged.take(np.argsort(merged.observed_labels, kind="stable"))
-    # Every row is in-space, so the estimator's fold minimum is a row count.
-    # An empty set has nothing to train on: its re-estimate fails as before.
-    if 0 < new_dataset.n < MIN_FOLD_ROWS:
-        logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
-                       "keeping the pre-exchange estimate", participant.name, new_dataset.n)
-        new_estimate = estimate
-    else:
-        new_estimate = estimate_noise(
-            new_dataset, trainer_config, derive_seed(seed, EXCHANGE, c),
-            per_class_resplit=per_class_resplit)
     transcript = ExchangeTranscript(
         demands={k: plan.demanded[k] for k in plan.demanding_classes},
         delta1=plan.delta1,
@@ -209,17 +192,20 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
         truncated=truncated,
         starved=plan.starved,
     )
-    return ExchangeResult(dataset=new_dataset, estimate=new_estimate, transcript=transcript)
+    return ExchangeResult(dataset=new_dataset, transcript=transcript)
 
 
 def normalize_noise(participant: Dataset, estimate: NoiseEstimate, server: Dataset,
-                    seed: int, trainer_config: TrainerConfig, demand_cap: str = "size",
-                    per_class_resplit: bool = False) -> ExchangeResult:
-    """Full normalization pass: demands, grants, transfer, re-estimate."""
+                    seed: int, demand_cap: str = "size") -> ExchangeResult:
+    """Full normalization pass: demands, grants, transfer."""
     plan = compute_demands(estimate, participant.class_sizes(), demand_cap=demand_cap)
     plan = fulfill_demands(plan, server.class_sizes())
-    return apply_exchange(participant, estimate, server, plan, seed, trainer_config,
-                          per_class_resplit=per_class_resplit)
+    return apply_exchange(participant, estimate, server, plan, seed)
+
+
+def reestimate_seed(seed: int, class_count: int) -> int:
+    """Seed of the estimate re-run on the set an exchange seeded ``seed`` built."""
+    return derive_seed(seed, EXCHANGE, class_count)
 
 
 def transcript_to_dict(transcript: ExchangeTranscript) -> dict:

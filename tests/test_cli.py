@@ -1,5 +1,6 @@
 """Command-line harness: all six subcommands plus exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -153,6 +154,46 @@ def test_run_rerun_identical_records(tmp_path):
     assert run_cli("run", "--config", str(config_b)) == EXIT_OK
     assert (tmp_path / "ra" / "rounds.ndrecords").read_bytes() == \
         (tmp_path / "rb" / "rounds.ndrecords").read_bytes()
+
+
+# Twenty noisy participants of about 105 rows, c=3, the exchange on: Procedure
+# 1 runs in more than one chunk of participants.
+PINNED_RUN = """
+seed = 21
+participants = 20
+rounds = 3
+data.classes = 3
+data.per_class = 700
+data.separation = 4
+server.per_class = 60
+noise.kind = symmetric
+noise.beta = 0.4
+noise.out_of_space = 0.05
+noise.participants = 0,1,2,3,4,5
+trainer.local_epochs = 2
+trainer.batch_size = 16
+"""
+
+#: sha256 of PINNED_RUN's deterministic artifacts, as `run_digest` takes it.
+PINNED_RUN_DIGEST = "eb5412d8fdef7e7e0b15283b9b5738b04f009ee4aa244cc9b817bac678795c3d"
+
+
+def run_digest(run_dir):
+    """sha256 over rounds, transcript, final metrics and every model, names included."""
+    digest = hashlib.sha256()
+    paths = [run_dir / name for name in ("rounds.ndrecords", "exchange.transcript",
+                                         "metrics.final")]
+    paths += sorted((run_dir / "models").iterdir())
+    for path in paths:
+        digest.update(str(path.relative_to(run_dir)).encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def test_run_artifacts_are_pinned(tmp_path):
+    config = write_config(tmp_path, PINNED_RUN)
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+    assert run_digest(tmp_path / "run") == PINNED_RUN_DIGEST
 
 
 def test_run_fedavg_equals_disabled_pipeline(tmp_path):

@@ -1,5 +1,7 @@
 """Federation round loop, aggregation, and the size-weighted baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,16 +19,23 @@ from fednl import (
     ShuffleSplit,
     TrainerConfig,
     aggregate,
+    estimate_noise,
+    inject_noise,
+    normalize_noise,
     partition_non_iid,
     record_to_dict,
+    reestimate_seed,
     run_fedavg,
     run_fednl,
     server_init,
+    symmetric_matrix,
     synth_gaussian,
     train_local,
 )
-from fednl._rng import TRAIN, derive_seed
-from fednl.engine import _server_rows
+from fednl import engine, estimator
+from fednl._rng import ESTIMATE, EXCHANGE, TRAIN, derive_seed
+from fednl.data import OUT_OF_SPACE
+from fednl.engine import _prepare_fednl, _server_rows
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -285,6 +294,130 @@ def test_prepare_errors_name_participant_and_stage(labels, server_classes, error
         run_fednl(config, parts + [small], server)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def _record_stacks(monkeypatch):
+    """Member id arrays of every Procedure 1 `train_local` stack, in call order."""
+    stacks = []
+    train = estimator.train_local
+
+    def recording(model, stack, config):
+        stacks.append([ds.ids for ds in stack.members])
+        return train(model, stack, config)
+
+    monkeypatch.setattr(estimator, "train_local", recording)
+    return stacks
+
+
+#: At this rate the ridge term alone scales the weights by about -1e4 a step,
+#: so within 25 epochs every fold model diverges; larger features make it
+#: diverge sooner.
+WILD_TRAINER = TrainerConfig(local_epochs=25, batch_size=8, lr_schedule=Constant(1e6),
+                             l2_lambda=0.01)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("rows", [engine._ESTIMATE_ROWS, 3])
+def test_reestimate_failure_precedes_later_estimate_failure(monkeypatch, rows):
+    # Participant 0 fails only in its re-estimate (see the three-row case
+    # above), participant 1 in its estimate. A budget of 3 rows puts them in
+    # separate chunks; the default puts them in one.
+    small = make_dataset([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]], [0, 1, 2], c=3,
+                         ids=[5000, 5001, 5002])
+    calm = synth_gaussian(3, 30, 2, 4.0, seed=35)
+    wild = make_dataset(calm.features * 1e100, calm.observed_labels, c=3, ids=calm.ids)
+    trainer = replace(WILD_TRAINER, local_epochs=5)
+    with pytest.raises(DivergenceError):
+        estimate_noise(wild, trainer, derive_seed(13, ESTIMATE, 1))
+    server = synth_gaussian(3, 50, 2, 8.0, seed=13, id_base=10_000)
+    monkeypatch.setattr(engine, "_ESTIMATE_ROWS", rows)
+    stacks = _record_stacks(monkeypatch)
+    config = FederationConfig(n_participants=2, rounds=1, seed=13, trainer=trainer)
+    with pytest.raises(EstimationError) as raised:
+        run_fednl(config, [small, wild], server)
+    assert str(raised.value) == ("participant 0, re-estimate after exchange: "
+                                 "need at least 3 in-space instances to form folds, got 0")
+    assert len(stacks[0]) == (6 if rows > small.n else 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_fold_divergence_names_lowest_participant(monkeypatch):
+    # Participant 1's fold models diverge at an earlier lockstep step than
+    # participant 0's; trained in turn, participant 0 would have failed first.
+    calm = synth_gaussian(3, 30, 2, 4.0, seed=35)
+    wild = make_dataset(calm.features * 1e100, calm.observed_labels, c=3, ids=calm.ids + 1000)
+    alone = {}
+    for i, ds in enumerate((calm, wild)):
+        with pytest.raises(DivergenceError) as raised:
+            estimate_noise(ds, WILD_TRAINER, derive_seed(35, ESTIMATE, i))
+        alone[i] = str(raised.value)
+    step = {i: int(message.split("global step ")[1].split(";")[0])
+            for i, message in alone.items()}
+    assert step[1] < step[0]
+    server = synth_gaussian(3, 50, 2, 8.0, seed=35, id_base=10_000)
+    stacks = _record_stacks(monkeypatch)
+    config = FederationConfig(n_participants=2, rounds=1, seed=35, trainer=WILD_TRAINER)
+    with pytest.raises(DivergenceError) as raised:
+        run_fednl(config, [calm, wild], server)
+    assert str(raised.value) == f"participant 0, estimate: {alone[0]}"
+    assert len(stacks[0]) == 6  # both participants' fold models in one call
+
+
+def _mixed_participants():
+    """Datasets of different sizes: out-of-space labels, an empty class, one of 240 rows."""
+    c = 3
+    parts, base = [], 0
+    for seed, n in enumerate((30, 45, 240, 60, 25, 40)):
+        clean = synth_gaussian(c, n // c, 2, 3.0, seed=60 + seed, id_base=base)
+        base += clean.n
+        ds, _ = inject_noise(clean, symmetric_matrix(c, 0.3), seed=60 + seed)
+        if seed == 1:
+            labels = ds.observed_labels.copy()
+            labels[::7] = OUT_OF_SPACE
+            ds = make_dataset(ds.features, labels, c=c, ids=ds.ids)
+        if seed == 3:
+            ds = ds.take(np.flatnonzero(ds.observed_labels != 2))
+        parts.append(ds)
+    server = synth_gaussian(c, 80, 2, 3.0, seed=70, id_base=base)
+    return parts, server
+
+
+@pytest.mark.parametrize("procedure2", [False, True])
+@pytest.mark.parametrize("resplit", [False, True])
+def test_chunked_procedure1_matches_one_participant_at_a_time(monkeypatch, resplit, procedure2):
+    parts, server = _mixed_participants()
+    budget = 150
+    monkeypatch.setattr(engine, "_ESTIMATE_ROWS", budget)
+    stacks = _record_stacks(monkeypatch)
+    trainer = TrainerConfig(local_epochs=3, batch_size=16)
+    config = FederationConfig(n_participants=len(parts), rounds=1, seed=8, trainer=trainer,
+                              run_procedure2=procedure2, per_class_resplit=resplit)
+    pool = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[0])
+    train_sets, betas, estimates, _ = _prepare_fednl(config, parts, pool)
+    chunked = list(stacks)
+
+    for i, ds in enumerate(parts):
+        view = ds.training_view()
+        expected = estimate_noise(view, trainer, derive_seed(8, ESTIMATE, i), resplit)
+        if procedure2:
+            seed = derive_seed(8, EXCHANGE, i)
+            view = normalize_noise(view, expected, pool, seed).dataset
+            expected = estimate_noise(view, trainer, reestimate_seed(seed, 3), resplit)
+        else:
+            view = view.by_ids(expected.noise_free_ids)
+        assert estimates[i] == expected
+        assert betas[i] == expected.beta_mean
+        np.testing.assert_array_equal(train_sets[i].ids, view.ids)
+
+    # Participants whose rows each stack trains on (server transfers aside).
+    owner = {i: p for p, ds in enumerate(parts) for i in ds.ids.tolist()}
+    held = [{owner[i] for ids in members for i in ids.tolist() if i in owner}
+            for members in chunked]
+    rows = [sum(ids.size for ids in members) for members in chunked]
+    assert any(len(h) > 1 for h in held)
+    # Only participant 2 is over the budget on its own.
+    assert all(n <= budget or h == {2} for n, h in zip(rows, held))
+    assert any(n > budget for n in rows)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

@@ -18,6 +18,7 @@ from fednl import (
     fulfill_demands,
     inject_noise,
     normalize_noise,
+    reestimate_seed,
     run_fednl,
     synth_gaussian,
     transcript_to_dict,
@@ -142,7 +143,7 @@ def test_zero_allocation_drops_noisy_instances():
     starved = fulfill_demands(plan, [0, 0, 0])
     server = synth_gaussian(3, 10, 2, 8.0, seed=99, id_base=10_000)
     result = apply_exchange(participant, estimate, server.training_view(),
-                            starved, seed=1, trainer_config=CONFIG)
+                            starved, seed=1)
     survivors = set()
     for ce in estimate.per_class:
         survivors.update(ce.noise_free_ids)
@@ -158,7 +159,7 @@ def test_allocation_adds_exactly_u_per_demanding_class():
     )
     server = synth_gaussian(3, 500, 2, 8.0, seed=98, id_base=10_000)
     result = apply_exchange(participant, estimate, server.training_view(),
-                            plan, seed=2, trainer_config=CONFIG)
+                            plan, seed=2)
     for k, ce in enumerate(estimate.per_class):
         expected = len(ce.noise_free_ids) + plan.final[k]
         expected = min(expected, ce.size)  # hard cap at original class size
@@ -170,7 +171,7 @@ def test_transfers_come_from_server_only():
     estimate = estimate_noise(participant, CONFIG, seed=3)
     server = synth_gaussian(3, 400, 2, 8.0, seed=97, id_base=10_000)
     result = normalize_noise(participant, estimate, server.training_view(),
-                             seed=3, trainer_config=CONFIG)
+                             seed=3)
     participant_ids = set(participant.ids.tolist())
     server_ids = set(server.ids.tolist())
     for k, transferred in result.transcript.transfers.items():
@@ -185,7 +186,7 @@ def test_transcript_carries_only_class_counts():
     estimate = estimate_noise(participant, CONFIG, seed=4)
     server = synth_gaussian(3, 400, 2, 8.0, seed=96, id_base=10_000)
     result = normalize_noise(participant, estimate, server.training_view(),
-                             seed=4, trainer_config=CONFIG)
+                             seed=4)
     demands = result.transcript.demands
     assert all(isinstance(k, int) and isinstance(v, int) for k, v in demands.items())
     payload = transcript_to_dict(result.transcript)
@@ -201,8 +202,9 @@ def test_normalization_shrinks_spread():
         before = max(betas) - min(betas)
         server = synth_gaussian(3, 400, 2, 8.0, seed=1000 + seed, id_base=10_000)
         result = normalize_noise(participant, estimate, server.training_view(),
-                                 seed=seed, trainer_config=CONFIG)
-        after_betas = [ce.beta for ce in result.estimate.per_class]
+                                 seed=seed)
+        after = estimate_noise(result.dataset, CONFIG, reestimate_seed(seed, 3))
+        after_betas = [ce.beta for ce in after.per_class]
         after = max(after_betas) - min(after_betas)
         if after < before:
             lowered += 1
@@ -214,9 +216,9 @@ def test_exchange_deterministic():
     estimate = estimate_noise(participant, CONFIG, seed=8)
     server = synth_gaussian(3, 300, 2, 8.0, seed=95, id_base=10_000)
     a = normalize_noise(participant, estimate, server.training_view(),
-                        seed=8, trainer_config=CONFIG)
+                        seed=8)
     b = normalize_noise(participant, estimate, server.training_view(),
-                        seed=8, trainer_config=CONFIG)
+                        seed=8)
     np.testing.assert_array_equal(a.dataset.ids, b.dataset.ids)
     assert a.transcript.final == b.transcript.final
 
@@ -239,7 +241,7 @@ def test_apply_rejects_overallocation():
     server = synth_gaussian(3, 20, 2, 8.0, seed=94, id_base=10_000)
     with pytest.raises(AllocationError):
         apply_exchange(participant, estimate, server.training_view(),
-                       forced, seed=9, trainer_config=CONFIG)
+                       forced, seed=9)
 
 
 def test_apply_rejects_shared_ids_naming_first_five():
@@ -249,7 +251,7 @@ def test_apply_rejects_shared_ids_naming_first_five():
     estimate = fake_estimate([0.2, 0.0, 0.1], [10, 10, 10])
     plan = fulfill_demands(compute_demands(estimate, [10, 10, 10]), server.class_sizes())
     with pytest.raises(ValueError, match=r"share instance ids: \[23, 24, 25, 26, 27\]$"):
-        apply_exchange(participant, estimate, server, plan, seed=10, trainer_config=CONFIG)
+        apply_exchange(participant, estimate, server, plan, seed=10)
 
 
 # ---------------------------------------------------------------- per-class reference
@@ -300,7 +302,7 @@ def test_apply_matches_per_class_reference(kind):
     estimate = estimate_noise(participant, CONFIG, seed=12)
     server = synth_gaussian(3, 400, 2, 8.0, seed=93, id_base=10_000).training_view()
     plan = _plan(kind, estimate, participant)
-    result = apply_exchange(participant, estimate, server, plan, seed=12, trainer_config=CONFIG)
+    result = apply_exchange(participant, estimate, server, plan, seed=12)
     dataset, transcript = reference_exchange(participant, estimate, server, plan, 12)
     assert bool(transcript.transfers) == (kind != "starved")
     assert bool(transcript.truncated) == (kind == "truncated")
@@ -309,7 +311,8 @@ def test_apply_matches_per_class_reference(kind):
     assert result.dataset.features.tobytes() == dataset.features.tobytes()
     np.testing.assert_array_equal(result.dataset.observed_labels, dataset.observed_labels)
     assert result.transcript == transcript
-    assert result.estimate == estimate_noise(dataset, CONFIG, derive_seed(12, EXCHANGE, 3))
+    assert (estimate_noise(result.dataset, CONFIG, reestimate_seed(12, 3))
+            == estimate_noise(dataset, CONFIG, derive_seed(12, EXCHANGE, 3)))
 
 
 # The fednl_wide benchmark scenario at config seed 57: participant 2's estimate
@@ -333,7 +336,7 @@ trainer.local_epochs = 2
 def test_too_small_for_folds_keeps_pre_exchange_estimate(caplog):
     config = parse_config_text(WIDE_SEED_57)
     participants, server = build_datasets(config)
-    with caplog.at_level("WARNING", logger="fednl.exchange"):
+    with caplog.at_level("WARNING", logger="fednl.engine"):
         report = run_fednl(build_federation_config(config), participants, server)
     assert report.training_sizes[2] == 1
     assert not report.transcripts[2].demands

@@ -97,7 +97,9 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
     run_fednl(FederationConfig(n_participants=3, rounds=2, trainer=trainer, seed=41),
               parts, server)
     measure_round_constants(parts, trainer, 41, noise_level=0.2)
-    assert [len(calls[tag]) for tag in ("loop", "estimate", "rounds")] == [2, 6, 1]
+    # One call per round, one per Procedure 1 stage (estimate, re-estimate)
+    # for the three participants' fold models together, one per measurement.
+    assert [len(calls[tag]) for tag in ("loop", "estimate", "rounds")] == [2, 2, 1]
     for tag, recorded in calls.items():
         for args, kwargs, result in recorded:
             tracer = _StubTracer()
