@@ -29,7 +29,7 @@ def main():
     constants = measure_round_constants(parts, trainer, SEED)
     smooth, comps = constants.smooth, constants.components
 
-    print(f"L = {smooth.L:.3f}, mu = {smooth.mu:.3f} ({smooth.provenance})")
+    print(f"L = {smooth.L:.3f} (measured), mu = {smooth.mu:.3f} (the L2 term)")
     print(f"max sigma_i^2 = {max(comps.sigma_sq):.4f}, G^2 = {comps.G_sq:.4f}, "
           f"Gamma = {comps.Gamma:.4f}")
     print(f"optimum loss = {comps.L_star:.4f}, init gap = {constants.init_gap:.4f}\n")

@@ -15,7 +15,7 @@ from pathlib import Path
 from .config import (ConfigError, ExperimentConfig, build_datasets,
                      build_federation_config, build_trainer_config, load_config,
                      parse_flip_rules)
-from .data import ColumnSchema, ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
+from .data import ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
 from .engine import record_to_dict, run_fedavg, run_fednl
 from .estimator import estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
@@ -74,8 +74,7 @@ def cmd_inject(args) -> int:
     _require_fresh(out, args.force)
     if (args.beta is None) == (args.pairs is None):
         raise ConfigError(["give exactly one of --beta or --pairs"])
-    schema = ColumnSchema(class_count=args.classes)
-    dataset = load_dataset(args.data, schema)
+    dataset = load_dataset(args.data, class_count=args.classes)
     try:
         if args.beta is not None:
             matrix = symmetric_matrix(dataset.class_count, args.beta)
@@ -106,9 +105,12 @@ def cmd_inject(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = load_dataset(args.data, ColumnSchema(allow_out_of_space=True))
-    trainer = TrainerConfig(local_epochs=args.epochs, batch_size=args.batch_size,
-                            lr_schedule=Constant(args.eta), l2_lambda=args.l2)
+    dataset = load_dataset(args.data, allow_out_of_space=True)
+    try:
+        trainer = TrainerConfig(local_epochs=args.epochs, batch_size=args.batch_size,
+                                lr_schedule=Constant(args.eta), l2_lambda=args.l2)
+    except ValueError as e:
+        raise ConfigError([str(e)]) from e
     estimate = estimate_noise(dataset, trainer, args.seed,
                               per_class_resplit=args.per_class_resplit)
     print(format_estimate(estimate))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._rng import INJECT, SYNTH, derive_seed
-from .data import (ColumnSchema, Dataset, LabelSkew, ShuffleSplit, load_dataset,
-                   partition_non_iid, synth_gaussian)
+from .data import (Dataset, LabelSkew, ShuffleSplit, load_dataset, partition_non_iid,
+                   synth_gaussian)
 from .engine import FederationConfig
 from .noise import TransitionMatrix, asymmetric_matrix, inject_noise, symmetric_matrix, with_out_of_space
 from .trainer import Constant, Diminishing, TrainerConfig
@@ -328,7 +328,7 @@ def build_datasets(config: ExperimentConfig) -> tuple[list[Dataset], Dataset | N
             name="participants",
         )
     else:
-        base = load_dataset(config["data.path"], ColumnSchema(allow_out_of_space=True))
+        base = load_dataset(config["data.path"], allow_out_of_space=True)
     if config["partition.strategy"] == "shuffle-split":
         strategy = ShuffleSplit()
     else:
@@ -357,5 +357,5 @@ def build_datasets(config: ExperimentConfig) -> tuple[list[Dataset], Dataset | N
                 id_base=id_base,
             )
         else:
-            server = load_dataset(config["server.path"], ColumnSchema(), id_base=id_base)
+            server = load_dataset(config["server.path"], id_base=id_base)
     return parts, server

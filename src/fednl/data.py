@@ -146,58 +146,40 @@ class Dataset:
         return sizes
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Column layout of a delimited dataset file.
-
-    Feature columns default to every column left of the label column. When
-    ``class_count`` is omitted it is inferred as max(label) + 1.
-    """
-
-    class_count: int | None = None
-    label_column: str = "label"
-    true_label_column: str = "true_label"
-    feature_columns: tuple[str, ...] | None = None
-    delimiter: str = ","
-    allow_out_of_space: bool = False
-
-
 def _near_equal_sizes(n: int, parts: int) -> list[int]:
     # Remainder goes to the lowest-indexed parts.
     base, extra = divmod(n, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def load_dataset(path, schema: ColumnSchema | None = None, name: str | None = None,
+def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool = False,
                  id_base: int = 0) -> Dataset:
-    """Read a delimited text file with a header row into a Dataset.
+    """Read a comma-separated file with a header row into a Dataset.
 
-    Row order is preserved; ids are assigned as id_base, id_base+1, ...
+    The header names a ``label`` column and, optionally, a ``true_label``
+    column; every other column is a feature, in header order. When
+    ``class_count`` is omitted it is inferred as max(label) + 1. A label
+    outside [0, class_count) raises unless ``allow_out_of_space``, which
+    stores it as OUT_OF_SPACE. Row order is preserved; ids are assigned as
+    id_base, id_base+1, ..., and the dataset is named after the file stem.
     Raises ParseError for malformed rows and SchemaError for label/space
     violations, both naming the offending 1-based data row.
     """
-    schema = schema or ColumnSchema()
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        if schema.label_column not in header:
-            raise SchemaError(f"{path}: header lacks label column {schema.label_column!r}")
-        label_idx = header.index(schema.label_column)
-        true_idx = header.index(schema.true_label_column) if schema.true_label_column in header else None
-        if schema.feature_columns is not None:
-            missing = [c for c in schema.feature_columns if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: header lacks feature columns {missing}")
-            feat_idx = [header.index(c) for c in schema.feature_columns]
-        else:
-            feat_idx = [j for j in range(len(header)) if j != label_idx and j != true_idx]
+        if "label" not in header:
+            raise SchemaError(f"{path}: header lacks label column 'label'")
+        label_idx = header.index("label")
+        true_idx = header.index("true_label") if "true_label" in header else None
+        feat_idx = [j for j in range(len(header)) if j != label_idx and j != true_idx]
         arity = len(header)
 
         feats, obs, tru = [], [], []
@@ -217,14 +199,14 @@ def load_dataset(path, schema: ColumnSchema | None = None, name: str | None = No
 
     n = len(obs)
     obs_arr = np.array(obs, dtype=np.int64)
-    c = schema.class_count
+    c = class_count
     if c is None:
         in_space = obs_arr[obs_arr != OUT_OF_SPACE]
         c = int(in_space.max()) + 1 if in_space.size else 1
     for row_no, label in enumerate(obs, start=1):
         if 0 <= label < c:
             continue
-        if schema.allow_out_of_space:
+        if allow_out_of_space:
             obs_arr[row_no - 1] = OUT_OF_SPACE
         else:
             raise SchemaError(f"{path}: row {row_no} label {label} outside [0, {c}) "
@@ -236,24 +218,24 @@ def load_dataset(path, schema: ColumnSchema | None = None, name: str | None = No
         ids=np.arange(id_base, id_base + n, dtype=np.int64),
         class_count=c,
         true_labels=np.array(tru, dtype=np.int64) if true_idx is not None else None,
-        name=name or path.stem,
+        name=path.stem,
     )
 
 
-def save_dataset(dataset: Dataset, path, delimiter: str = ",") -> None:
+def save_dataset(dataset: Dataset, path) -> None:
     """Write a Dataset in the load_dataset file format (full float precision)."""
     path = Path(path)
     cols = [f"f{j}" for j in range(dataset.d)] + ["label"]
     if dataset.true_labels is not None:
         cols.append("true_label")
     with open(path, "w", newline="") as fh:
-        fh.write(delimiter.join(cols) + "\n")
+        fh.write(",".join(cols) + "\n")
         for j in range(dataset.n):
             row = [format(v, ".17g") for v in dataset.features[j]]
             row.append(str(int(dataset.observed_labels[j])))
             if dataset.true_labels is not None:
                 row.append(str(int(dataset.true_labels[j])))
-            fh.write(delimiter.join(row) + "\n")
+            fh.write(",".join(row) + "\n")
 
 
 def synth_gaussian(c: int, per_class: int, d: int, separation: float, seed: int,

@@ -151,7 +151,8 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     c = participant.class_count
     if server.class_count != c:
         raise ValueError("server and participant disagree on the class space")
-    overlap = np.intersect1d(participant.ids, server.ids)
+    # Dataset ids are unique, so the intersection can skip its dedup pass.
+    overlap = np.intersect1d(participant.ids, server.ids, assume_unique=True)
     if overlap.size:
         raise ValueError(
             f"participant and server share instance ids: {overlap[:5].tolist()}")

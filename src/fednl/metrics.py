@@ -83,27 +83,18 @@ def scores_from_confusion(confusion: np.ndarray, scope: str = "global") -> Metri
     )
 
 
-def evaluate(model: ModelParams, dataset: Dataset, label_source: str = "observed",
-             scope: str = "global") -> MetricsSnapshot:
-    """Score the model against the dataset's observed or retained true labels.
+def evaluate(model: ModelParams, dataset: Dataset, scope: str = "global") -> MetricsSnapshot:
+    """Score the model against the dataset's observed labels.
 
     Labels feeding the confusion matrix must be in the class space, so
-    observed-label evaluation rejects datasets with out-of-space labels.
+    datasets with out-of-space observed labels are rejected.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if label_source == "true":
-        if dataset.true_labels is None:
-            raise ValueError("label_source='true' but the dataset retained no true labels")
-        labels = dataset.true_labels
-    elif label_source == "observed":
-        if np.any(dataset.observed_labels == OUT_OF_SPACE):
-            raise ValueError("evaluation dataset has out-of-space observed labels")
-        labels = dataset.observed_labels
-    else:
-        raise ValueError(f"label_source must be 'true' or 'observed', got {label_source!r}")
+    if np.any(dataset.observed_labels == OUT_OF_SPACE):
+        raise ValueError("evaluation dataset has out-of-space observed labels")
     predicted = predict(model, dataset.features)
-    confusion = confusion_matrix(labels, predicted, dataset.class_count)
+    confusion = confusion_matrix(dataset.observed_labels, predicted, dataset.class_count)
     return scores_from_confusion(confusion, scope=scope)
 
 

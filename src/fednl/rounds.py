@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
-from .contribution import ContributionWeights
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
@@ -51,15 +50,12 @@ class SmoothnessParams:
 
     L: float
     mu: float
-    provenance: str = "declared"
 
     def __post_init__(self):
         if not self.mu > 0.0:
             raise ValueError("mu must be positive")
         if self.L < self.mu:
             raise ValueError("L must be at least mu")
-        if self.provenance not in ("declared", "measured"):
-            raise ValueError(f"provenance must be declared or measured, got {self.provenance!r}")
 
 
 @dataclass(frozen=True)
@@ -102,20 +98,17 @@ class Optimum:
 
 @dataclass(frozen=True)
 class BComponents:
-    """Measured ingredients of B, with both Gamma readings.
+    """Measured ingredients of B.
 
-    ``Gamma`` is the floored, weight-adjusted value used downstream;
-    ``Gamma_unweighted`` keeps the plain difference of optima for reference.
-    ``optimum`` is the pooled optimum, solved from the server model; callers
-    that need w* (the init gap) read it here instead of solving again.
+    ``Gamma`` is floored at 0. ``optimum`` is the pooled optimum, solved
+    from the server model; callers that need w* (the init gap) read it here
+    instead of solving again.
     """
 
     sigma_sq: tuple[float, ...]
     G_sq: float
     Gamma: float
-    Gamma_unweighted: float
     optimum: Optimum
-    L_i_star: tuple[float, ...]
 
     @property
     def L_star(self) -> float:
@@ -123,8 +116,21 @@ class BComponents:
         return self.optimum.loss
 
 
+#: Weight pairs `measure_smoothness` probes, server inits `measure_init_gap`
+#: averages over, and batches per participant `measure_b_components` samples.
+_SMOOTHNESS_PAIRS = 100
+_INIT_GAP_DRAWS = 10
+_B_BATCHES = 50
+
+#: `solve_optimum`'s gradient-norm target (it warns above it), its hard limit
+#: (it raises above it) and the solver's iteration cap.
+_GRAD_TOL = 1e-6
+_HARD_TOL = 1e-4
+_LBFGS_MAX_ITER = 5000
+
+
 def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
-                       seed: int = 0, pairs: int = 100) -> SmoothnessParams:
+                       seed: int = 0) -> SmoothnessParams:
     """Estimate L empirically; mu is the L2 coefficient exactly.
 
     L is the largest gradient-difference ratio over random weight pairs,
@@ -132,8 +138,6 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
     """
     if trainer_config.l2_lambda <= 0.0:
         raise NoStrongConvexityError("l2_lambda is 0; the objective is not strongly convex")
-    if pairs < 1:
-        raise ValueError("need at least one weight pair")
     mu = trainer_config.l2_lambda
     ds = dataset.in_space()
     if ds.n == 0:
@@ -142,7 +146,7 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
     shape = (ds.d + 1, ds.class_count)
     objective = _objective(ds, mu)
     best = 0.0
-    for _ in range(pairs):
+    for _ in range(_SMOOTHNESS_PAIRS):
         wa = rng.standard_normal(shape)
         wb = rng.standard_normal(shape)
         ga = objective(wa)[1]
@@ -151,7 +155,7 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
         if denom == 0.0:
             continue
         best = max(best, float(np.linalg.norm(ga - gb)) / denom)
-    return SmoothnessParams(L=max(mu, 1.2 * best), mu=mu, provenance="measured")
+    return SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
 
 
 def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
@@ -206,13 +210,12 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
 
 
 def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
-                  start: ModelParams | None = None, grad_tol: float = 1e-6,
-                  hard_tol: float = 1e-4, max_iter: int = 5000) -> Optimum:
+                  start: ModelParams | None = None) -> Optimum:
     """Minimize the regularized objective on the dataset.
 
     Strong convexity makes the minimum unique; L-BFGS (`_lbfgs`) drives
-    the gradient toward grad_tol. A final gradient norm above hard_tol is a
-    failed measurement and raises. The final gradient and loss come from
+    the gradient toward _GRAD_TOL. A final gradient norm above _HARD_TOL is
+    a failed measurement and raises. The final gradient and loss come from
     `gradient` and `loss`, after the solver's buffered objective is freed.
     """
     ds = dataset.in_space()
@@ -223,40 +226,36 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
     x0 = (start.weights if start is not None else np.zeros((d + 1, c))).ravel()
     # No local name for the objective: its features and buffer go with the
     # solver, before the final check allocates its own.
-    x = _lbfgs(_objective(ds, lam), x0, max_iter, min(grad_tol, 1e-9) / 10.0)
+    x = _lbfgs(_objective(ds, lam), x0, _LBFGS_MAX_ITER, min(_GRAD_TOL, 1e-9) / 10.0)
     model = ModelParams(weights=x.reshape(d + 1, c), class_count=c)
     grad_norm = float(np.linalg.norm(gradient(model, ds, lam)))
-    if grad_norm > hard_tol:
+    if grad_norm > _HARD_TOL:
         raise MeasurementError(
-            f"optimizer stopped with gradient norm {grad_norm:.3e} > {hard_tol:.0e}")
-    if grad_norm > grad_tol:
-        logger.warning("optimum gradient norm %.3e misses the %.0e target", grad_norm, grad_tol)
+            f"optimizer stopped with gradient norm {grad_norm:.3e} > {_HARD_TOL:.0e}")
+    if grad_norm > _GRAD_TOL:
+        logger.warning("optimum gradient norm %.3e misses the %.0e target", grad_norm, _GRAD_TOL)
     return Optimum(model=model, loss=loss(model, ds, lam), grad_norm=grad_norm)
 
 
 def measure_init_gap(d: int, c: int, seed: int, w_star: ModelParams,
-                     draws: int = 10, init_scale: float = 0.01) -> float:
+                     init_scale: float = 0.01) -> float:
     """Mean squared distance from fresh server inits to the optimum."""
-    if draws < 1:
-        raise ValueError("need at least one draw")
     gaps = []
-    for j in range(draws):
+    for j in range(_INIT_GAP_DRAWS):
         w1 = server_init(d, c, derive_seed(seed, INIT_GAP, j), init_scale)
         gaps.append(float(np.sum((w1.weights - w_star.weights) ** 2)))
     return float(np.mean(gaps))
 
 
 def measure_b_components(datasets, models, server_ref_model: ModelParams,
-                         trainer_config: TrainerConfig,
-                         epsilon: ContributionWeights | None = None,
-                         seed: int = 0, n_batches: int = 50) -> BComponents:
+                         trainer_config: TrainerConfig, seed: int = 0) -> BComponents:
     """Measure sigma_i^2, G^2 and Gamma from data and current models.
 
     Per participant, sigma_i^2 is the worst squared deviation of a sampled
     batch gradient from the full gradient at that participant's current
     model, and G^2 the worst squared batch-gradient norm over everyone.
-    Gamma compares the pooled optimum loss with the weighted per-participant
-    optimum losses, floored at 0; optimizations start from the server model.
+    Gamma compares the pooled optimum loss with the mean per-participant
+    optimum loss, floored at 0; optimizations start from the server model.
     The pooled optimum is returned whole as ``optimum``.
     """
     datasets = [ds.in_space() for ds in datasets]
@@ -264,9 +263,6 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
     if len(datasets) != len(models) or not datasets:
         raise ValueError("need one model per dataset")
     n = len(datasets)
-    eps = epsilon.epsilon if epsilon is not None else np.full(n, 1.0 / n)
-    if len(eps) != n:
-        raise ValueError("epsilon length disagrees with participants")
     lam = trainer_config.l2_lambda
 
     sigma_sq, g_sq = [], 0.0
@@ -275,7 +271,7 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
         full = gradient(model, ds, lam)
         worst = 0.0
         batch = min(trainer_config.batch_size, ds.n)
-        for _ in range(n_batches):
+        for _ in range(_B_BATCHES):
             rows = np.sort(rng.choice(ds.n, size=batch, replace=False))
             bgrad = gradient(model, ds.take(rows), lam)
             worst = max(worst, float(np.sum((bgrad - full) ** 2)))
@@ -287,15 +283,14 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
     l_star = optimum.loss
     l_i_star = [solve_optimum(ds, trainer_config, start=server_ref_model).loss
                 for ds in datasets]
-    weighted = float(sum(e * v for e, v in zip(eps, l_i_star)))
-    gamma_unweighted = l_star - float(sum(l_i_star))
+    # (1/n) * loss per term, summed in order: `v / n` or np.mean round
+    # differently, and Gamma feeds every B and round count.
+    mean = float(sum((1.0 / n) * v for v in l_i_star))
     return BComponents(
         sigma_sq=tuple(sigma_sq),
         G_sq=g_sq,
-        Gamma=max(0.0, l_star - weighted),
-        Gamma_unweighted=gamma_unweighted,
+        Gamma=max(0.0, l_star - mean),
         optimum=optimum,
-        L_i_star=tuple(l_i_star),
     )
 
 

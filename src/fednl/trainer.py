@@ -111,13 +111,9 @@ class TrainerConfig:
         lr_at(self.lr_schedule, 1)
 
 
-def init_model(d: int, c: int, seed: int | None = None, scale: float = 0.0) -> ModelParams:
-    """Fresh model: zeros, or N(0, scale^2) entries when seed and scale are given."""
-    if seed is None or scale == 0.0:
-        weights = np.zeros((d + 1, c))
-    else:
-        weights = scale * derive_rng(seed, TRAIN).standard_normal((d + 1, c))
-    return ModelParams(weights=weights, class_count=c)
+def init_model(d: int, c: int) -> ModelParams:
+    """Fresh model: all-zero weights."""
+    return ModelParams(weights=np.zeros((d + 1, c)), class_count=c)
 
 
 def _augment(features: np.ndarray) -> np.ndarray:
@@ -234,18 +230,9 @@ def _objective(dataset: Dataset, l2_lambda: float):
     return evaluate
 
 
-def predict(model: ModelParams, x):
-    """Most probable class; ties go to the lowest class index.
-
-    Accepts a 1-D feature vector (returns an int) or a 2-D feature matrix
-    (returns an int array, one label per row).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    labels = np.argmax(_augment(x) @ model.weights, axis=1).astype(np.int64)
-    return int(labels[0]) if single else labels
+def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Most probable class of each row of x, an int array; ties go to the lowest index."""
+    return np.argmax(_augment(x) @ model.weights, axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)

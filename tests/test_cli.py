@@ -114,6 +114,37 @@ def test_estimate_per_class_resplit_trains_each_nonempty_class(tmp_path):
     assert payload["trainings"] == 3 * len(nonempty)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eta", "0"), ("--epochs", "0"), ("--batch-size", "0"), ("--l2", "-1"),
+])
+def test_estimate_bad_trainer_flag_is_validation_error(tmp_path, capsys, flag, value):
+    data = tmp_path / "d.csv"
+    save_dataset(synth_gaussian(3, 10, 2, 8.0, seed=1), data)
+    assert run_cli("estimate", "--data", str(data), "--seed", "1",
+                   flag, value) == EXIT_VALIDATION
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+#: sha256 of the files `test_file_chain_is_pinned` writes, as it takes it.
+PINNED_CHAIN_DIGEST = "c49aef55957f72dd0cb2d0ac3b57615a16d36b961759ba0cc4821cffd245df5d"
+
+
+def test_file_chain_is_pinned(tmp_path):
+    # synth -> inject -> estimate through the data files: a fourth class that
+    # only flips reach, out-of-space labels and a true_label column.
+    clean, noisy, est = tmp_path / "clean.csv", tmp_path / "noisy.csv", tmp_path / "est.json"
+    assert run_cli("synth", "--classes", "3", "--per-class", "80", "--dim", "3",
+                   "--separation", "5", "--seed", "17", "--out", str(clean)) == EXIT_OK
+    assert run_cli("inject", "--data", str(clean), "--out", str(noisy), "--seed", "17",
+                   "--beta", "0.3", "--out-of-space", "0.05", "--classes", "4") == EXIT_OK
+    assert run_cli("estimate", "--data", str(noisy), "--seed", "17", "--epochs", "3",
+                   "--json", str(est)) == EXIT_OK
+    digest = hashlib.sha256()
+    for path in (clean, noisy, est):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == PINNED_CHAIN_DIGEST
+
+
 def test_inject_requires_exactly_one_channel(tmp_path):
     data = tmp_path / "d.csv"
     assert run_cli("synth", "--seed", "1", "--out", str(data)) == EXIT_OK

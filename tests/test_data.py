@@ -5,7 +5,6 @@ import pytest
 
 from fednl import (
     OUT_OF_SPACE,
-    ColumnSchema,
     LabelSkew,
     ParseError,
     PartitionError,
@@ -34,10 +33,22 @@ def test_load_three_rows(tmp_path):
     assert ds.class_count == 3
 
 
+def test_load_columns_other_than_labels_are_features_in_header_order(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("f0,label,f1,true_label\n1.5,2,-3.0,0\n4.0,0,5.5,0\n")
+    ds = load_dataset(path, id_base=10)
+    np.testing.assert_array_equal(ds.features, [[1.5, -3.0], [4.0, 5.5]])
+    np.testing.assert_array_equal(ds.observed_labels, [2, 0])
+    np.testing.assert_array_equal(ds.true_labels, [0, 0])
+    np.testing.assert_array_equal(ds.ids, [10, 11])
+    assert ds.class_count == 3
+    assert ds.name == "mixed"
+
+
 def test_load_empty_file_with_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("f0,f1,label\n")
-    ds = load_dataset(path, schema=ColumnSchema(class_count=3))
+    ds = load_dataset(path, class_count=3)
     assert ds.n == 0
     assert ds.class_count == 3
 
@@ -46,7 +57,7 @@ def test_label_out_of_range_names_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,label\n1.0,7\n2.0,0\n")
     with pytest.raises(SchemaError, match="row 1"):
-        load_dataset(path, schema=ColumnSchema(class_count=3))
+        load_dataset(path, class_count=3)
 
 
 def test_non_numeric_feature_is_parse_error(tmp_path):
@@ -67,7 +78,7 @@ def test_save_load_roundtrip(tmp_path):
     ds = synth_gaussian(3, 7, 2, 5.0, seed=11)
     path = tmp_path / "round.csv"
     save_dataset(ds, path)
-    back = load_dataset(path, schema=ColumnSchema(class_count=3))
+    back = load_dataset(path, class_count=3)
     np.testing.assert_allclose(back.features, ds.features)
     np.testing.assert_array_equal(back.observed_labels, ds.observed_labels)
     np.testing.assert_array_equal(back.true_labels, ds.true_labels)
@@ -77,8 +88,8 @@ def test_out_of_space_label_requires_permission(tmp_path):
     path = tmp_path / "oos.csv"
     path.write_text("f0,label\n1.0,0\n2.0,-1\n")
     with pytest.raises(SchemaError):
-        load_dataset(path, schema=ColumnSchema(class_count=2))
-    ds = load_dataset(path, schema=ColumnSchema(class_count=2, allow_out_of_space=True))
+        load_dataset(path, class_count=2)
+    ds = load_dataset(path, class_count=2, allow_out_of_space=True)
     assert ds.observed_labels[1] == OUT_OF_SPACE
 
 

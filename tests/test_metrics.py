@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fednl import (
+    OUT_OF_SPACE,
     ModelParams,
     confusion_matrix,
     detection_scores,
@@ -80,21 +81,16 @@ def test_accuracy_is_trace_over_total():
     )
 
 
-def test_label_source_selects_targets():
-    features = [[9.0], [9.0]]
-    ds = make_dataset(features, [0, 0], c=2, true_labels=[1, 1])
-    weights = np.array([[2.0, -2.0], [0.0, 0.0]])  # predicts class 0 always
-    against_observed = evaluate(ModelParams(weights, 2), ds, label_source="observed")
-    against_truth = evaluate(ModelParams(weights, 2), ds, label_source="true")
-    assert against_observed.accuracy == 1.0
-    assert against_truth.accuracy == 0.0
+def test_evaluate_rejects_out_of_space_labels():
+    ds = make_dataset([[1.0], [2.0]], [0, OUT_OF_SPACE], c=2)
+    with pytest.raises(ValueError, match="out-of-space"):
+        evaluate(ModelParams(np.zeros((2, 2)), 2), ds)
 
 
-def test_true_labels_required_when_requested():
-    ds = make_dataset([[1.0]], [0], c=2)
-    weights = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        evaluate(ModelParams(weights, 2), ds, label_source="true")
+def test_evaluate_rejects_empty_dataset():
+    ds = make_dataset(np.zeros((0, 1)), [], c=2)
+    with pytest.raises(ValueError, match="empty"):
+        evaluate(ModelParams(np.zeros((2, 2)), 2), ds)
 
 
 def test_confusion_matrix_direct():

@@ -51,7 +51,6 @@ def test_mu_is_exactly_lambda():
     ds = synth_gaussian(3, 30, 2, 6.0, seed=1)
     smooth = measure_smoothness(ds, CONFIG, seed=1)
     assert smooth.mu == 0.05
-    assert smooth.provenance == "measured"
 
 
 def test_L_at_least_mu():
@@ -81,14 +80,14 @@ def test_smoothness_params_validation():
         SmoothnessParams(L=1.0, mu=0.0)
 
 
-def reference_smoothness_L(dataset, trainer_config, seed=0, pairs=100):
+def reference_smoothness_L(dataset, trainer_config, seed=0):
     """The L of `measure_smoothness`, one `gradient` call per weight draw."""
     mu = trainer_config.l2_lambda
     ds = dataset.in_space()
     rng = derive_rng(seed, MEASURE)
     shape = (ds.d + 1, ds.class_count)
     best = 0.0
-    for _ in range(pairs):
+    for _ in range(rounds._SMOOTHNESS_PAIRS):
         wa = rng.standard_normal(shape)
         wb = rng.standard_normal(shape)
         ga = gradient(ModelParams(wa, ds.class_count), ds, mu)
@@ -107,8 +106,8 @@ def test_smoothness_bitwise_equals_per_call_gradients():
     labels[:4] = OUT_OF_SPACE
     with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
     for ds, seed in ((wide, 11), (small, 12), (with_out_of_space, 13)):
-        got = measure_smoothness(ds, CONFIG, seed=seed, pairs=30)
-        assert got.L == reference_smoothness_L(ds, CONFIG, seed=seed, pairs=30)
+        got = measure_smoothness(ds, CONFIG, seed=seed)
+        assert got.L == reference_smoothness_L(ds, CONFIG, seed=seed)
 
 
 # ---------------------------------------------------------------- optimum
@@ -130,10 +129,11 @@ def test_optimum_bitwise_equals_per_call_objective(monkeypatch):
     assert (got.loss, got.grad_norm) == (want.loss, want.grad_norm)
 
 
-def test_optimum_nonconvergence_reported():
+def test_optimum_nonconvergence_reported(monkeypatch):
     ds = synth_gaussian(3, 50, 2, 5.0, seed=6)
+    monkeypatch.setattr(rounds, "_LBFGS_MAX_ITER", 1)
     with pytest.raises(MeasurementError):
-        solve_optimum(ds, CONFIG, max_iter=1)
+        solve_optimum(ds, CONFIG)
 
 
 def test_optimum_matches_scipy_lbfgsb():
@@ -252,7 +252,6 @@ def test_gamma_floored_at_zero():
     model = server_init(ds.d, 3, seed=10)
     comps = measure_b_components(parts, [model, model], model, CONFIG, seed=10)
     assert comps.Gamma >= 0.0
-    assert comps.Gamma_unweighted <= comps.L_star
 
 
 # ---------------------------------------------------------------- B formula

@@ -18,6 +18,7 @@ from fednl import (
     lr_at,
     predict,
     save_model,
+    server_init,
     smoothness_bound,
     steps_per_round,
     synth_gaussian,
@@ -85,7 +86,7 @@ def test_zero_weights_uniform_loss():
 
 def test_loss_decreases_after_full_batch_step():
     ds = synth_gaussian(3, 30, 2, 6.0, seed=1)
-    model = init_model(2, 3, seed=1, scale=0.5)
+    model = server_init(2, 3, 1, 0.5)
     before = loss(model, ds, l2_lambda=0.01)
     grad = gradient(model, ds, l2_lambda=0.01)
     stepped = ModelParams(weights=model.weights - 0.05 * grad, class_count=3)
@@ -99,7 +100,7 @@ def test_duplicated_dataset_same_loss():
         np.concatenate([ds.observed_labels, ds.observed_labels]),
         c=3,
     )
-    model = init_model(2, 3, seed=2, scale=0.3)
+    model = server_init(2, 3, 2, 0.3)
     assert loss(model, doubled, 0.01) == pytest.approx(loss(model, ds, 0.01), abs=1e-12)
 
 
@@ -107,7 +108,7 @@ def test_loss_matches_reference_formula():
     # Bitwise, on a small and a wide shape.
     for c, d, per_class in ((3, 2, 20), (10, 20, 100)):
         ds = synth_gaussian(c, per_class, d, 3.0, seed=c)
-        model = init_model(d, c, seed=c, scale=0.4)
+        model = server_init(d, c, c, 0.4)
         assert loss(model, ds, 0.01) == reference_loss(model.weights, ds, 0.01)
 
 
@@ -249,7 +250,7 @@ def test_full_batch_descent_is_monotone():
     eta = 1.0 / smoothness_bound(ds, l2_lambda=lam)
     config = TrainerConfig(
         local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam)
-    model = init_model(2, 3, seed=9, scale=0.5)
+    model = server_init(2, 3, 9, 0.5)
     previous = loss(model, ds, lam)
     for k in range(20):
         model = train_one(model, ds, config, 9, k)
@@ -275,7 +276,7 @@ def test_single_full_batch_step_is_one_gradient_step():
     for eta in (1e-3, 1e-4):
         config = TrainerConfig(
             local_epochs=1, batch_size=ds.n, lr_schedule=Constant(eta), l2_lambda=lam)
-        start = init_model(2, 3, seed=10, scale=0.2)
+        start = server_init(2, 3, 10, 0.2)
         trained = train_one(start, ds, config, 10)
         expected = reference_gradient(
             start.weights, ds.features, ds.observed_labels, lam
@@ -323,7 +324,7 @@ def test_train_local_matches_step_loop_reference(schedule, batch_size, step_base
     ds = synth_gaussian(5, 10, 3, 4.0, seed=14)
     config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
                            l2_lambda=0.01)
-    start = init_model(3, 5, seed=14, scale=0.3)
+    start = server_init(3, 5, 14, 0.3)
     model = train_one(start, ds, config, 14, step_base)
     ref_weights = reference_train_local(start, ds, config, 14, step_base)
     assert model.weights.tobytes() == ref_weights.tobytes()
@@ -352,7 +353,7 @@ def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases
     config = TrainerConfig(local_epochs=3, batch_size=batch_size, lr_schedule=schedule,
                            l2_lambda=0.01)
     seeds = [1000 + j for j in range(len(members))]
-    start = init_model(4, c, seed=31, scale=0.3)
+    start = server_init(4, c, 31, 0.3)
     models = train_local(start, DatasetStack(members, seeds, bases), config)
     assert len(models) == len(members)
     for ds, seed, base, model in zip(members, seeds, bases, models):
@@ -433,7 +434,7 @@ def test_global_step_base_moves_diminishing_rate():
     sched = Diminishing(theta=10.0, alpha=5.0)
     config = TrainerConfig(
         local_epochs=1, batch_size=ds.n, lr_schedule=sched, l2_lambda=0.01)
-    start = init_model(1, 2, seed=13, scale=0.2)
+    start = server_init(1, 2, 13, 0.2)
     early = train_one(start, ds, config, 13, 0)
     late = train_one(start, ds, config, 13, 100)
     # same start, one full-batch step at different schedule positions:
