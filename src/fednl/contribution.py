@@ -34,10 +34,8 @@ class InfluenceState:
     Each field is a float64 vector with one entry per participant.
     """
 
-    gamma_prev: np.ndarray
     gamma: np.ndarray
     q_hat: np.ndarray
-    effective_size: np.ndarray
     instantaneous: np.ndarray
 
 
@@ -151,10 +149,8 @@ def influence(models: list[ModelParams], sizes, aggregated: ModelParams,
                                     server_test.observed_labels, lam)) - base)
     q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs) for eta in etas])
     return InfluenceState(
-        gamma_prev=gammas_prev,
         gamma=np.fmax(GAMMA_MIN, q_hat * gammas_prev + s),
         q_hat=q_hat,
-        effective_size=sizes,
         instantaneous=s,
     )
 

@@ -14,9 +14,13 @@ round, then L, the B components and the init gap) for every caller;
 
 Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
 package needs no scipy. Each solve and the smoothness probe evaluate loss
-and gradient in one buffered pass (`trainer._objective`). The pooled optimum
-is solved once per measurement: `measure_b_components` returns it, and the
-init gap reads it from there.
+and gradient in one buffered pass (`trainer._objective`); on the pooled
+set its log-softmax reduces over the class columns, not along each row.
+The B measurement's batch gradients come straight from the sampled rows'
+features and labels (`trainer._gradient`, the body of `gradient`), with no
+`Dataset` built per batch. The pooled optimum is solved once per
+measurement: `measure_b_components` returns it, and the init gap reads it
+from there.
 """
 
 import logging
@@ -30,8 +34,8 @@ from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
-from .trainer import (DatasetStack, ModelParams, TrainerConfig, _objective, gradient, loss,
-                      train_local)
+from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _gradient, _objective,
+                      gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -273,7 +277,10 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
         batch = min(trainer_config.batch_size, ds.n)
         for _ in range(_B_BATCHES):
             rows = np.sort(rng.choice(ds.n, size=batch, replace=False))
-            bgrad = gradient(model, ds.take(rows), lam)
+            # Augmented per batch: an augmented copy of the whole set would
+            # outlive the loop and sit in memory through the pooled solve.
+            bgrad = _gradient(model.weights, _augment(ds.features[rows]),
+                              ds.observed_labels[rows], lam)
             worst = max(worst, float(np.sum((bgrad - full) ** 2)))
             g_sq = max(g_sq, float(np.sum(bgrad ** 2)))
         sigma_sq.append(worst)

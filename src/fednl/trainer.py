@@ -17,6 +17,17 @@ batches have the same row count share one stacked matmul each way and one
 log-softmax, so the per-step interpreter cost is paid once per group instead
 of once per model. One model is a stack of one, on the same loop. Every
 model's weights and divergence step are bitwise those of training it alone.
+
+`_log_softmax` reduces along each row or over the c class columns, by row
+count: numpy reduces along a short last axis with one inner loop per row,
+which over thousands of rows costs more than the arithmetic, so from
+`_COLUMN_ROWS_PER_CLASS` rows per class the row max and the exp-sum run as
+a few calls per class column instead, the sum in numpy's own pairwise
+order. On fewer rows (an SGD step, a batch gradient, a small training set)
+those calls cost more than the rows they save. Both forms give the same
+bits. The products keep their layout, ``x @ w`` into an (n, c) array and
+``x.T @ probs``: a class-major product would hand over the columns
+contiguous, but BLAS sums it in another order, and the bits change.
 """
 
 import math
@@ -127,17 +138,97 @@ def _require_trainable(dataset: Dataset) -> None:
         raise ValueError("dataset has out-of-space labels; drop them before training")
 
 
+#: Rows per class from which `_log_softmax` reduces over the class columns.
+#: The row form pays an inner loop per row, the column form a few calls per
+#: class column. Inside `_losses` and `gradient` on a 2-vCPU VM the two
+#: break even near 40 rows per class at c = 10 (234 x 10: columns 21%
+#: slower; 500 x 10: 3-13% faster) and below 25 at c = 3. The constant is
+#: the c = 10 point, so no shape measured takes columns where they are slower.
+_COLUMN_ROWS_PER_CLASS = 40
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis, written over ``logits`` and returned.
 
     Every caller passes a product it owns, so working in place only saves
-    the two temporaries of its size; the arithmetic is the same.
+    the two temporaries of its size; the arithmetic is the same. The
+    reductions run along each row (`_log_softmax_rows`) or over the class
+    columns (`_log_softmax_columns`), whichever is faster at this row
+    count; both give the same bits.
     """
+    c = logits.shape[-1]
+    if logits.size >= _COLUMN_ROWS_PER_CLASS * c * c:
+        return _log_softmax_columns(logits)
+    return _log_softmax_rows(logits)
+
+
+def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """`_log_softmax` with numpy's reductions along the last axis."""
     # The ufunc reductions that `.max` and `.sum` dispatch to, called
     # directly: the same arithmetic without the wrappers' per-call cost.
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
     return logits
+
+
+def _log_softmax_columns(logits: np.ndarray) -> np.ndarray:
+    """`_log_softmax_rows`, bitwise, reduced over the class columns ``logits[..., k]``.
+
+    numpy reduces along the last axis with one inner loop per row, so over
+    thousands of rows of c classes the two reductions cost far more than
+    their arithmetic. Here the row max is c-1 `np.maximum` calls over the
+    columns (max is exact in any order) and the exp-sum is `_exp_class_sum`,
+    in the order `np.add.reduce` adds each row.
+    """
+    c = logits.shape[-1]
+    top = np.maximum(logits[..., 0], logits[..., -1])
+    for k in range(1, c - 1):
+        np.maximum(top, logits[..., k], out=top)
+    logits -= top[..., None]
+    total = _exp_class_sum(logits)
+    logits -= np.log(total, out=total)[..., None]
+    return logits
+
+
+def _exp_class_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of the exp of each column ``values[..., k]``.
+
+    The terms are added in the order of numpy's ``pairwise_sum`` for one
+    contiguous row, so the sum is bitwise ``np.add.reduce(np.exp(values),
+    axis=-1)``: left to right below 8 terms; up to 128, eight interleaved
+    partial sums joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest in order; above 128, the sums of two halves split at a multiple of
+    8. (numpy also adds the result to +0.0, which only turns a sum of -0.0
+    terms into +0.0; exp gives no -0.0.) That order is numpy's internals as
+    checked on numpy 2.4.6; `test_exp_class_sum_bitwise_equals_row_reduction`
+    guards it. One term is taken at a time and added in place, so up to 128
+    terms hold at most nine vectors of the row count at once.
+    """
+    c = values.shape[-1]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        total = _exp_class_sum(values[..., :half])
+        total += _exp_class_sum(values[..., half:])
+        return total
+    if c < 8:
+        total = np.exp(values[..., 0])
+        for k in range(1, c):
+            total += np.exp(values[..., k])
+        return total
+    r = [np.exp(values[..., k]) for k in range(8)]
+    tail = c - c % 8
+    for k in range(8, tail):
+        r[k % 8] += np.exp(values[..., k])
+    r[0] += r[1]
+    r[2] += r[3]
+    r[0] += r[2]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[4] += r[6]
+    r[0] += r[4]
+    for k in range(tail, c):
+        r[0] += np.exp(values[..., k])
+    return r[0]
 
 
 def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
@@ -191,13 +282,19 @@ def loss(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> float:
     return _losses_of_logits(logits, dataset.observed_labels, weights, l2_lambda)[0]
 
 
-def gradient(model: ModelParams, batch: Dataset, l2_lambda: float = 0.0) -> np.ndarray:
-    """Analytic gradient of `loss` over the batch, same shape as the weights."""
-    _require_trainable(batch)
-    x = _augment(batch.features)
-    probs = np.exp(_log_softmax(x @ model.weights))
-    probs[np.arange(batch.n), batch.observed_labels] -= 1.0
-    return x.T @ probs / batch.n + l2_lambda * model.weights
+def gradient(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> np.ndarray:
+    """Analytic gradient of `loss` over the dataset, same shape as the weights."""
+    _require_trainable(dataset)
+    return _gradient(model.weights, _augment(dataset.features), dataset.observed_labels,
+                     l2_lambda)
+
+
+def _gradient(weights: np.ndarray, x: np.ndarray, labels: np.ndarray,
+              l2_lambda: float) -> np.ndarray:
+    """`gradient` from augmented features x and their labels, unchecked."""
+    probs = np.exp(_log_softmax(x @ weights))
+    probs[np.arange(len(labels)), labels] -= 1.0
+    return x.T @ probs / len(labels) + l2_lambda * weights
 
 
 def _objective(dataset: Dataset, l2_lambda: float):
@@ -207,8 +304,10 @@ def _objective(dataset: Dataset, l2_lambda: float):
     (n, c) buffer. Each call of the returned ``evaluate(w)`` runs the whole
     pass in that buffer: logits, then `_log_softmax` in place, the loss read
     through a flat label index, then probabilities minus one at the labels.
-    ``w`` holds the (d+1, c) weights in any shape that reshapes to it. The
-    values are bitwise those of `loss` and `gradient`.
+    The two products stay ``np.matmul(x, w, out=buf)`` and
+    ``x.T @ buf``; a class-major ``w.T @ x.T`` changes the bits. ``w`` holds
+    the (d+1, c) weights in any shape that reshapes to it. The values are
+    bitwise those of `loss` and `gradient`.
     """
     _require_trainable(dataset)
     x = _augment(dataset.features)

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fednl
 from fednl import MeasurementError, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
@@ -41,8 +44,12 @@ trainer.batch_size = 16
 def test_cli_import_leaves_scipy_unloaded():
     # A module-level scipy import costs every `fednl` process about 0.5 s.
     probe = "import sys, fednl, fednl.cli; print('scipy' in sys.modules)"
+    # The child finds fednl where this process did, with or without PYTHONPATH.
+    src = str(Path(fednl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True).stdout
+                         check=True, env=env).stdout
     assert out.strip() == "False"
 
 

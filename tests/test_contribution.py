@@ -140,7 +140,6 @@ def test_first_round_influence_is_instantaneous_term():
                       gammas_prev=[0.0] * 3, etas=[0.05] * 3, trainer_config=config)
     np.testing.assert_allclose(state.gamma, np.maximum(state.instantaneous, GAMMA_MIN))
     assert (state.instantaneous > 0).all()
-    np.testing.assert_array_equal(state.effective_size, sizes)
 
 
 def test_history_decay_applied():
@@ -154,7 +153,6 @@ def test_history_decay_applied():
                       gammas_prev=prev, etas=etas, trainer_config=config)
     q_hat = [decay_factor(eta, config.l2_lambda, config.local_epochs) for eta in etas]
     np.testing.assert_allclose(state.q_hat, q_hat)
-    np.testing.assert_array_equal(state.gamma_prev, prev)
     np.testing.assert_allclose(state.gamma, np.array(q_hat) * prev + state.instantaneous)
 
 

@@ -172,6 +172,38 @@ def test_gamma_zero_for_identical_data():
     assert comps.Gamma <= 1e-6
 
 
+def reference_b_moments(datasets, models, trainer_config, seed):
+    """The sigma_i^2 and G^2 of `measure_b_components`, one `gradient` call per batch."""
+    lam = trainer_config.l2_lambda
+    sigma_sq, g_sq = [], 0.0
+    for i, (ds, model) in enumerate(zip(datasets, models)):
+        ds = ds.in_space()
+        rng = derive_rng(seed, MEASURE, i)
+        full = gradient(model, ds, lam)
+        worst = 0.0
+        batch = min(trainer_config.batch_size, ds.n)
+        for _ in range(rounds._B_BATCHES):
+            rows = np.sort(rng.choice(ds.n, size=batch, replace=False))
+            bgrad = gradient(model, ds.take(rows), lam)
+            worst = max(worst, float(np.sum((bgrad - full) ** 2)))
+            g_sq = max(g_sq, float(np.sum(bgrad ** 2)))
+        sigma_sq.append(worst)
+    return tuple(sigma_sq), g_sq
+
+
+def test_b_moments_bitwise_equal_per_batch_gradients():
+    base = synth_gaussian(10, 12, 20, 3.0, seed=16)
+    parts = partition_non_iid(base, 3, seed=16, strategy=ShuffleSplit())
+    labels = parts[1].observed_labels.copy()
+    labels[:5] = OUT_OF_SPACE
+    parts[1] = make_dataset(parts[1].features, labels, c=10, ids=parts[1].ids)
+    init = server_init(base.d, 10, seed=16)
+    models = [train_one(init, ds.in_space(), CONFIG, seed=16 + i) for i, ds in enumerate(parts)]
+    for trainer in (CONFIG, replace(CONFIG, batch_size=500)):
+        comps = measure_b_components(parts, models, init, trainer, seed=17)
+        assert (comps.sigma_sq, comps.G_sq) == reference_b_moments(parts, models, trainer, 17)
+
+
 def test_b_components_carry_the_pooled_optimum():
     base = synth_gaussian(3, 40, 2, 6.0, seed=15)
     parts = partition_non_iid(base, 3, seed=15, strategy=ShuffleSplit())

@@ -24,9 +24,10 @@ from fednl import (
     synth_gaussian,
     train_local,
 )
-from fednl import ModelParams
+from fednl import ModelParams, trainer
 from fednl._rng import TRAIN, derive_rng
-from fednl.trainer import _objective
+from fednl.trainer import (_exp_class_sum, _log_softmax, _log_softmax_columns, _log_softmax_rows,
+                           _objective)
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -157,6 +158,55 @@ def test_objective_rejects_untrainable_dataset():
         _objective(make_dataset(np.zeros((0, 2)), [], c=3), 0.0)
     with pytest.raises(ValueError):
         _objective(make_dataset([[0.0, 1.0]], [-1], c=3), 0.0)
+
+
+# ---------------------------------------------------------------- column log-softmax
+
+def test_exp_class_sum_bitwise_equals_row_reduction():
+    # numpy's pairwise order changes at 8 and 128 terms and splits halves
+    # above 128; every class count up to 300 crosses each rule. Scaled so
+    # the exps span hundreds of orders of magnitude and stay finite.
+    rng = np.random.default_rng(31)
+    for c in range(1, 301):
+        for shape in ((5, c), (2, 3, c)):
+            values = rng.standard_normal(shape) * 50.0
+            want = np.add.reduce(np.exp(values), axis=-1)
+            got = _exp_class_sum(values)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (c, shape)
+
+
+def _log_softmax_cases():
+    rng = np.random.default_rng(33)
+    for shape in ((1, 1), (1, 10), (200, 1), (200, 3), (500, 10), (3, 40, 10), (2, 1, 4),
+                  (4, 25, 3), (40, 7), (40, 8), (40, 16), (40, 17), (60, 130), (40, 257)):
+        yield rng.normal(scale=4.0, size=shape)
+    tied = rng.normal(size=(50, 6))
+    tied[:, 2] = tied[:, 4] = tied.max(axis=1) + 1.0
+    yield tied
+    yield np.zeros((7, 5))
+    extreme = rng.choice([-700.0, 700.0, 0.0, -0.0], size=(2, 30, 9))
+    extreme[0, :, 0] = -700.0
+    extreme[1, 0] = [-0.0, 0.0, -700.0, -0.0, 0.0, -700.0, -0.0, -0.0, 0.0]  # max is a signed zero
+    yield extreme
+
+
+def test_column_log_softmax_bitwise_equals_row_form():
+    for logits in _log_softmax_cases():
+        want = _log_softmax_rows(logits.copy())
+        got = logits.copy()
+        assert _log_softmax_columns(got) is got
+        assert got.tobytes() == want.tobytes(), logits.shape
+
+
+def test_log_softmax_takes_columns_from_forty_rows_per_class(monkeypatch):
+    chosen = []
+    monkeypatch.setattr(trainer, "_log_softmax_rows", lambda a: chosen.append("rows") or a)
+    monkeypatch.setattr(trainer, "_log_softmax_columns", lambda a: chosen.append("cols") or a)
+    for shape in ((399, 10), (400, 10), (3, 133, 10), (4, 100, 10), (119, 3), (120, 3),
+                  (39, 1), (40, 1)):
+        _log_softmax(np.zeros(shape))
+    assert chosen == ["rows", "cols", "rows", "cols", "rows", "cols", "rows", "cols"]
 
 
 # ---------------------------------------------------------------- gradient
