@@ -94,17 +94,39 @@ class Dataset:
         return self.n
 
     def take(self, positions: np.ndarray, name: str | None = None) -> "Dataset":
-        """Sub-dataset at the given row positions, order preserved."""
-        positions = np.asarray(positions, dtype=np.int64)
-        tru = None if self.true_labels is None else self.true_labels[positions]
-        return Dataset(
+        """Sub-dataset at the given integer row positions, order preserved.
+
+        Positions that are non-negative and strictly increasing pick
+        distinct rows of this valid dataset in its own order, so the cut is
+        valid by construction and skips the constructor's checks; the cut
+        of every sub-dataset helper (`by_ids`, `in_space`, a sorted fold)
+        is such a cut. Any other positions, negative, repeated or out of
+        order, are checked as a new dataset is. A boolean mask is refused:
+        as positions it would pick rows 0 and 1.
+        """
+        positions = np.asarray(positions)
+        kind = positions.dtype.kind
+        if kind == "b" or (kind not in "iu" and positions.size):
+            raise ValueError(f"take expects integer row positions, got {positions.dtype}; "
+                             "turn a boolean mask into positions with np.flatnonzero")
+        positions = positions.astype(np.int64, copy=False)
+        fields = dict(
             features=self.features[positions],
             observed_labels=self.observed_labels[positions],
             ids=self.ids[positions],
             class_count=self.class_count,
-            true_labels=tru,
+            true_labels=None if self.true_labels is None else self.true_labels[positions],
             name=self.name if name is None else name,
         )
+        if not (positions.ndim == 1 and (positions.size == 0 or positions[0] >= 0)
+                and (positions[1:] > positions[:-1]).all()):
+            return Dataset(**fields)
+        cut = object.__new__(Dataset)
+        cut.__dict__.update(fields)
+        for key in ("features", "observed_labels", "ids", "true_labels"):
+            if fields[key] is not None:
+                fields[key].setflags(write=False)
+        return cut
 
     def by_ids(self, wanted_ids) -> "Dataset":
         """Sub-dataset of the given instance ids, in this dataset's row order.
@@ -376,8 +398,13 @@ def split_three_folds(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarr
     """
     if dataset.n < 3:
         raise SplitError(f"need at least 3 instances to build three folds, got {dataset.n}")
-    order = derive_rng(seed, FOLDS).permutation(dataset.n)
-    bounds = np.cumsum(_near_equal_sizes(dataset.n, 3))[:-1]
+    return _deal_three_folds(derive_rng(seed, FOLDS), dataset.n)
+
+
+def _deal_three_folds(rng: np.random.Generator, n: int):
+    """`split_three_folds` of n rows with its FOLDS generator already derived."""
+    order = rng.permutation(n)
+    bounds = np.cumsum(_near_equal_sizes(n, 3))[:-1]
     return tuple(np.sort(fold) for fold in np.split(order, bounds))
 
 

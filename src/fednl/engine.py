@@ -11,12 +11,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_rng, derive_seed
+from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_rng, derive_seeds
 from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effective_sizes,
                            influence, size_weights)
 from .data import Dataset
-from .estimator import MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, plan_folds, train_folds
-from .exchange import ExchangeTranscript, normalize_noise, reestimate_seed
+from .estimator import (MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, fold_rows, plan_folds,
+                        train_folds)
+from .exchange import ExchangeTranscript, normalize_noise
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _losses, lr_at,
                       steps_per_round, train_local)
@@ -141,8 +142,9 @@ def _server_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nda
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
-def _participant_seed(config: FederationConfig, i: int, tag: int, *extra: int) -> int:
-    return derive_seed(config.seed, tag, *extra, i)
+def _participant_seeds(config: FederationConfig, indices, tag: int, *extra: int) -> list[int]:
+    """The seeds (config seed, tag, *extra, i) of the participants i in ``indices``."""
+    return derive_seeds(config.seed, tag, *extra, np.asarray(indices)).tolist()
 
 
 def _check_disjoint_ids(participant_datasets, server_dataset) -> None:
@@ -168,7 +170,7 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
     training them in turn would.
     """
     trainer = config.trainer
-    seeds = [_participant_seed(config, i, TRAIN, t) for i in range(len(train_sets))]
+    seeds = _participant_seeds(config, range(len(train_sets)), TRAIN, t)
     rates = [lr_at(trainer.lr_schedule, base + 1) for base in step_bases]
     try:
         models = train_local(broadcast, DatasetStack(train_sets, seeds, step_bases), trainer)
@@ -184,29 +186,35 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
 
 
 def _prepare_stacked(config: FederationConfig, chunk, pool) -> list:
-    """Procedures 1 and 2 for a chunk of (participant, view, fold plan) triples.
+    """Procedures 1 and 2 for a chunk of (participant, view) pairs.
 
-    The chunk's fold models train in one stacked call, then each participant
-    is scored and exchanged in turn, then the exchanged sets' fold models
-    train in one more. A set of 1 or 2 rows keeps its pre-exchange estimate.
-    Returns one [training set, estimate, transcript] per participant. An
-    error is labelled with the stage and participant at hand, which names
-    the right ones only for a chunk of one.
+    The chunk's fold plans are drawn and their models trained in one
+    stacked call, then each participant is scored and exchanged in turn,
+    then the exchanged sets' fold models are planned and trained in one
+    more. A set of 1 or 2 rows keeps its pre-exchange estimate. Returns one
+    [training set, estimate, transcript] per participant. An error is
+    labelled with the stage and participant at hand, which names the right
+    ones only for a chunk of one.
     """
     trainer, resplit = config.trainer, config.per_class_resplit
+    indices = [i for i, _ in chunk]
     out, replans = [], []
-    stage, i = "estimate", chunk[0][0]
+    stage, i = "estimate", indices[0]
     try:
-        trained = train_folds([plan for _, _, plan in chunk], trainer)
-        for (i, view, plan), models in zip(chunk, trained):
-            est = estimate_noise(view, trainer, _participant_seed(config, i, ESTIMATE), resplit,
-                                 trained=(plan, models))
+        seeds = _participant_seeds(config, indices, ESTIMATE)
+        plans = plan_folds([view for _, view in chunk], seeds, resplit)
+        trained = train_folds(plans, trainer)
+        if config.run_procedure2:
+            exchange_seeds = _participant_seeds(config, indices, EXCHANGE)
+        for j, (i, view) in enumerate(chunk):
+            est = estimate_noise(view, trainer, seeds[j], resplit,
+                                 trained=(plans[j], trained[j]))
             if not config.run_procedure2:
                 out.append([view.by_ids(est.noise_free_ids), est, None])
                 continue
             stage = "exchange"
-            seed = _participant_seed(config, i, EXCHANGE)
-            result = normalize_noise(view, est, pool, seed, demand_cap=config.demand_cap)
+            result = normalize_noise(view, est, pool, exchange_seeds[j],
+                                     demand_cap=config.demand_cap)
             out.append([result.dataset, est, result.transcript])
             stage = "re-estimate after exchange"
             new = result.dataset
@@ -216,11 +224,15 @@ def _prepare_stacked(config: FederationConfig, chunk, pool) -> list:
                 logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
                                "keeping the pre-exchange estimate", view.name, new.n)
                 continue
-            seed = reestimate_seed(seed, new.class_count)
-            replans.append((out[-1], seed, plan_folds(new, seed, resplit)))
+            replans.append((out[-1], exchange_seeds[j]))
         if replans:
-            trained = train_folds([plan for _, _, plan in replans], trainer)
-            for (entry, seed, plan), models in zip(replans, trained):
+            # `reestimate_seed` of each exchange seed and class count.
+            sets = [entry[0] for entry, _ in replans]
+            seeds = derive_seeds(np.array([seed for _, seed in replans], dtype=np.uint64),
+                                 EXCHANGE, np.array([ds.class_count for ds in sets])).tolist()
+            plans = plan_folds(sets, seeds, resplit)
+            trained = train_folds(plans, trainer)
+            for (entry, _), seed, plan, models in zip(replans, seeds, plans, trained):
                 entry[1] = estimate_noise(entry[0], trainer, seed, resplit,
                                           trained=(plan, models))
     except Exception as e:
@@ -259,17 +271,12 @@ def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
         return [view.in_space() for view in views], [0.0] * len(views), None, None
     prepared, chunk, rows = [], [], 0
     for i, view in enumerate(views):
-        try:
-            plan = plan_folds(view, _participant_seed(config, i, ESTIMATE),
-                              config.per_class_resplit)
-        except Exception as e:
-            _prepare_chunk(config, chunk, pool)  # earlier participants fail first
-            raise type(e)(f"participant {i}, estimate: {e}") from e
-        if chunk and rows + plan.rows > _ESTIMATE_ROWS:
+        size = fold_rows(view, config.per_class_resplit)
+        if chunk and rows + size > _ESTIMATE_ROWS:
             prepared += _prepare_chunk(config, chunk, pool)
             chunk, rows = [], 0
-        chunk.append((i, view, plan))
-        rows += plan.rows
+        chunk.append((i, view))
+        rows += size
     prepared += _prepare_chunk(config, chunk, pool)
     train_sets = [entry[0] for entry in prepared]
     estimates = tuple(entry[1] for entry in prepared)

@@ -13,10 +13,11 @@ only in the returned estimate. True labels are stripped once, on entry, so no
 fold model ever sees them.
 
 An estimate has three steps: `plan_folds` draws the splits, `train_folds`
-trains the fold models and `estimate_noise` scores them. `train_folds` takes
-the plans of many datasets and trains all their fold models in one lockstep
-call, which is how the pipeline estimates many participants at once;
-`estimate_noise` alone runs all three steps for one dataset.
+trains the fold models and `estimate_noise` scores them. `plan_folds` and
+`train_folds` take many datasets: the first derives all their streams in two
+batches, the second trains all their fold models in one lockstep call, which
+is how the pipeline estimates many participants at once; `estimate_noise`
+alone runs all three steps for one dataset.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from itertools import islice
 
 import numpy as np
 
-from ._rng import ESTIMATE, derive_seed
-from .data import Dataset, split_three_folds
+from ._rng import ESTIMATE, FOLDS, derive_rngs, derive_seeds
+from .data import Dataset, _deal_three_folds
 from .trainer import DatasetStack, TrainerConfig, _augment, init_model, train_local
 
 
@@ -106,33 +107,54 @@ class FoldPlan:
     folds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     seeds: tuple[tuple[int, int, int], ...]
 
-    @property
-    def rows(self) -> int:
-        """Training rows over the plan's fold models: the in-space rows once per split."""
-        return self.in_space.n * len(self.folds)
+
+def fold_rows(dataset: Dataset, per_class_resplit: bool = False) -> int:
+    """Training rows of the fold models `plan_folds` draws for a dataset:
+    its in-space rows once per split."""
+    sizes = dataset.class_sizes()
+    return int(sizes.sum()) * (int(np.count_nonzero(sizes)) if per_class_resplit else 1)
 
 
-def plan_folds(dataset: Dataset, seed: int, per_class_resplit: bool = False) -> FoldPlan:
-    """Draw the splits `estimate_noise` trains on; see there for the two modes.
+def plan_folds(datasets, seeds, per_class_resplit: bool = False) -> list[FoldPlan]:
+    """Draw the splits `estimate_noise` trains on, one plan per dataset and
+    its seed; see there for the two modes.
 
+    Split s of a dataset seeded ``seed`` is the stream (seed, ESTIMATE, 0),
+    or (seed, ESTIMATE, 1, k) for class k; its key 0 seeds the fold split
+    and keys 1-3 the three models. Every split's four seeds come from one
+    batched derivation and the splits' FOLDS generators from another.
     Raises EstimationError when fewer than MIN_FOLD_ROWS rows are in-space.
     """
-    in_space = dataset.training_view().in_space()
-    if in_space.n < MIN_FOLD_ROWS:
-        raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
-                              f"to form folds, got {in_space.n}")
-    classes = None
-    streams = [(seed, ESTIMATE, 0)]
+    spaces, classes = [], []
+    for dataset in datasets:
+        in_space = dataset.training_view().in_space()
+        if in_space.n < MIN_FOLD_ROWS:
+            raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
+                                  f"to form folds, got {in_space.n}")
+        spaces.append(in_space)
+        classes.append(tuple(np.flatnonzero(np.bincount(
+            in_space.observed_labels, minlength=dataset.class_count)).tolist())
+            if per_class_resplit else None)
+    # One row of keys per split and its four keys along the columns. A seed
+    # goes in as a one-element row, so it broadcasts as any int it is.
     if per_class_resplit:
-        sizes = np.bincount(in_space.observed_labels, minlength=dataset.class_count)
-        classes = tuple(int(k) for k in np.flatnonzero(sizes))
-        streams = [(seed, ESTIMATE, 1, k) for k in classes]
-    return FoldPlan(
-        in_space=in_space,
-        classes=classes,
-        folds=tuple(split_three_folds(in_space, derive_seed(*keys, 0)) for keys in streams),
-        seeds=tuple(tuple(derive_seed(*keys, 1 + j) for j in range(3)) for keys in streams),
-    )
+        split_seeds = [[seed] for seed, ks in zip(seeds, classes) for _ in ks]
+        keys = (1, np.array([k for ks in classes for k in ks])[:, None])
+    else:
+        split_seeds, keys = [[seed] for seed in seeds], (0,)
+    streams = derive_seeds(split_seeds, ESTIMATE, *keys, np.arange(4))
+    rngs = iter(derive_rngs(streams[:, 0], FOLDS))
+    model_seeds = iter(streams[:, 1:].tolist())
+    plans = []
+    for in_space, ks in zip(spaces, classes):
+        splits = range(1 if ks is None else len(ks))
+        plans.append(FoldPlan(
+            in_space=in_space,
+            classes=ks,
+            folds=tuple(_deal_three_folds(next(rngs), in_space.n) for _ in splits),
+            seeds=tuple(tuple(next(model_seeds)) for _ in splits),
+        ))
+    return plans
 
 
 def train_folds(plans: list[FoldPlan], trainer_config: TrainerConfig) -> list[tuple]:
@@ -205,7 +227,7 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     scores those models and draws and trains nothing; the result is the same.
     """
     if trained is None:
-        plan = plan_folds(dataset, seed, per_class_resplit)
+        plan = plan_folds([dataset], [seed], per_class_resplit)[0]
         models = train_folds([plan], trainer_config)[0]
     else:
         plan, models = trained

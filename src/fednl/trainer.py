@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import TRAIN, derive_rng
+from ._rng import TRAIN, derive_rngs
 from .data import OUT_OF_SPACE, Dataset
 
 
@@ -436,7 +436,7 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     batch = [min(config.batch_size, n) for n in sizes]
     per_epoch = [-(-n // b) for n, b in zip(sizes, batch)]
     ends = [config.local_epochs * p for p in per_epoch]
-    rngs = [derive_rng(seed, TRAIN) for seed in stack.seeds[:live]]
+    rngs = derive_rngs(stack.seeds[:live], TRAIN)
     bases = stack.step_bases[:live]
     orders = [None] * live
     lam = config.l2_lambda

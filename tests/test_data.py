@@ -5,6 +5,7 @@ import pytest
 
 from fednl import (
     OUT_OF_SPACE,
+    Dataset,
     LabelSkew,
     ParseError,
     PartitionError,
@@ -262,6 +263,70 @@ def test_take_rejects_repeated_position():
     ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[10, 20, 30])
     with pytest.raises(ValueError, match="instance ids must be unique"):
         ds.take([0, 2, 0])
+    with pytest.raises(ValueError, match="instance ids must be unique"):
+        ds.take([0, 0, 1])  # sorted, but not strictly: the check still runs
+
+
+def _spy_checks(monkeypatch):
+    """Count the constructor checks `Dataset` runs from here on."""
+    calls = []
+    check = Dataset.__post_init__
+
+    def counted(self):
+        calls.append(self.name)
+        check(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("positions", [[0, 2, 3], [1], [], np.array([0, 1, 2, 3, 4])])
+def test_increasing_cut_equals_checked_construction(monkeypatch, positions):
+    ds = make_dataset([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 5.0]],
+                      [0, 1, OUT_OF_SPACE, 1, 0], c=2, ids=[50, 40, 30, 20, 10],
+                      true_labels=[0, 1, 1, 0, 0])
+    rows = np.asarray(positions, dtype=np.int64)
+    checked = Dataset(features=ds.features[rows], observed_labels=ds.observed_labels[rows],
+                      ids=ds.ids[rows], class_count=2, true_labels=ds.true_labels[rows],
+                      name="cut")
+    calls = _spy_checks(monkeypatch)
+    cut = ds.take(positions, name="cut")
+    assert calls == []
+    for field in ("features", "observed_labels", "ids", "true_labels"):
+        ours, theirs = getattr(cut, field), getattr(checked, field)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+        assert ours.flags.c_contiguous and not ours.flags.writeable
+    assert (cut.class_count, cut.name) == (2, "cut")
+    assert ds.take(positions).name == "fixture"
+    assert ds.training_view().take(positions).true_labels is None
+
+
+@pytest.mark.parametrize("positions, ids", [([2, 0], [30, 10]), ([-1, 0], [30, 10]),
+                                            ([1, -3], [20, 10])])
+def test_negative_or_unordered_cut_is_checked(monkeypatch, positions, ids):
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[10, 20, 30])
+    calls = _spy_checks(monkeypatch)
+    assert ds.take(positions).ids.tolist() == ids
+    assert calls == ["fixture"]
+    with pytest.raises(ValueError, match="instance ids must be unique"):
+        ds.take([-3, 0])  # both are row 0
+
+
+@pytest.mark.parametrize("mask", [[False, True], [True, False], np.array([True, True])])
+def test_take_refuses_boolean_mask(mask):
+    # As positions a mask would pick rows 0 and 1, not the rows it marks.
+    ds = make_dataset([[0.0], [1.0]], [0, 1], c=2, ids=[10, 11])
+    with pytest.raises(ValueError, match="np.flatnonzero"):
+        ds.take(np.asarray(mask))
+    assert ds.take(np.flatnonzero(mask)).ids.tolist() == ds.ids[np.asarray(mask)].tolist()
+
+
+def test_take_refuses_non_integer_positions():
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2)
+    with pytest.raises(ValueError, match="integer row positions"):
+        ds.take(np.array([0.0, 2.0]))
+    assert ds.take([]).n == 0
 
 
 def test_concat_disjoint_ids():

@@ -2,12 +2,18 @@
 
 `perfbench/spans.py` wraps functions by module and name, and
 `perfbench/workloads.py` lists the spans each workload must record. A rename
-in `fednl` would only show up as a failed benchmark run; these checks make
-it fail here. Both files are read as they are, never edited.
+in `fednl`, or a call that stops going through a traced name, would only
+show up as a failed benchmark run; these checks make it fail here. The
+perfbench files are read and run as they are, never edited.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,30 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
             spans._observe_train_local(tracer, tag, args, kwargs, result)
             assert tracer.counts["trainer.train_local.steps"] > 0
             assert tracer.counts[f"trainer.train_local.{tag}.steps"] > 0
+
+
+def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
+    # The benchmark fails a workload whose `expected` span records no calls,
+    # for example when a fast path stops going through `Dataset.take`. Run
+    # the benchmark's own child on a small cut of `fednl_wide`, tracer on.
+    expected = {span for name, workload in workloads.WORKLOADS.items()
+                if name.startswith("fednl") for span in workload.expected}
+    small = {"participants": 4, "rounds": 2, "data.per_class": 100, "server.per_class": 100,
+             "noise.participants": "0"}
+    wide = workloads.WORKLOADS["fednl_wide"]
+    config = tmp_path / "small.cfg"
+    config.write_text(workloads.Workload(why="", command="run",
+                                         keys={**wide.keys, **small}).config_text(0))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("FEDNL_OUTPUT_ROOT", None)
+    result = tmp_path / "result.json"
+    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
+                    "--command", "run", "--run-dir", str(tmp_path / "run"),
+                    "--result", str(result), "--t0", repr(time.time()), "--trace"],
+                   env=env, cwd=PERFBENCH.parent, check=True, timeout=120)
+    outcome = json.loads(result.read_text())
+    assert "error" not in outcome, outcome.get("error")
+    silent = sorted(span for span in expected if not outcome["layers"].get(f"{span}.calls"))
+    assert not silent, f"spans that recorded no calls: {silent}"
