@@ -155,15 +155,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _key_array(key) -> np.ndarray:
     """An array key as int64 values, those from 2**63 wrapped, or as Python ints."""
     if not isinstance(key, (np.ndarray, np.generic)):
-        try:
-            return np.asarray(key, dtype=np.uint64).view(np.int64)
-        except OverflowError:  # negative, or from 2**64
-            key = np.asarray(key, dtype=object)
+        # Python ints as they are, so the sign is checked before any cast.
+        key = np.asarray(key, dtype=object)
     if key.dtype.kind == "u":
         return key.astype(np.uint64, copy=False).view(np.int64)
     if (key < 0).any():
         raise ValueError("expected non-negative integer")
-    return key if key.dtype == object else key.astype(np.int64, copy=False)
+    if key.dtype != object:
+        return key.astype(np.int64, copy=False)
+    try:
+        return key.astype(np.uint64).view(np.int64)
+    except OverflowError:  # from 2**64
+        return key
 
 
 def _entropy(seed, keys) -> tuple[np.ndarray, np.ndarray | None, tuple]:

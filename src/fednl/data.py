@@ -94,14 +94,14 @@ class Dataset:
         return self.n
 
     def take(self, positions: np.ndarray, name: str | None = None) -> "Dataset":
-        """Sub-dataset at the given integer row positions, order preserved.
+        """Sub-dataset at the given 1-D integer row positions, order preserved.
 
-        Positions that are non-negative and strictly increasing pick
-        distinct rows of this valid dataset in its own order, so the cut is
-        valid by construction and skips the constructor's checks; the cut
-        of every sub-dataset helper (`by_ids`, `in_space`, a sorted fold)
-        is such a cut. Any other positions, negative, repeated or out of
-        order, are checked as a new dataset is. A boolean mask is refused:
+        Rows of this valid dataset make a valid cut unless one is picked
+        twice, so the constructor's checks are not run again. Non-negative,
+        strictly increasing positions, the cut of every sub-dataset helper
+        (`by_ids`, `in_space`, a sorted fold), pick distinct rows by
+        construction; for any others, negative, repeated or out of order,
+        the cut's ids are checked for uniqueness. A boolean mask is refused:
         as positions it would pick rows 0 and 1.
         """
         positions = np.asarray(positions)
@@ -109,23 +109,26 @@ class Dataset:
         if kind == "b" or (kind not in "iu" and positions.size):
             raise ValueError(f"take expects integer row positions, got {positions.dtype}; "
                              "turn a boolean mask into positions with np.flatnonzero")
+        if positions.ndim != 1:
+            raise ValueError(f"take expects 1-D row positions, got shape {positions.shape}")
         positions = positions.astype(np.int64, copy=False)
-        fields = dict(
+        ids = self.ids[positions]
+        if (not ((positions.size == 0 or positions[0] >= 0)
+                 and (positions[1:] > positions[:-1]).all())
+                and len(np.unique(ids)) != ids.size):
+            raise ValueError("instance ids must be unique")
+        cut = object.__new__(Dataset)
+        cut.__dict__.update(
             features=self.features[positions],
             observed_labels=self.observed_labels[positions],
-            ids=self.ids[positions],
+            ids=ids,
             class_count=self.class_count,
             true_labels=None if self.true_labels is None else self.true_labels[positions],
             name=self.name if name is None else name,
         )
-        if not (positions.ndim == 1 and (positions.size == 0 or positions[0] >= 0)
-                and (positions[1:] > positions[:-1]).all()):
-            return Dataset(**fields)
-        cut = object.__new__(Dataset)
-        cut.__dict__.update(fields)
-        for key in ("features", "observed_labels", "ids", "true_labels"):
-            if fields[key] is not None:
-                fields[key].setflags(write=False)
+        for arr in (cut.features, cut.observed_labels, cut.ids, cut.true_labels):
+            if arr is not None:
+                arr.setflags(write=False)
         return cut
 
     def by_ids(self, wanted_ids) -> "Dataset":

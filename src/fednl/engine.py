@@ -17,7 +17,7 @@ from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effect
 from .data import Dataset
 from .estimator import (MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, fold_rows, plan_folds,
                         train_folds)
-from .exchange import ExchangeTranscript, normalize_noise
+from .exchange import ExchangeTranscript, normalize_noise, reestimate_seed
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _losses, lr_at,
                       steps_per_round, train_local)
@@ -226,10 +226,9 @@ def _prepare_stacked(config: FederationConfig, chunk, pool) -> list:
                 continue
             replans.append((out[-1], exchange_seeds[j]))
         if replans:
-            # `reestimate_seed` of each exchange seed and class count.
             sets = [entry[0] for entry, _ in replans]
-            seeds = derive_seeds(np.array([seed for _, seed in replans], dtype=np.uint64),
-                                 EXCHANGE, np.array([ds.class_count for ds in sets])).tolist()
+            seeds = reestimate_seed(np.array([seed for _, seed in replans], dtype=np.uint64),
+                                    np.array([ds.class_count for ds in sets]))
             plans = plan_folds(sets, seeds, resplit)
             trained = train_folds(plans, trainer)
             for (entry, _), seed, plan, models in zip(replans, seeds, plans, trained):

@@ -132,9 +132,8 @@ def plan_folds(datasets, seeds, per_class_resplit: bool = False) -> list[FoldPla
             raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
                                   f"to form folds, got {in_space.n}")
         spaces.append(in_space)
-        classes.append(tuple(np.flatnonzero(np.bincount(
-            in_space.observed_labels, minlength=dataset.class_count)).tolist())
-            if per_class_resplit else None)
+        classes.append(tuple(np.flatnonzero(in_space.class_sizes()).tolist())
+                       if per_class_resplit else None)
     # One row of keys per split and its four keys along the columns. A seed
     # goes in as a one-element row, so it broadcasts as any int it is.
     if per_class_resplit:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import EXCHANGE, derive_rng, derive_seed
+from ._rng import EXCHANGE, derive_rng, derive_seeds
 from .data import Dataset, concat_datasets
 from .estimator import NoiseEstimate
 
@@ -204,9 +204,13 @@ def normalize_noise(participant: Dataset, estimate: NoiseEstimate, server: Datas
     return apply_exchange(participant, estimate, server, plan, seed)
 
 
-def reestimate_seed(seed: int, class_count: int) -> int:
-    """Seed of the estimate re-run on the set an exchange seeded ``seed`` built."""
-    return derive_seed(seed, EXCHANGE, class_count)
+def reestimate_seed(seed, class_count):
+    """Seed of the estimate re-run on the set an exchange seeded ``seed`` built.
+
+    Either argument may be an integer array, broadcast as in `derive_seeds`:
+    an int for integers, a list of ints for arrays.
+    """
+    return derive_seeds(seed, EXCHANGE, class_count).tolist()
 
 
 def transcript_to_dict(transcript: ExchangeTranscript) -> dict:

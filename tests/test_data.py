@@ -265,6 +265,8 @@ def test_take_rejects_repeated_position():
         ds.take([0, 2, 0])
     with pytest.raises(ValueError, match="instance ids must be unique"):
         ds.take([0, 0, 1])  # sorted, but not strictly: the check still runs
+    with pytest.raises(ValueError, match="instance ids must be unique"):
+        ds.take([-3, 0])  # increasing, but both are row 0
 
 
 def _spy_checks(monkeypatch):
@@ -280,8 +282,10 @@ def _spy_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("positions", [[0, 2, 3], [1], [], np.array([0, 1, 2, 3, 4])])
-def test_increasing_cut_equals_checked_construction(monkeypatch, positions):
+@pytest.mark.parametrize("positions", [[0, 2, 3], [1], [], np.array([0, 1, 2, 3, 4]),
+                                       [3, 0, 2], [-1, 0], [1, -2], np.array([4, 3, 2, 1, 0])])
+def test_cut_equals_checked_construction(monkeypatch, positions):
+    # Increasing, unordered and negative positions alike run no constructor check.
     ds = make_dataset([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 5.0]],
                       [0, 1, OUT_OF_SPACE, 1, 0], c=2, ids=[50, 40, 30, 20, 10],
                       true_labels=[0, 1, 1, 0, 0])
@@ -302,17 +306,6 @@ def test_increasing_cut_equals_checked_construction(monkeypatch, positions):
     assert ds.training_view().take(positions).true_labels is None
 
 
-@pytest.mark.parametrize("positions, ids", [([2, 0], [30, 10]), ([-1, 0], [30, 10]),
-                                            ([1, -3], [20, 10])])
-def test_negative_or_unordered_cut_is_checked(monkeypatch, positions, ids):
-    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[10, 20, 30])
-    calls = _spy_checks(monkeypatch)
-    assert ds.take(positions).ids.tolist() == ids
-    assert calls == ["fixture"]
-    with pytest.raises(ValueError, match="instance ids must be unique"):
-        ds.take([-3, 0])  # both are row 0
-
-
 @pytest.mark.parametrize("mask", [[False, True], [True, False], np.array([True, True])])
 def test_take_refuses_boolean_mask(mask):
     # As positions a mask would pick rows 0 and 1, not the rows it marks.
@@ -326,6 +319,8 @@ def test_take_refuses_non_integer_positions():
     ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2)
     with pytest.raises(ValueError, match="integer row positions"):
         ds.take(np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="1-D row positions"):
+        ds.take(np.array([[0, 2]]))
     assert ds.take([]).n == 0
 
 

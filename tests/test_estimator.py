@@ -20,6 +20,7 @@ from fednl import (
     synth_gaussian,
 )
 from fednl._rng import ESTIMATE, FOLDS, derive_rng, derive_seed
+from fednl.estimator import fold_rows, plan_folds
 
 from conftest import make_dataset, train_one
 
@@ -292,3 +293,16 @@ def test_estimate_matches_per_id_reference(per_class_resplit):
     assert len(got.out_of_space_ids) == 5
     assert 0 < got.beta_mean
     assert got == want
+
+
+@pytest.mark.parametrize("per_class_resplit", [False, True])
+def test_fold_rows_counts_the_planned_rows(per_class_resplit):
+    # Out-of-space rows and an empty class, neither of which is trained on.
+    ds = synth_gaussian(3, 20, 2, 6.0, seed=13)
+    labels = ds.observed_labels.copy()
+    labels[:4] = OUT_OF_SPACE
+    dataset = make_dataset(ds.features, labels, c=4, ids=ds.ids)
+    plan, = plan_folds([dataset], [13], per_class_resplit)
+    assert fold_rows(dataset, per_class_resplit) == plan.in_space.n * len(plan.folds)
+    assert len(plan.folds) == (3 if per_class_resplit else 1)
+    assert all(sum(f.size for f in folds) == plan.in_space.n for folds in plan.folds)
