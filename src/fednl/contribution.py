@@ -86,13 +86,23 @@ def size_weights(sizes) -> ContributionWeights:
     return ContributionWeights(epsilon=sizes / total)
 
 
+#: Elements per block of `leave_one_out_aggregates`: 2**12 float64 (32 KiB),
+#: so its kept-size and coefficient blocks stay small at any participant
+#: count instead of growing as an (n, n) matrix.
+_COEF_BLOCK = 1 << 12
+
+
 def leave_one_out_aggregates(models: list[ModelParams], sizes) -> np.ndarray:
     """Size-weighted means of every model but one, as an (n, d+1, c) stack.
 
     Entry i leaves out participant i. Each entry accumulates the other
     models in ascending order with weights m_l / sum_{l != i} m_l, so it
     equals the explicit per-i sum bit for bit (and does not cancel, as the
-    closed form (S - m_i W_i) / (M - m_i) can).
+    closed form (S - m_i W_i) / (M - m_i) can). The n totals take one
+    `np.add.reduce` per block of rows of (rows, n-1) kept sizes, which sums
+    each row as the 1-D sum of its kept sizes does; the coefficients are
+    divided out a block of models at a time, just before those models are
+    accumulated.
     """
     n = len(models)
     if n < 2:
@@ -100,16 +110,25 @@ def leave_one_out_aggregates(models: list[ModelParams], sizes) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=np.float64)
     if sizes.shape != (n,):
         raise ValueError("sizes must align with models")
-    coef = np.zeros((n, n))
-    for i, keep in enumerate(~np.eye(n, dtype=bool)):
-        total = sizes[keep].sum()
-        if total <= 0:
-            raise DegenerateAggregateError(
-                f"all effective sizes besides participant {i}'s are zero")
-        coef[i, keep] = sizes[keep] / total
+    totals = np.empty(n)
+    kept = np.arange(n - 1)
+    step = max(1, _COEF_BLOCK // n)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        left_out = np.arange(start, stop)[:, None]
+        np.add.reduce(sizes[kept + (kept >= left_out)], axis=1, out=totals[start:stop])
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise DegenerateAggregateError(
+            f"all effective sizes besides participant {empty[0]}'s are zero")
     stack = np.zeros((n,) + models[0].weights.shape)
-    for l, model in enumerate(models):
-        stack += coef[:, l, None, None] * model.weights
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        # Row l - start: model l's weight in every aggregate, 0 in its own.
+        coef = sizes[start:stop, None] / totals
+        coef[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        for row, model in zip(coef, models[start:stop]):
+            stack += row[:, None, None] * model.weights
     return stack
 
 
@@ -147,7 +166,10 @@ def influence(models: list[ModelParams], sizes, aggregated: ModelParams,
         base = loss(aggregated, server_test, lam)
         s = np.abs(np.array(_losses(loo, _augment(server_test.features),
                                     server_test.observed_labels, lam)) - base)
-    q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs) for eta in etas])
+    # One decay per distinct rate: under a constant schedule every rate is the same.
+    rates, which = np.unique(np.asarray(etas, dtype=np.float64), return_inverse=True)
+    q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs)
+                      for eta in rates.tolist()])[which]
     return InfluenceState(
         gamma=np.fmax(GAMMA_MIN, q_hat * gammas_prev + s),
         q_hat=q_hat,

@@ -117,8 +117,7 @@ class Dataset:
                  and (positions[1:] > positions[:-1]).all())
                 and len(np.unique(ids)) != ids.size):
             raise ValueError("instance ids must be unique")
-        cut = object.__new__(Dataset)
-        cut.__dict__.update(
+        return _trusted(
             features=self.features[positions],
             observed_labels=self.observed_labels[positions],
             ids=ids,
@@ -126,10 +125,6 @@ class Dataset:
             true_labels=None if self.true_labels is None else self.true_labels[positions],
             name=self.name if name is None else name,
         )
-        for arr in (cut.features, cut.observed_labels, cut.ids, cut.true_labels):
-            if arr is not None:
-                arr.setflags(write=False)
-        return cut
 
     def by_ids(self, wanted_ids) -> "Dataset":
         """Sub-dataset of the given instance ids, in this dataset's row order.
@@ -141,17 +136,15 @@ class Dataset:
         return self.take(np.flatnonzero(np.isin(self.ids, wanted)))
 
     def training_view(self) -> "Dataset":
-        """Copy with true labels stripped; hand this to training/estimation code."""
+        """Copy with true labels stripped; hand this to training/estimation code.
+
+        It shares this dataset's read-only arrays, which passed the
+        constructor's checks already, so they are not checked again.
+        """
         if self.true_labels is None:
             return self
-        return Dataset(
-            features=self.features,
-            observed_labels=self.observed_labels,
-            ids=self.ids,
-            class_count=self.class_count,
-            true_labels=None,
-            name=self.name,
-        )
+        return _trusted(self.features, self.observed_labels, self.ids, self.class_count,
+                        None, self.name)
 
     def in_space(self) -> "Dataset":
         """Instances whose observed label lies inside the class space."""
@@ -169,6 +162,21 @@ class Dataset:
         labels = self.observed_labels[self.observed_labels != OUT_OF_SPACE]
         np.add.at(sizes, labels, 1)
         return sizes
+
+
+def _trusted(features, observed_labels, ids, class_count, true_labels, name) -> Dataset:
+    """A `Dataset` of arrays known to pass its checks, built without running them.
+
+    The arrays are taken as they are and made read-only, as the constructor
+    leaves them.
+    """
+    ds = object.__new__(Dataset)
+    ds.__dict__.update(features=features, observed_labels=observed_labels, ids=ids,
+                       class_count=class_count, true_labels=true_labels, name=name)
+    for arr in (features, observed_labels, ids, true_labels):
+        if arr is not None:
+            arr.setflags(write=False)
+    return ds
 
 
 def _near_equal_sizes(n: int, parts: int) -> list[int]:

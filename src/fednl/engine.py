@@ -19,7 +19,7 @@ from .estimator import (MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, fold_rows,
                         train_folds)
 from .exchange import ExchangeTranscript, normalize_noise, reestimate_seed
 from .metrics import MetricsSnapshot, evaluate
-from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _losses, lr_at,
+from .trainer import (DatasetStack, ModelParams, TrainerConfig, _member_losses, lr_at,
                       steps_per_round, train_local)
 
 logger = logging.getLogger(__name__)
@@ -165,7 +165,9 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
     """One round of local training, all participants in one lockstep call.
 
     Returns the models, each one's regularized loss on its own training set
-    and the rates of their first steps. Advances step_bases in place. An
+    and the rates of their first steps. The losses are scored in one
+    `_member_losses` pass, many participants' logits to a block, each value
+    bitwise that participant's `loss`. Advances step_bases in place. An
     error names the round and the lowest-indexed failing participant, as
     training them in turn would.
     """
@@ -178,8 +180,7 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
         if not hasattr(e, "member"):
             raise
         raise type(e)(f"round {t}, participant {e.member}: {e}") from e
-    losses = [_losses(m.weights[None], _augment(ds.features), ds.observed_labels,
-                      trainer.l2_lambda)[0] for m, ds in zip(models, train_sets)]
+    losses = _member_losses([m.weights for m in models], train_sets, trainer.l2_lambda)
     for i, ds in enumerate(train_sets):
         step_bases[i] += steps_per_round(ds.n, trainer)
     return models, losses, rates

@@ -11,12 +11,23 @@ advances across rounds; callers pass each model's step count already
 consumed.
 
 `train_local` trains a `DatasetStack` of k models from one start in
-lockstep: the round's participants, Procedure 1's three fold models, or the
-participants of a round-constant measurement. At each step the models whose
-batches have the same row count share one stacked matmul each way and one
-log-softmax, so the per-step interpreter cost is paid once per group instead
-of once per model. One model is a stack of one, on the same loop. Every
-model's weights and divergence step are bitwise those of training it alone.
+lockstep: the round's participants, Procedure 1's fold models, or the
+participants of a round-constant measurement. Each step runs in ticks of
+up to `_STEP_BLOCK` batch logits' worth of models, the models of one batch
+row count adjacent. A tick of one row count is one stacked block: one
+matmul each way and one log-softmax (`_sgd_block`). A tick of several, as
+the short last batches of an epoch make, is fused (`_sgd_tick`): it packs
+every model's batch into one block of rows, so one log-softmax, one label
+gather, one exp, one subtract-at-labels, one L2 term and one update serve
+the whole tick. What stays per row count is one stacked matmul each way
+and the reduction of each model's NLL over its own rows. Padding the short
+batches with zero rows to one row count would make those products one
+matmul per tick, but it changes their bits whenever the row count is not a
+multiple of 4 (OpenBLAS's row-remainder kernels; 468 of 3000 random
+shapes), so batches are packed, not padded. Either way the per-step
+interpreter cost is paid once per tick instead of once per model. One
+model is a stack of one, on the same loop. Every model's weights and
+divergence step are bitwise those of training it alone.
 
 `_log_softmax` reduces along each row or over the c class columns, by row
 count: numpy reduces along a short last axis with one inner loop per row,
@@ -134,7 +145,7 @@ def _augment(features: np.ndarray) -> np.ndarray:
 def _require_trainable(dataset: Dataset) -> None:
     if dataset.n == 0:
         raise ValueError("dataset is empty")
-    if np.any(dataset.observed_labels == OUT_OF_SPACE):
+    if (dataset.observed_labels == OUT_OF_SPACE).any():
         raise ValueError("dataset has out-of-space labels; drop them before training")
 
 
@@ -251,9 +262,13 @@ def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
 #: leaves peak memory where scoring them one by one does.
 _LOSS_BLOCK = 1 << 13
 
-#: Batch logits per block of a lockstep SGD step. Half a loss block: a step
-#: holds its gathered batches, and every model of the stack holds a random
-#: stream and an epoch order, all while the block's temporaries exist.
+#: Batch logits per tick of a lockstep SGD step, and logits per block
+#: of `_member_losses`. Half a loss block: a tick holds its gathered batches,
+#: and every model of the stack holds a random stream and an epoch order, all
+#: while the tick's temporaries exist; the round's local losses are scored
+#: while the round's models and training sets exist. (On a 2-vCPU VM, full
+#: loss blocks there raised `fednl_wide`'s peak RSS by 0.15 MB over scoring
+#: one participant at a time, half blocks by 0.03 MB; medians of 9 runs.)
 _STEP_BLOCK = 1 << 12
 
 
@@ -268,6 +283,52 @@ def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
     for start in range(0, len(stack), per_block):
         block = stack[start:start + per_block]
         out.extend(_losses_of_logits(x @ block, labels, block, l2_lambda))
+    return out
+
+
+def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float]:
+    """`loss` of each weight matrix ``weights[j]`` on its own dataset ``members[j]``.
+
+    Consecutive members share a block of at most `_STEP_BLOCK` logits: each
+    member's augmented product is written into the block, then one
+    log-softmax and one label gather serve the whole block. Each member's
+    NLL and L2 term are reduced on their own, as `_losses` reduces a single
+    model, so every value is bitwise ``_losses(weights[j][None],
+    _augment(x_j), y_j, l2_lambda)[0]``; a member that fills a block alone
+    is scored by that call.
+    """
+    c = weights[0].shape[1]
+    sizes = [ds.n for ds in members]
+    add = np.add.reduce
+    out = []
+    start = 0
+    while start < len(members):
+        stop, rows = start + 1, sizes[start]
+        while stop < len(members) and (rows + sizes[stop]) * c <= _STEP_BLOCK:
+            rows += sizes[stop]
+            stop += 1
+        if stop - start == 1:
+            ds = members[start]
+            out += _losses(weights[start][None], _augment(ds.features), ds.observed_labels,
+                           l2_lambda)
+            start = stop
+            continue
+        block, stack = members[start:stop], np.stack(weights[start:stop])
+        bounds = np.cumsum([0] + sizes[start:stop]).tolist()
+        # One member's augmented features at a time, as `_augment` would hold them.
+        x = np.empty((max(sizes[start:stop]), stack.shape[1]))
+        x[:, -1] = 1.0
+        logits = np.empty((rows, c))
+        for w, ds, a, b in zip(stack, block, bounds, bounds[1:]):
+            x[:b - a, :-1] = ds.features
+            np.matmul(x[:b - a], w, out=logits[a:b])
+        picked = np.arange(0, rows * c, c)
+        picked += np.concatenate([ds.observed_labels for ds in block])
+        nll = _log_softmax(logits).reshape(-1)[picked]
+        sums = np.array([add(nll[a:b]) for a, b in zip(bounds, bounds[1:])])
+        out += (-(sums / np.diff(bounds)) + 0.5 * l2_lambda
+                * add((stack ** 2).reshape(len(block), -1), axis=-1)).tolist()
+        start = stop
     return out
 
 
@@ -401,6 +462,80 @@ def _sgd_block(weights: np.ndarray, block: list, m: int, features: list, labels:
     return batch_loss
 
 
+def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
+              xbuf: np.ndarray, ybuf: np.ndarray, lam: float, rates) -> np.ndarray:
+    """`_sgd_block` for a tick whose batches have several row counts.
+
+    ``tick`` lists (member, batch rows) pairs, those of one row count
+    adjacent and in member order, and ``rates`` has their rates in that
+    order. The batches are packed in that order into the leading rows of
+    the buffers seen as (rows, d+1) and (rows,), a slot of rows per model.
+    Each run of one row count shares one stacked matmul each way and one NLL
+    reduction; the log-softmax, the label gather, the losses, the L2 term
+    and the update each run once over all slots. Returns the batch losses,
+    taken before the step, in slot order.
+    """
+    d1 = xbuf.shape[2]
+    xbuf, ybuf = xbuf.reshape(-1, d1), ybuf.reshape(-1)
+    runs = []  # [row count, slots] of each run of equal row counts
+    for _, rows in tick:
+        if runs and runs[-1][0] == len(rows):
+            runs[-1][1] += 1
+        else:
+            runs.append([len(rows), 1])
+    r = sum(m * k for m, k in runs)
+    c = weights.shape[2]
+    # The gathered features, then the logits: a contiguous gather is three
+    # times faster than one into the buffer's strided feature columns.
+    scratch = np.empty(r * max(d1 - 1, c))
+    gathered = scratch[:r * (d1 - 1)].reshape(r, d1 - 1)
+    start = 0
+    # Rows are in range, so mode="clip" only skips the buffered bounds check.
+    for j, rows in tick:
+        features[j].take(rows, axis=0, out=gathered[start:start + len(rows)], mode="clip")
+        labels[j].take(rows, out=ybuf[start:start + len(rows)], mode="clip")
+        start += len(rows)
+    xbuf[:r, :-1] = gathered
+    members = [j for j, _ in tick]
+    g, first = len(members), members[0]
+    # The slots are a slice of the stack when the members are consecutive.
+    contiguous = members == list(range(first, first + g))
+    w = weights[first:first + g] if contiguous else weights[members]
+    logits = scratch[:r * c].reshape(r, c)
+    grad = np.empty_like(w)
+    parts = []  # (first row, features, logits, slots) of each run
+    start = slot = 0
+    for m, k in runs:
+        x = xbuf[start:start + k * m].reshape(k, m, d1)
+        out = logits[start:start + k * m].reshape(k, m, c)
+        np.matmul(x, w[slot:slot + k], out=out)
+        parts.append((start, x, out, slice(slot, slot + k)))
+        start += k * m
+        slot += k
+    flat = _log_softmax(logits).reshape(-1)
+    picked = np.arange(0, r * c, c) + ybuf[:r]
+    nll = flat[picked]
+    sums = np.empty(g)
+    add = np.add.reduce
+    # Each model's mean NLL and L2 term are reduced along the last axis,
+    # which sums in the same order as the single-model reductions.
+    for start, _, out, slots in parts:
+        k, m = out.shape[:2]
+        add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
+    counts = np.repeat(np.array([m for m, _ in runs], dtype=np.float64), [k for _, k in runs])
+    batch_loss = -(sums / counts) + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
+    np.exp(logits, out=logits)
+    flat[picked] -= 1.0
+    for _, x, probs, slots in parts:
+        np.matmul(x.transpose(0, 2, 1), probs, out=grad[slots])
+    grad /= counts[:, None, None]
+    grad += lam * w
+    w -= rates * grad
+    if not contiguous:
+        weights[members] = w
+    return batch_loss
+
+
 def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     """Train one model per member of ``stack`` from the given weights, in lockstep.
 
@@ -409,14 +544,16 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     stream and walks it in contiguous batches (the last batch may be short).
     Step i of member j runs at the schedule's rate for global step
     ``step_bases[j] + i``, and every step applies the full-strength L2 term.
-    At each step the members whose batches have the same row count are
-    stepped together, in blocks of models. Returns the list of trained
-    models; each is bitwise what a stack of that member alone gives.
+    Each step runs in ticks of up to `_STEP_BLOCK` batch logits' worth of
+    members, grouped by batch row count (see the module docstring).
+    Returns the list of trained models; each is bitwise what a stack of that
+    member alone gives.
 
     Raises DivergenceError at the first non-finite batch loss, naming the
     global step. When members fail, the error is the lowest-indexed one's,
-    with its index as ``member``: members above it are dropped, and the ones
-    below it are trained to the end first.
+    with its index as ``member``, even when a higher one fails in an earlier
+    slot of the same tick: members above it are dropped, and the ones below
+    it are trained to the end first.
     """
     c, d1 = model.class_count, model.weights.shape[0]
     failure = None  # (member, error) of the lowest-indexed member known to fail
@@ -443,12 +580,12 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     schedule = config.lr_schedule
     weights = np.repeat(model.weights[None], live, axis=0)
     b_max = max(batch, default=1)
-    # Models per block: as in `_losses`, so no temporary outgrows the
+    # Models per tick: as in `_losses`, so no temporary outgrows the
     # single-model ones by much however many models the stack holds.
-    per_block = max(1, _STEP_BLOCK // (b_max * c))
-    xbuf = np.empty((min(live, per_block), b_max, d1))
+    per_tick = max(1, _STEP_BLOCK // (b_max * c))
+    xbuf = np.empty((min(live, per_tick), b_max, d1))
     xbuf[..., -1] = 1.0
-    ybuf = np.empty((min(live, per_block), b_max), dtype=np.int64)
+    ybuf = np.empty((min(live, per_tick), b_max), dtype=np.int64)
     for s in range(max(ends, default=0)):
         groups: dict[int, list] = {}
         for j in range(live):
@@ -459,27 +596,33 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
                 orders[j] = rngs[j].permutation(sizes[j])
             rows = orders[j][q * batch[j]:(q + 1) * batch[j]]
             groups.setdefault(len(rows), []).append((j, rows))
-        for m, entries in groups.items():
-            for start in range(0, len(entries), per_block):
-                block = [entry for entry in entries[start:start + per_block] if entry[0] < live]
-                if not block:
-                    continue
-                if isinstance(schedule, Constant):
-                    rates = schedule.eta
-                else:
-                    rates = np.array([lr_at(schedule, bases[j] + s + 1)
-                                      for j, _ in block])[:, None, None]
-                batch_loss = _sgd_block(weights, block, m, features, labels, xbuf, ybuf,
+        # The step's batches, those of one row count adjacent, cut into ticks.
+        due = [entry for entries in groups.values() for entry in entries]
+        for start in range(0, len(due), per_tick):
+            tick = [entry for entry in due[start:start + per_tick] if entry[0] < live]
+            if not tick:
+                continue
+            if isinstance(schedule, Constant):
+                rates = schedule.eta
+            else:
+                rates = np.array([lr_at(schedule, bases[j] + s + 1)
+                                  for j, _ in tick])[:, None, None]
+            m = len(tick[0][1])
+            if len(tick[-1][1]) == m:  # one row count: the first and last are one run
+                batch_loss = _sgd_block(weights, tick, m, features, labels, xbuf, ybuf,
                                         lam, rates)
-                if math.isfinite(np.add.reduce(batch_loss)):
-                    continue
-                for slot in np.flatnonzero(~np.isfinite(batch_loss)):
-                    j = block[slot][0]
-                    if j < live:
-                        failure = (j, DivergenceError(
-                            f"loss went non-finite at global step {bases[j] + s + 1}; "
-                            "lower the learning rate"))
-                        live = j
+            else:
+                batch_loss = _sgd_tick(weights, tick, features, labels, xbuf, ybuf, lam, rates)
+            if math.isfinite(np.add.reduce(batch_loss)):
+                continue
+            # Slots follow row counts, not members: take the lowest failing member.
+            j = min((tick[k][0] for k in np.flatnonzero(~np.isfinite(batch_loss))),
+                    default=live)
+            if j < live:
+                failure = (j, DivergenceError(
+                    f"loss went non-finite at global step {bases[j] + s + 1}; "
+                    "lower the learning rate"))
+                live = j
         if live == 0:
             break
     if failure is not None:

@@ -57,9 +57,10 @@ def test_loo_identical_models_any_exclusion():
 
 
 def test_loo_matches_direct_arithmetic():
-    # Bitwise: the stack accumulates in the explicit sum's order.
+    # Bitwise: the stack accumulates in the explicit sum's order. At n = 130
+    # the totals and coefficients take five blocks of rows each.
     rng = np.random.default_rng(1)
-    for n in (2, 4, 17):
+    for n in (2, 4, 17, 130):
         models = [model_of(rng.normal(size=(3, 2))) for _ in range(n)]
         sizes = rng.uniform(0.0, 40.0, size=n)
         out = leave_one_out_aggregates(models, sizes)
@@ -84,6 +85,17 @@ def test_loo_degenerate_when_others_have_no_mass():
     models = [model_of([[1.0, 0.0]]), model_of([[0.0, 1.0]]), model_of([[1.0, 1.0]])]
     with pytest.raises(DegenerateAggregateError, match="participant 2's"):
         leave_one_out_aggregates(models, [0.0, 0.0, 5.0])
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ([0.0] * 130, 0),                                   # every complement is empty
+    ([0.0] * 100 + [3.0] + [0.0] * 29, 100),            # one, in a later row block
+    ([0.0] * 129 + [3.0], 129),                         # one, in the last row block
+])
+def test_loo_degenerate_names_the_empty_complement_in_any_block(sizes, named):
+    models = [model_of([[float(k), 1.0]]) for k in range(len(sizes))]
+    with pytest.raises(DegenerateAggregateError, match=f"participant {named}'s"):
+        leave_one_out_aggregates(models, sizes)
 
 
 # ---------------------------------------------------------------- influence
@@ -154,6 +166,21 @@ def test_history_decay_applied():
     q_hat = [decay_factor(eta, config.l2_lambda, config.local_epochs) for eta in etas]
     np.testing.assert_allclose(state.q_hat, q_hat)
     np.testing.assert_allclose(state.gamma, np.array(q_hat) * prev + state.instantaneous)
+
+
+def test_influence_decays_each_participant_at_its_own_rate():
+    # Rates repeat and differ, as under a diminishing schedule with unequal
+    # training-set sizes: each q_hat is its own rate's decay, bitwise.
+    server_test, config = _influence_setup(8)
+    rng = np.random.default_rng(8)
+    n = 9
+    models = [ModelParams(rng.normal(scale=0.4, size=(3, 2)), 2) for _ in range(n)]
+    sizes = rng.uniform(5.0, 20.0, size=n)
+    etas = [0.1, 0.05, 0.1, 0.025, 0.05, 0.1, 1 / 30, 0.025, 0.3]
+    state = influence(models, sizes, aggregate_of(models, sizes), server_test,
+                      gammas_prev=[0.5] * n, etas=etas, trainer_config=config)
+    q_hat = [decay_factor(eta, config.l2_lambda, config.local_epochs) for eta in etas]
+    assert state.q_hat.tolist() == q_hat
 
 
 def test_matrix_norm_influence_is_spectral_norm_of_loo_shift():

@@ -231,6 +231,24 @@ def test_training_view_hides_true_labels():
     np.testing.assert_array_equal(view.observed_labels, ds.observed_labels)
 
 
+def test_training_view_equals_checked_construction(monkeypatch):
+    # The view shares the dataset's checked arrays and runs no check of its own.
+    ds = make_dataset([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]], [1, OUT_OF_SPACE, 0], c=2,
+                      ids=[7, 3, 5], true_labels=[1, 0, 0], name="site")
+    checked = Dataset(features=ds.features, observed_labels=ds.observed_labels, ids=ds.ids,
+                      class_count=2, name="site")
+    calls = _spy_checks(monkeypatch)
+    view = ds.training_view()
+    assert calls == []
+    for field in ("features", "observed_labels", "ids"):
+        ours, theirs = getattr(view, field), getattr(checked, field)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert np.array_equal(ours, theirs)
+        assert ours.flags.c_contiguous and not ours.flags.writeable
+    assert (view.true_labels, view.class_count, view.name) == (None, 2, "site")
+    assert view.training_view() is view
+
+
 def test_in_space_drops_sentinel():
     ds = make_dataset([[0.0], [1.0], [2.0]], [0, OUT_OF_SPACE, 1], c=2)
     kept = ds.in_space()

@@ -116,8 +116,10 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
 
 def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
     # The benchmark fails a workload whose `expected` span records no calls,
-    # for example when a fast path stops going through `Dataset.take`. Run
-    # the benchmark's own child on a small cut of `fednl_wide`, tracer on.
+    # for example when a fast path stops going through `Dataset.take`, and
+    # one whose traced run writes other bytes than its untraced runs. Run
+    # the benchmark's own child on a small cut of `fednl_wide`, tracer on
+    # and off; its noisy participant gives the SGD ticks mixed row counts.
     expected = {span for name, workload in workloads.WORKLOADS.items()
                 if name.startswith("fednl") for span in workload.expected}
     small = {"participants": 4, "rounds": 2, "data.per_class": 100, "server.per_class": 100,
@@ -130,12 +132,16 @@ def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
                                                       env.get("PYTHONPATH")]))
     env.pop("FEDNL_OUTPUT_ROOT", None)
-    result = tmp_path / "result.json"
-    subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
-                    "--command", "run", "--run-dir", str(tmp_path / "run"),
-                    "--result", str(result), "--t0", repr(time.time()), "--trace"],
-                   env=env, cwd=PERFBENCH.parent, check=True, timeout=120)
-    outcome = json.loads(result.read_text())
-    assert "error" not in outcome, outcome.get("error")
-    silent = sorted(span for span in expected if not outcome["layers"].get(f"{span}.calls"))
+    outcomes = {}
+    for mode, flags in (("traced", ["--trace"]), ("untraced", [])):
+        result = tmp_path / f"{mode}.json"
+        subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
+                        "--command", "run", "--run-dir", str(tmp_path / mode),
+                        "--result", str(result), "--t0", repr(time.time()), *flags],
+                       env=env, cwd=PERFBENCH.parent, check=True, timeout=120)
+        outcomes[mode] = json.loads(result.read_text())
+        assert "error" not in outcomes[mode], outcomes[mode].get("error")
+    silent = sorted(span for span in expected
+                    if not outcomes["traced"]["layers"].get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
+    assert outcomes["traced"]["checksum"] == outcomes["untraced"]["checksum"]

@@ -26,8 +26,8 @@ from fednl import (
 )
 from fednl import ModelParams, trainer
 from fednl._rng import TRAIN, derive_rng
-from fednl.trainer import (_exp_class_sum, _log_softmax, _log_softmax_columns, _log_softmax_rows,
-                           _objective)
+from fednl.trainer import (_augment, _exp_class_sum, _log_softmax, _log_softmax_columns,
+                           _log_softmax_rows, _losses, _member_losses, _objective)
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -449,6 +449,79 @@ def test_stack_reports_lowest_failing_member():
         train_local(start, DatasetStack([calm.take(np.arange(8)), empty, wild], [0, 0, 0]),
                     replace(config, lr_schedule=Constant(0.1)))
     assert raised.value.member == 1
+
+
+def _record_ticks(monkeypatch):
+    """(members, batch row counts, batch losses) of every fused tick from here on, in slot order."""
+    ticks = []
+    real = trainer._sgd_tick
+
+    def recording(weights, tick, *args):
+        batch_loss = real(weights, tick, *args)
+        ticks.append(([j for j, _ in tick], [len(rows) for _, rows in tick], batch_loss.copy()))
+        return batch_loss
+
+    monkeypatch.setattr(trainer, "_sgd_tick", recording)
+    return ticks
+
+
+@pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
+def test_fused_ticks_of_mixed_row_counts_match_sequential_reference(monkeypatch, schedule):
+    # 40 members of 9 to 120 rows with batch 16 and c = 8: a tick holds at
+    # most 4096 // (16 * 8) = 32 models, so a step runs up to two ticks, and
+    # the short last batches put many row counts in one tick.
+    sizes = [9 + (29 * j) % 112 for j in range(40)]
+    bases = [(13 * j) % 50 for j in range(40)]
+    members = _stack_members(sizes, 8, 3, seed=37)
+    config = TrainerConfig(local_epochs=2, batch_size=16, lr_schedule=schedule, l2_lambda=0.01)
+    seeds = [500 + j for j in range(40)]
+    start = server_init(3, 8, 37, 0.3)
+    ticks = _record_ticks(monkeypatch)
+    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    assert max(len(tick) for tick, _, _ in ticks) == 32
+    assert max(len(set(rows)) for _, rows, _ in ticks) >= 3
+    for ds, seed, base, model in zip(members, seeds, bases, models):
+        ref_weights = reference_train_local(start, ds, config, seed, base)
+        assert model.weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_tick_divergence_names_lowest_member_not_first_slot(monkeypatch):
+    # At step 2 members 0 and 2 take 8 rows and member 1 takes 5, so the
+    # tick's slots run 0, 2, 1. Members 2 and 1 diverge in it together; the
+    # error is member 1's, at its own global step 3 + 2, not member 2's 42.
+    # Member 0's huge step base makes its rate tiny, so it never diverges.
+    calm = synth_gaussian(2, 8, 2, 4.0, seed=38)
+    wild = make_dataset(calm.features * 1e200, calm.observed_labels, c=2)
+    config = TrainerConfig(local_epochs=3, batch_size=8,
+                           lr_schedule=Diminishing(theta=1.0, alpha=1.0), l2_lambda=0.01)
+    stack = DatasetStack([calm, wild.take(np.arange(5)), wild], [0, 1, 2], [10 ** 9, 3, 40])
+    ticks = _record_ticks(monkeypatch)
+    with pytest.raises(DivergenceError, match="global step 5;") as raised:
+        train_local(init_model(2, 2), stack, config)
+    assert raised.value.member == 1
+    failing = [(tick, rows, np.flatnonzero(~np.isfinite(batch_loss)).tolist())
+               for tick, rows, batch_loss in ticks if not np.isfinite(batch_loss).all()]
+    assert failing[0] == ([0, 2, 1], [8, 8, 5], [1, 2])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.03])
+def test_member_losses_bitwise_equal_single_model_losses(monkeypatch, lam):
+    # c = 3, so a block holds 1365 rows: 1 + 500 + 750 + 1 rows, then the
+    # 200-row member that would cross the boundary starts the next block
+    # with 1000 more; 1500 rows are over the budget and scored alone.
+    sizes = [1, 500, 750, 1, 200, 1000, 1500, 1, 1, 7, 1364]
+    members = _stack_members(sizes, 3, 4, seed=39)
+    rng = np.random.default_rng(39)
+    weights = [rng.normal(scale=0.7, size=(5, 3)) for _ in sizes]
+    expected = [_losses(w[None], _augment(ds.features), ds.observed_labels, lam)[0]
+                for w, ds in zip(weights, members)]
+    blocks = []
+    real = trainer._log_softmax
+    monkeypatch.setattr(trainer, "_log_softmax", lambda logits: blocks.append(logits.shape[-2])
+                        or real(logits))
+    assert _member_losses(weights, members, lam) == expected
+    assert blocks == [1252, 1200, 1500, 9, 1364]
 
 
 def test_training_deterministic_bitwise():
