@@ -166,10 +166,7 @@ def influence(models: list[ModelParams], sizes, aggregated: ModelParams,
         base = loss(aggregated, server_test, lam)
         s = np.abs(np.array(_losses(loo, _augment(server_test.features),
                                     server_test.observed_labels, lam)) - base)
-    # One decay per distinct rate: under a constant schedule every rate is the same.
-    rates, which = np.unique(np.asarray(etas, dtype=np.float64), return_inverse=True)
-    q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs)
-                      for eta in rates.tolist()])[which]
+    q_hat = np.array([decay_factor(eta, lam, trainer_config.local_epochs) for eta in etas])
     return InfluenceState(
         gamma=np.fmax(GAMMA_MIN, q_hat * gammas_prev + s),
         q_hat=q_hat,

@@ -14,20 +14,19 @@ consumed.
 lockstep: the round's participants, Procedure 1's fold models, or the
 participants of a round-constant measurement. Each step runs in ticks of
 up to `_STEP_BLOCK` batch logits' worth of models, the models of one batch
-row count adjacent. A tick of one row count is one stacked block: one
-matmul each way and one log-softmax (`_sgd_block`). A tick of several, as
-the short last batches of an epoch make, is fused (`_sgd_tick`): it packs
-every model's batch into one block of rows, so one log-softmax, one label
-gather, one exp, one subtract-at-labels, one L2 term and one update serve
-the whole tick. What stays per row count is one stacked matmul each way
-and the reduction of each model's NLL over its own rows. Padding the short
-batches with zero rows to one row count would make those products one
-matmul per tick, but it changes their bits whenever the row count is not a
-multiple of 4 (OpenBLAS's row-remainder kernels; 468 of 3000 random
-shapes), so batches are packed, not padded. Either way the per-step
-interpreter cost is paid once per tick instead of once per model. One
-model is a stack of one, on the same loop. Every model's weights and
-divergence step are bitwise those of training it alone.
+row count adjacent (the short last batches of an epoch give a tick
+several). A tick is fused (`_sgd_tick`): it packs every model's batch
+into one block of rows, so one log-softmax, one label gather, one exp, one
+subtract-at-labels, one L2 term and one update serve the whole tick. What
+stays per row count is one stacked matmul each way and the reduction of
+each model's NLL over its own rows. Padding the short batches with zero
+rows to one row count would make those products one matmul per tick, but
+it changes their bits whenever the row count is not a multiple of 4
+(OpenBLAS's row-remainder kernels; 468 of 3000 random shapes), so batches
+are packed, not padded. Either way the per-step interpreter cost is paid
+once per tick instead of once per model. One model is a stack of one, on
+the same loop. Every model's weights and divergence step are bitwise those
+of training it alone.
 
 `_log_softmax` reduces along each row or over the c class columns, by row
 count: numpy reduces along a short last axis with one inner loop per row,
@@ -43,6 +42,7 @@ contiguous, but BLAS sums it in another order, and the bits change.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -295,41 +295,36 @@ def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float
     NLL and L2 term are reduced on their own, as `_losses` reduces a single
     model, so every value is bitwise ``_losses(weights[j][None],
     _augment(x_j), y_j, l2_lambda)[0]``; a member that fills a block alone
-    is scored by that call.
+    has a block of its own.
     """
     c = weights[0].shape[1]
     sizes = [ds.n for ds in members]
+    stack = np.stack(weights)
+    sums = np.empty(len(members))
     add = np.add.reduce
-    out = []
     start = 0
     while start < len(members):
         stop, rows = start + 1, sizes[start]
         while stop < len(members) and (rows + sizes[stop]) * c <= _STEP_BLOCK:
             rows += sizes[stop]
             stop += 1
-        if stop - start == 1:
-            ds = members[start]
-            out += _losses(weights[start][None], _augment(ds.features), ds.observed_labels,
-                           l2_lambda)
-            start = stop
-            continue
-        block, stack = members[start:stop], np.stack(weights[start:stop])
-        bounds = np.cumsum([0] + sizes[start:stop]).tolist()
+        block = members[start:stop]
+        bounds = list(accumulate(sizes[start:stop], initial=0))
         # One member's augmented features at a time, as `_augment` would hold them.
         x = np.empty((max(sizes[start:stop]), stack.shape[1]))
         x[:, -1] = 1.0
         logits = np.empty((rows, c))
-        for w, ds, a, b in zip(stack, block, bounds, bounds[1:]):
+        for w, ds, a, b in zip(stack[start:stop], block, bounds, bounds[1:]):
             x[:b - a, :-1] = ds.features
             np.matmul(x[:b - a], w, out=logits[a:b])
         picked = np.arange(0, rows * c, c)
         picked += np.concatenate([ds.observed_labels for ds in block])
         nll = _log_softmax(logits).reshape(-1)[picked]
-        sums = np.array([add(nll[a:b]) for a, b in zip(bounds, bounds[1:])])
-        out += (-(sums / np.diff(bounds)) + 0.5 * l2_lambda
-                * add((stack ** 2).reshape(len(block), -1), axis=-1)).tolist()
+        for j, a, b in zip(range(start, stop), bounds, bounds[1:]):
+            sums[j] = add(nll[a:b])
         start = stop
-    return out
+    return (-(sums / sizes) + 0.5 * l2_lambda
+            * add((stack ** 2).reshape(len(members), -1), axis=-1)).tolist()
 
 
 def loss(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> float:
@@ -425,58 +420,22 @@ class DatasetStack:
         return sum(ds.n for ds in self.members)
 
 
-def _sgd_block(weights: np.ndarray, block: list, m: int, features: list, labels: list,
-               xbuf: np.ndarray, ybuf: np.ndarray, lam: float, rates) -> np.ndarray:
-    """One SGD step of the models in ``block``, each on m rows of its own data.
-
-    ``block`` lists (member, batch rows) pairs in member order; their weights,
-    rows of the (k, d+1, c) stack, are stepped in place. The batches are
-    gathered into the leading slots of the (slots, b, d+1) buffer, whose
-    last column holds the bias 1, so the block shares one matmul each way
-    and one log-softmax. Returns the batch losses, taken before the step.
-    """
-    g, d = len(block), xbuf.shape[2] - 1
-    members = [j for j, _ in block]
-    for slot, (j, rows) in enumerate(block):
-        features[j].take(rows, axis=0, out=xbuf[slot, :m, :d])
-        ybuf[slot, :m] = labels[j][rows]
-    first = members[0]
-    contiguous = members[-1] - first == g - 1
-    w = weights[first:first + g] if contiguous else weights[members]
-    x = xbuf[:g, :m]
-    c = w.shape[2]
-    logp = _log_softmax(np.matmul(x, w))
-    flat = logp.reshape(-1)
-    # Each model's mean NLL and L2 term are reduced along the last axis,
-    # which sums in the same order as the single-model reductions.
-    picked = np.arange(0, g * m * c, c).reshape(g, m) + ybuf[:g, :m]
-    add = np.add.reduce
-    batch_loss = (-(add(flat[picked], axis=-1) / m)
-                  + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1))
-    probs = np.exp(logp, out=logp)
-    flat[picked] -= 1.0
-    grad = np.matmul(x.transpose(0, 2, 1), probs) / m + lam * w
-    w -= rates * grad
-    if not contiguous:
-        weights[members] = w
-    return batch_loss
-
-
 def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
               xbuf: np.ndarray, ybuf: np.ndarray, lam: float, rates) -> np.ndarray:
-    """`_sgd_block` for a tick whose batches have several row counts.
+    """One SGD step of the models in ``tick``, each on its own batch.
 
     ``tick`` lists (member, batch rows) pairs, those of one row count
     adjacent and in member order, and ``rates`` has their rates in that
-    order. The batches are packed in that order into the leading rows of
-    the buffers seen as (rows, d+1) and (rows,), a slot of rows per model.
-    Each run of one row count shares one stacked matmul each way and one NLL
-    reduction; the log-softmax, the label gather, the losses, the L2 term
-    and the update each run once over all slots. Returns the batch losses,
-    taken before the step, in slot order.
+    order. Their weights, rows of the (k, d+1, c) stack, are stepped in
+    place. The batches are packed in that order into the leading rows of
+    the (rows, d+1) and (rows,) buffers, a slot of rows per model; the last
+    column of ``xbuf`` holds the bias 1. Each run of one row count shares
+    one stacked matmul each way and one NLL reduction; the log-softmax, the
+    label gather, the losses, the L2 term and the update each run once over
+    all slots. Returns the batch losses, taken before the step, in slot
+    order.
     """
-    d1 = xbuf.shape[2]
-    xbuf, ybuf = xbuf.reshape(-1, d1), ybuf.reshape(-1)
+    d1 = xbuf.shape[1]
     runs = []  # [row count, slots] of each run of equal row counts
     for _, rows in tick:
         if runs and runs[-1][0] == len(rows):
@@ -522,13 +481,13 @@ def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
     for start, _, out, slots in parts:
         k, m = out.shape[:2]
         add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
-    counts = np.repeat(np.array([m for m, _ in runs], dtype=np.float64), [k for _, k in runs])
-    batch_loss = -(sums / counts) + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
+        sums[slots] /= m
+    batch_loss = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
     np.exp(logits, out=logits)
     flat[picked] -= 1.0
     for _, x, probs, slots in parts:
         np.matmul(x.transpose(0, 2, 1), probs, out=grad[slots])
-    grad /= counts[:, None, None]
+        grad[slots] /= x.shape[1]
     grad += lam * w
     w -= rates * grad
     if not contiguous:
@@ -583,9 +542,9 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     # Models per tick: as in `_losses`, so no temporary outgrows the
     # single-model ones by much however many models the stack holds.
     per_tick = max(1, _STEP_BLOCK // (b_max * c))
-    xbuf = np.empty((min(live, per_tick), b_max, d1))
-    xbuf[..., -1] = 1.0
-    ybuf = np.empty((min(live, per_tick), b_max), dtype=np.int64)
+    xbuf = np.empty((min(live, per_tick) * b_max, d1))
+    xbuf[:, -1] = 1.0
+    ybuf = np.empty(min(live, per_tick) * b_max, dtype=np.int64)
     for s in range(max(ends, default=0)):
         groups: dict[int, list] = {}
         for j in range(live):
@@ -607,12 +566,7 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
             else:
                 rates = np.array([lr_at(schedule, bases[j] + s + 1)
                                   for j, _ in tick])[:, None, None]
-            m = len(tick[0][1])
-            if len(tick[-1][1]) == m:  # one row count: the first and last are one run
-                batch_loss = _sgd_block(weights, tick, m, features, labels, xbuf, ybuf,
-                                        lam, rates)
-            else:
-                batch_loss = _sgd_tick(weights, tick, features, labels, xbuf, ybuf, lam, rates)
+            batch_loss = _sgd_tick(weights, tick, features, labels, xbuf, ybuf, lam, rates)
             if math.isfinite(np.add.reduce(batch_loss)):
                 continue
             # Slots follow row counts, not members: take the lowest failing member.
