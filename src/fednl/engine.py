@@ -148,16 +148,25 @@ def _participant_seeds(config: FederationConfig, indices, tag: int, *extra: int)
 
 
 def _check_disjoint_ids(participant_datasets, server_dataset) -> None:
-    seen: set[int] = set()
+    """Refuse an id that two datasets hold.
+
+    The error names the first dataset, participants then server, that holds
+    an id of an earlier one, with its first five such ids, sorted. One
+    stable sort of every id finds them: a shared id sorts first in the
+    earliest dataset that holds it, and each later copy is a clash.
+    """
     groups = list(participant_datasets) + ([server_dataset] if server_dataset is not None else [])
-    for ds in groups:
-        ids = set(int(v) for v in ds.ids)
-        clash = seen & ids
-        if clash:
-            raise ValueError(
-                f"instance ids are shared across datasets: {sorted(clash)[:5]}; "
-                "give each source its own id_base")
-        seen |= ids
+    ids = np.concatenate([ds.ids for ds in groups])
+    owner = np.repeat(np.arange(len(groups)), [ds.n for ds in groups])
+    order = np.argsort(ids, kind="stable")
+    ids, owner = ids[order], owner[order]
+    later = np.flatnonzero(ids[1:] == ids[:-1]) + 1
+    if later.size:
+        first = owner[later].min()
+        clash = ids[later[owner[later] == first]]
+        raise ValueError(
+            f"instance ids are shared across datasets: {clash[:5].tolist()}; "
+            "give each source its own id_base")
 
 
 def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: int,

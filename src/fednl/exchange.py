@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import EXCHANGE, derive_rng, derive_seeds
-from .data import Dataset, concat_datasets
+from .data import Dataset, _trusted
 from .estimator import NoiseEstimate
 
 logger = logging.getLogger(__name__)
@@ -151,6 +151,8 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
     c = participant.class_count
     if server.class_count != c:
         raise ValueError("server and participant disagree on the class space")
+    if server.d != participant.d:
+        raise ValueError("server and participant disagree on the feature dimension")
     # Dataset ids are unique, so the intersection can skip its dedup pass.
     overlap = np.intersect1d(participant.ids, server.ids, assume_unique=True)
     if overlap.size:
@@ -182,8 +184,20 @@ def apply_exchange(participant: Dataset, estimate: NoiseEstimate, server: Datase
             parts.append(chunk)
 
     # Class by class: survivors in participant row order, then the transfers.
-    merged = concat_datasets(parts, name=participant.name)
-    new_dataset = merged.take(np.argsort(merged.observed_labels, kind="stable"))
+    # Both are cuts of valid sets, each without repeats, and the overlap
+    # check above keeps them apart, so their rows in any order make a valid
+    # set: no constructor or id checks.
+    labels = np.concatenate([p.observed_labels for p in parts])
+    order = np.argsort(labels, kind="stable")
+    keep_true = all(p.true_labels is not None for p in parts)
+    new_dataset = _trusted(
+        features=np.concatenate([p.features for p in parts])[order],
+        observed_labels=labels[order],
+        ids=np.concatenate([p.ids for p in parts])[order],
+        class_count=c,
+        true_labels=np.concatenate([p.true_labels for p in parts])[order] if keep_true else None,
+        name=participant.name,
+    )
     transcript = ExchangeTranscript(
         demands={k: plan.demanded[k] for k in plan.demanding_classes},
         delta1=plan.delta1,

@@ -34,8 +34,8 @@ from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
-from .trainer import (DatasetStack, ModelParams, TrainerConfig, _augment, _gradient, _objective,
-                      gradient, loss, train_local)
+from .trainer import (_STEP_BLOCK, DatasetStack, ModelParams, TrainerConfig, _augment, _gradient,
+                      _objective, _stacked_objective, gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -132,6 +132,11 @@ _GRAD_TOL = 1e-6
 _HARD_TOL = 1e-4
 _LBFGS_MAX_ITER = 5000
 
+#: The solver's dot of each row pair, ``a[i] @ b[i]`` for every i: `np.vecdot`
+#: runs the same BLAS dot per row, bit for bit, where ``einsum("ij,ij->i")``
+#: and ``(a * b).sum(-1)`` sum in other orders.
+_row_dot = np.vecdot
+
 
 def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
                        seed: int = 0) -> SmoothnessParams:
@@ -163,54 +168,159 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
 
 
 def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
-    """Minimize ``objective(x) -> (value, gradient)`` by L-BFGS from ``x``.
+    """Minimize k problems by L-BFGS from the rows of ``x``, in iteration lockstep.
 
-    The two-loop recursion (Liu & Nocedal, Math. Prog. 45, 1989) over the
-    last 10 curvature pairs (scipy's default memory), scaled by
-    H0 = s'y / y'y; the first direction is -g/||g||. Armijo backtracking from
-    a unit step halves the step until f falls by 1e-4 of the predicted
-    decrease; a pair with s'y <= 0 is skipped. Stops at max|g| <= gtol, at a
-    relative decrease of at most 1e-18 (no decrease in float64), when no
-    step along the direction changes x, or after ``max_iter`` iterations.
-    Returns the last accepted point.
+    ``objective(w, members)`` evaluates the listed problems (increasing
+    indices) at the rows of w and returns their values (m,) and gradients
+    (m, p). Per problem: the two-loop recursion (Liu & Nocedal, Math. Prog.
+    45, 1989) over its last 10 curvature pairs (scipy's default memory),
+    scaled by H0 = s'y / y'y; the first direction is -g/||g||. Armijo
+    backtracking from a unit step halves the step until f falls by 1e-4 of
+    the predicted decrease; a pair with s'y <= 0 is skipped. A problem stops
+    at max|g| <= gtol, at a relative decrease of at most 1e-18 (no decrease
+    in float64), when no step along the direction changes its point, or
+    after ``max_iter`` iterations. Returns the (k, p) last accepted points.
+
+    Each tick every running problem takes one iteration: one packed
+    objective call for all of them, then more only for the rows that fail
+    Armijo; a problem that stops drops out. The pair histories are rings of
+    10 (k, p) slots, every row's newest pair in the same slot, so the
+    tick's bookkeeping runs on basic slices while all rows hold the same
+    number of pairs, and masks only the ages that some rows lack. Dots are
+    `_row_dot`, norms its square roots, and every other step is elementwise,
+    so each row's point is bitwise the one solving that problem alone gives.
     """
-    f, g = objective(x)
-    pairs = deque(maxlen=10)  # (s, y, 1 / s'y), oldest first
+    x = np.array(x, dtype=np.float64)
+    k, p = x.shape
+    memory = 10
+    live = np.arange(k)  # problem of each running row
+    f, g = objective(x, live)
+    pos = x.copy()
+    # Age-major rings: slot j of every row is s_hist[j], a (rows, p) block.
+    s_hist, y_hist = np.empty((memory, k, p)), np.empty((memory, k, p))
+    rho = np.empty((memory, k))
+    count = np.zeros(k, dtype=np.int64)  # pairs each row holds
+    head = 0  # ring slot of every row's newest pair
+    going = np.ones(k, dtype=bool)  # rows the last tick did not stop
+    vecdot, every = _row_dot, np.logical_and.reduce
     for _ in range(max_iter):
-        if np.max(np.abs(g)) <= gtol:
-            break
+        going &= ~(np.maximum.reduce(np.abs(g), axis=1) <= gtol)
+        if not every(going):
+            x[live[~going]] = pos[~going]
+            live, pos, f, g, count = live[going], pos[going], f[going], g[going], count[going]
+            s_hist, y_hist, rho = s_hist[:, going], y_hist[:, going], rho[:, going]
+            if not live.size:
+                break
         # q becomes H g, H the inverse-Hessian estimate; the step is along -q.
+        # An age that some rows lack runs on the rows that hold it.
+        fewest, most = int(count.min()), int(count.max())
+        ages = [(slot % memory, None if age < fewest else np.flatnonzero(count > age))
+                for age, slot in enumerate(range(head, head - most, -1))]
         q = g.copy()
         alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ q))
-            q -= alphas[-1] * y
-        if pairs:
-            s, y, _ = pairs[-1]
-            q *= (s @ y) / (y @ y)
+        for slot, rows in ages:
+            if rows is None:
+                alphas.append(rho[slot] * vecdot(s_hist[slot], q))
+                q -= alphas[-1][:, None] * y_hist[slot]
+            else:
+                alphas.append(rho[slot, rows] * vecdot(s_hist[slot, rows], q[rows]))
+                q[rows] -= alphas[-1][:, None] * y_hist[slot, rows]
+        if fewest:
+            s, y = s_hist[head], y_hist[head]
+            q *= (vecdot(s, y) / vecdot(y, y))[:, None]
+        elif not most:
+            q /= np.sqrt(vecdot(g, g))[:, None]
         else:
-            q /= np.linalg.norm(g)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            q += (a - rho * (y @ q)) * s
-        slope = -(g @ q)
-        t = 1.0
+            rows, first = np.flatnonzero(count), np.flatnonzero(count == 0)
+            s, y = s_hist[head, rows], y_hist[head, rows]
+            q[rows] *= (vecdot(s, y) / vecdot(y, y))[:, None]
+            q[first] /= np.sqrt(vecdot(g[first], g[first]))[:, None]
+        for (slot, rows), a in zip(reversed(ages), reversed(alphas)):
+            if rows is None:
+                q += (a - rho[slot] * vecdot(y_hist[slot], q))[:, None] * s_hist[slot]
+            else:
+                q[rows] += ((a - rho[slot, rows] * vecdot(y_hist[slot, rows], q[rows]))[:, None]
+                            * s_hist[slot, rows])
+        slope = -vecdot(g, q)
+        # Backtracking: every row tries a unit step, then the rows that fail
+        # Armijo halve their steps and try again. ``rows`` indexes the rows
+        # still trying, a basic slice while that is all of them.
+        t = np.ones(len(live))
+        moved = np.ones(len(live), dtype=bool)
+        pos_new, f_new, g_new = pos.copy(), f.copy(), g.copy()
+        trial, rows = np.arange(len(live)), slice(None)
         while True:
-            x_new = x - t * q
-            if np.array_equal(x_new, x):
-                return x
-            f_new, g_new = objective(x_new)
-            if f_new <= f + 1e-4 * t * slope:
+            base = pos[rows]
+            cand = base - t[rows, None] * q[rows]
+            still = every(cand == base, axis=1)
+            if still.any():
+                # These rows stop at their last accepted points.
+                moved[trial[still]] = False
+                trial, cand = trial[~still], cand[~still]
+                rows = trial
+                if not trial.size:
+                    break
+            values, grads = objective(cand, live[rows])
+            pos_new[rows], f_new[rows], g_new[rows] = cand, values, grads
+            failed = ~(values <= f[rows] + 1e-4 * t[rows] * slope[rows])
+            if not failed.any():
                 break
-            t *= 0.5
-        s, y = x_new - x, g_new - g
-        sy = s @ y
-        if sy > 0.0:
-            pairs.append((s, y, 1.0 / sy))
-        decrease = (f - f_new) / max(abs(f), abs(f_new), 1.0)
-        x, f, g = x_new, f_new, g_new
-        if decrease <= 1e-18:
-            break
+            trial = rows = trial[failed]
+            t[rows] *= 0.5
+        if not every(moved):
+            # A stopped row keeps its last accepted point, whatever it tried.
+            stopped = ~moved
+            pos_new[stopped], f_new[stopped], g_new[stopped] = pos[stopped], f[stopped], g[stopped]
+        s, y = pos_new - pos, g_new - g
+        sy = vecdot(s, y)
+        decrease = (f - f_new) / np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        pos, f, g = pos_new, f_new, g_new
+        going = moved & ~(decrease <= 1e-18)
+        head = (head + 1) % memory
+        kept = sy > 0.0
+        if every(kept):
+            s_hist[head], y_hist[head], rho[head] = s, y, 1.0 / sy
+            count += count < memory
+        else:
+            # Rows that skip their pair rotate their rings, so every row's
+            # newest pair stays in the head slot.
+            skip = ~kept
+            for ring in (s_hist, y_hist, rho):
+                ring[:, skip] = np.roll(ring[:, skip], 1, axis=0)
+            s_hist[head, kept], y_hist[head, kept], rho[head, kept] = s[kept], y[kept], 1.0 / sy[kept]
+            count[kept] += count[kept] < memory
+    x[live] = pos
     return x
+
+
+def _solve(members: list, trainer_config: TrainerConfig,
+           start: ModelParams | None) -> list[Optimum]:
+    """`solve_optimum` of each in-space member, bitwise, in one lockstep `_lbfgs` call.
+
+    The members' rows are augmented once, into one block of the solver's
+    objective (`_stacked_objective`). Each member's final gradient and loss
+    come from `gradient` and `loss`, after the objective is freed; the
+    members are checked in order, so the first failing one raises.
+    """
+    d, c = members[0].d, members[0].class_count
+    lam = trainer_config.l2_lambda
+    x0 = (start.weights if start is not None else np.zeros((d + 1, c))).ravel()
+    # No local name for the objective: its block and buffer go with the
+    # solver, before the final checks allocate their own.
+    x = _lbfgs(_stacked_objective(members, lam), np.repeat(x0[None], len(members), axis=0),
+               _LBFGS_MAX_ITER, min(_GRAD_TOL, 1e-9) / 10.0)
+    optima = []
+    for w, ds in zip(x, members):
+        model = ModelParams(weights=w.reshape(d + 1, c), class_count=c)
+        grad_norm = float(np.linalg.norm(gradient(model, ds, lam)))
+        if grad_norm > _HARD_TOL:
+            raise MeasurementError(
+                f"optimizer stopped with gradient norm {grad_norm:.3e} > {_HARD_TOL:.0e}")
+        if grad_norm > _GRAD_TOL:
+            logger.warning("optimum gradient norm %.3e misses the %.0e target", grad_norm,
+                           _GRAD_TOL)
+        optima.append(Optimum(model=model, loss=loss(model, ds, lam), grad_norm=grad_norm))
+    return optima
 
 
 def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
@@ -220,25 +330,12 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
     Strong convexity makes the minimum unique; L-BFGS (`_lbfgs`) drives
     the gradient toward _GRAD_TOL. A final gradient norm above _HARD_TOL is
     a failed measurement and raises. The final gradient and loss come from
-    `gradient` and `loss`, after the solver's buffered objective is freed.
+    `gradient` and `loss`. This is the one-problem case of `_solve`.
     """
     ds = dataset.in_space()
     if ds.n == 0:
         raise ValueError("dataset is empty")
-    d, c = ds.d, ds.class_count
-    lam = trainer_config.l2_lambda
-    x0 = (start.weights if start is not None else np.zeros((d + 1, c))).ravel()
-    # No local name for the objective: its features and buffer go with the
-    # solver, before the final check allocates its own.
-    x = _lbfgs(_objective(ds, lam), x0, _LBFGS_MAX_ITER, min(_GRAD_TOL, 1e-9) / 10.0)
-    model = ModelParams(weights=x.reshape(d + 1, c), class_count=c)
-    grad_norm = float(np.linalg.norm(gradient(model, ds, lam)))
-    if grad_norm > _HARD_TOL:
-        raise MeasurementError(
-            f"optimizer stopped with gradient norm {grad_norm:.3e} > {_HARD_TOL:.0e}")
-    if grad_norm > _GRAD_TOL:
-        logger.warning("optimum gradient norm %.3e misses the %.0e target", grad_norm, _GRAD_TOL)
-    return Optimum(model=model, loss=loss(model, ds, lam), grad_norm=grad_norm)
+    return _solve([ds], trainer_config, start)[0]
 
 
 def measure_init_gap(d: int, c: int, seed: int, w_star: ModelParams,
@@ -249,6 +346,41 @@ def measure_init_gap(d: int, c: int, seed: int, w_star: ModelParams,
         w1 = server_init(d, c, derive_seed(seed, INIT_GAP, j), init_scale)
         gaps.append(float(np.sum((w1.weights - w_star.weights) ** 2)))
     return float(np.mean(gaps))
+
+
+def _b_moments(datasets, models, trainer_config: TrainerConfig,
+               seed: int) -> tuple[list[float], float]:
+    """sigma_i^2 of each in-space participant and G^2 over all of them.
+
+    Each participant draws its _B_BATCHES batches first, from its own MEASURE
+    stream in order; they are then scored in chunks of at most _STEP_BLOCK
+    batch logits, one `_gradient` call per chunk and one product per batch,
+    so every batch gradient is bitwise `gradient` on that batch alone.
+    """
+    lam = trainer_config.l2_lambda
+    add = np.add.reduce
+    sigma_sq, g_sq = [], 0.0
+    fulls, draws = [], []
+    for i, (ds, model) in enumerate(zip(datasets, models)):
+        rng = derive_rng(seed, MEASURE, i)
+        fulls.append(gradient(model, ds, lam))
+        batch = min(trainer_config.batch_size, ds.n)
+        draws.append(np.sort([rng.choice(ds.n, size=batch, replace=False)
+                              for _ in range(_B_BATCHES)], axis=1))
+    for ds, model, full, batches in zip(datasets, models, fulls, draws):
+        per_chunk = max(1, _STEP_BLOCK // (batches.shape[1] * ds.class_count))
+        worst = 0.0
+        for chunk in np.split(batches, range(per_chunk, _B_BATCHES, per_chunk)):
+            rows = chunk.reshape(-1)
+            bgrads = _gradient(model.weights, _augment(ds.features[rows]).reshape(*chunk.shape, -1),
+                               ds.observed_labels[rows].reshape(chunk.shape), lam)
+            k = len(chunk)
+            for dev, size in zip(add(((bgrads - full) ** 2).reshape(k, -1), axis=-1).tolist(),
+                                 add((bgrads ** 2).reshape(k, -1), axis=-1).tolist()):
+                worst = max(worst, dev)
+                g_sq = max(g_sq, size)
+        sigma_sq.append(worst)
+    return sigma_sq, g_sq
 
 
 def measure_b_components(datasets, models, server_ref_model: ModelParams,
@@ -267,29 +399,13 @@ def measure_b_components(datasets, models, server_ref_model: ModelParams,
     if len(datasets) != len(models) or not datasets:
         raise ValueError("need one model per dataset")
     n = len(datasets)
-    lam = trainer_config.l2_lambda
-
-    sigma_sq, g_sq = [], 0.0
-    for i, (ds, model) in enumerate(zip(datasets, models)):
-        rng = derive_rng(seed, MEASURE, i)
-        full = gradient(model, ds, lam)
-        worst = 0.0
-        batch = min(trainer_config.batch_size, ds.n)
-        for _ in range(_B_BATCHES):
-            rows = np.sort(rng.choice(ds.n, size=batch, replace=False))
-            # Augmented per batch: an augmented copy of the whole set would
-            # outlive the loop and sit in memory through the pooled solve.
-            bgrad = _gradient(model.weights, _augment(ds.features[rows]),
-                              ds.observed_labels[rows], lam)
-            worst = max(worst, float(np.sum((bgrad - full) ** 2)))
-            g_sq = max(g_sq, float(np.sum(bgrad ** 2)))
-        sigma_sq.append(worst)
-
-    pooled = concat_datasets(datasets, name="pooled")
-    optimum = solve_optimum(pooled, trainer_config, start=server_ref_model)
+    sigma_sq, g_sq = _b_moments(datasets, models, trainer_config, seed)
+    # The pooled set lives only through its own solve; the participants are
+    # then solved together on one block of their rows.
+    optimum = solve_optimum(concat_datasets(datasets, name="pooled"), trainer_config,
+                            start=server_ref_model)
     l_star = optimum.loss
-    l_i_star = [solve_optimum(ds, trainer_config, start=server_ref_model).loss
-                for ds in datasets]
+    l_i_star = [opt.loss for opt in _solve(datasets, trainer_config, server_ref_model)]
     # (1/n) * loss per term, summed in order: `v / n` or np.mean round
     # differently, and Gamma feeds every B and round count.
     mean = float(sum((1.0 / n) * v for v in l_i_star))

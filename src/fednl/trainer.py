@@ -347,10 +347,87 @@ def gradient(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> np
 
 def _gradient(weights: np.ndarray, x: np.ndarray, labels: np.ndarray,
               l2_lambda: float) -> np.ndarray:
-    """`gradient` from augmented features x and their labels, unchecked."""
+    """`gradient` from augmented features x and their labels, unchecked.
+
+    x may hold a stack of equal batches, shape (k, rows, d+1) with labels
+    (k, rows), all at the same weights: the products then run one per batch,
+    and each (d+1, c) slice of the result is bitwise that batch's gradient
+    alone.
+    """
     probs = np.exp(_log_softmax(x @ weights))
-    probs[np.arange(len(labels)), labels] -= 1.0
-    return x.T @ probs / len(labels) + l2_lambda * weights
+    c = probs.shape[-1]
+    probs.reshape(-1)[np.arange(0, labels.size * c, c) + labels.reshape(-1)] -= 1.0
+    return np.swapaxes(x, -1, -2) @ probs / labels.shape[-1] + l2_lambda * weights
+
+
+def _stacked_objective(members, l2_lambda: float):
+    """`loss` and flattened `gradient` of k datasets at once, each on its own rows.
+
+    The members are validated and augmented once, into one block of their
+    rows in member order, and one (n, c) buffer is allocated for all n rows.
+    ``evaluate(w, which)`` takes the flat weights of the members listed in
+    ``which`` (increasing indices), an (m, (d+1) c) array in that order, and
+    returns their losses (m,) and flat gradients (m, (d+1) c). Each member
+    is multiplied on its own rows of the block, its logits packed into the
+    buffer's leading rows in member order; then one `_log_softmax`, one
+    label gather, one exp and one subtract-at-labels serve them all, and
+    each member's NLL, L2 term and gradient are reduced on their own. The
+    products stay ``np.matmul(x, w, out=buf)`` and ``x.T @ buf`` per member:
+    a class-major ``w.T @ x.T`` changes the bits, and so would one product
+    over several members' rows. The values are bitwise those of `loss` and
+    `gradient` on each member alone.
+    """
+    members = list(members)
+    for ds in members:
+        _require_trainable(ds)
+    d, c = members[0].d, members[0].class_count
+    if any(ds.d != d or ds.class_count != c for ds in members):
+        raise ValueError("members disagree on class space or feature dimension")
+    bounds = list(accumulate((ds.n for ds in members), initial=0))
+    n = bounds[-1]
+    x = np.empty((n, d + 1))
+    x[:, -1] = 1.0
+    for ds, a, b in zip(members, bounds, bounds[1:]):
+        x[a:b, :-1] = ds.features
+    blocks = [x[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Row counts as floats: the means divide by them without a cast.
+    sizes = np.diff(bounds).astype(np.float64)
+    buf = np.empty((n, c))
+    flat = buf.reshape(-1)
+    # (member, first row, end row) of each member's logits when all are
+    # evaluated, each in its own rows, and each row's flat label index then.
+    spans_all = list(zip(range(len(members)), bounds, bounds[1:]))
+    labelled = np.arange(0, n * c, c) + np.concatenate([ds.observed_labels for ds in members])
+    add = np.add.reduce
+
+    def evaluate(w: np.ndarray, which) -> tuple[np.ndarray, np.ndarray]:
+        m = len(which)
+        weights = w.reshape(m, d + 1, c)
+        if m == len(blocks):
+            spans, rows, picked = spans_all, sizes, labelled
+        else:
+            which = np.asarray(which).tolist()
+            rows = sizes[which]
+            offsets = list(accumulate((bounds[j + 1] - bounds[j] for j in which), initial=0))
+            spans = list(zip(which, offsets, offsets[1:]))
+            picked = np.concatenate([labelled[bounds[j]:bounds[j + 1]] + (a - bounds[j]) * c
+                                     for j, a in zip(which, offsets)])
+        logits = buf[:spans[-1][2]]
+        for wj, (j, a, b) in zip(weights, spans):
+            np.matmul(blocks[j], wj, out=logits[a:b])
+        nll = _log_softmax(logits).reshape(-1)[picked]
+        sums = np.array([add(nll[a:b]) for _, a, b in spans])
+        values = -(sums / rows) + 0.5 * l2_lambda * add((weights ** 2).reshape(m, -1), axis=-1)
+        np.exp(logits, out=logits)
+        flat[picked] -= 1.0
+        grads = np.empty((m, d + 1, c))
+        for g, (j, a, b) in zip(grads, spans):
+            np.matmul(blocks[j].T, logits[a:b], out=g)
+        grads /= rows[:, None, None]
+        grads += l2_lambda * weights
+        return values, grads.reshape(m, -1)
+
+    return evaluate
 
 
 def _objective(dataset: Dataset, l2_lambda: float):

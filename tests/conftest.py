@@ -52,6 +52,17 @@ def reference_objective(dataset, l2_lambda):
     return evaluate
 
 
+def reference_stacked_objective(members, l2_lambda):
+    """`reference_objective` of each listed member in turn, the stacked solver objective unbuffered."""
+    evaluates = [reference_objective(ds, l2_lambda) for ds in members]
+
+    def evaluate(w, which):
+        pairs = [evaluates[j](row) for row, j in zip(w, np.asarray(which).tolist())]
+        return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
+
+    return evaluate
+
+
 @pytest.fixture
 def tiny_dataset():
     """Nine linearly separated instances over three classes."""

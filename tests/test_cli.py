@@ -14,7 +14,7 @@ import fednl
 from fednl import MeasurementError, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
-from conftest import reference_objective
+from conftest import reference_objective, reference_stacked_objective
 
 
 def run_cli(*argv):
@@ -389,29 +389,43 @@ def test_rounds_empty_grid_rejected(tmp_path):
     assert run_cli("rounds", "--config", str(config)) == EXIT_VALIDATION
 
 
-def _count_solves(monkeypatch):
-    calls = []
+def _record_solves(monkeypatch):
+    """Calls of `solve_optimum`, and the member sizes of each stacked solve.
+
+    Every solve runs on `reference_stacked_objective`, per-call `loss` and
+    `gradient`.
+    """
+    calls, stacks = [], []
     solve = rounds.solve_optimum
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
+    def reference(members, l2_lambda):
+        stacks.append([ds.n for ds in members])
+        return reference_stacked_objective(members, l2_lambda)
+
     monkeypatch.setattr(rounds, "solve_optimum", counted)
-    return calls
+    monkeypatch.setattr(rounds, "_stacked_objective", reference)
+    return calls, stacks
 
 
 def test_rounds_table_bitwise_equals_per_call_objective(tmp_path, capsys, monkeypatch):
     config = write_config(tmp_path, ROUNDS_CONFIG)
-    solves = _count_solves(monkeypatch)
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     got = capsys.readouterr().out
-    # One pooled solve and one per participant: the init gap reuses the pooled one.
-    assert len(solves) == 4
+    calls, stacks = _record_solves(monkeypatch)
     monkeypatch.setattr(rounds, "_objective", reference_objective)
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == got
     assert "error" not in got
+    # The pooled set is solved once, through `solve_optimum`, and the three
+    # participants once each, in one stack over the same rows; the init gap
+    # reuses the pooled optimum.
+    assert len(calls) == 1
+    assert [len(sizes) for sizes in stacks] == [1, 3]
+    assert stacks[0] == [sum(stacks[1])]
 
 
 def test_rounds_measurement_failure_prints_error_rows(tmp_path, capsys, monkeypatch):

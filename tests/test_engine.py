@@ -455,3 +455,22 @@ def test_duplicate_ids_rejected():
     )
     with pytest.raises(ValueError):
         run_fedavg(config, [base, base])
+
+
+def test_shared_ids_name_the_first_dataset_that_repeats_one():
+    def holding(*ids):
+        return make_dataset(np.zeros((len(ids), 2)), [0] * len(ids), c=3, ids=list(ids))
+
+    parts = [holding(9, 1, 5, 2, 3), holding(20, 21), holding(30, 21, 9, 8, 3, 1, 5, 2, 40),
+             holding(1)]
+    # Participant 2 is the first to repeat an earlier id: six of them, the
+    # first five named in order.
+    with pytest.raises(ValueError) as info:
+        engine._check_disjoint_ids(parts, None)
+    assert str(info.value) == ("instance ids are shared across datasets: [1, 2, 3, 5, 9]; "
+                               "give each source its own id_base")
+    with pytest.raises(ValueError) as info:
+        engine._check_disjoint_ids(parts[:2], holding(50, 21, 20))
+    assert str(info.value) == ("instance ids are shared across datasets: [20, 21]; "
+                               "give each source its own id_base")
+    engine._check_disjoint_ids(parts[:2], holding(50, 60))

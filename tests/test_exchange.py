@@ -315,6 +315,34 @@ def test_apply_matches_per_class_reference(kind):
             == estimate_noise(dataset, CONFIG, derive_seed(12, EXCHANGE, 3)))
 
 
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_apply_builds_what_the_checked_construction_builds(with_truth):
+    # apply_exchange assembles the class-sorted set without the constructor's
+    # checks; it must equal concatenating and sorting through the checked
+    # path, field by field, true labels kept only when every part has them.
+    clean = synth_gaussian(3, 80, 2, 8.0, seed=12)
+    participant, _ = inject_noise(clean, asymmetric_matrix(3, [(1, 0, 0.3)]), seed=12)
+    if not with_truth:
+        participant = participant.training_view()
+    estimate = estimate_noise(participant.training_view(), CONFIG, seed=12)
+    server = synth_gaussian(3, 400, 2, 8.0, seed=93, id_base=10_000)
+    plan = _plan("normal", estimate, participant)
+    result = apply_exchange(participant, estimate, server, plan, seed=12)
+    assert result.transcript.transfers
+    merged = concat_datasets([participant.by_ids(estimate.noise_free_ids)]
+                             + [server.by_ids(ids) for ids in result.transcript.transfers.values()],
+                             name=participant.name)
+    want = merged.take(np.argsort(merged.observed_labels, kind="stable"))
+    got = result.dataset
+    assert (got.name, got.class_count) == (want.name, want.class_count)
+    assert (got.true_labels is None) == (not with_truth) == (want.true_labels is None)
+    for field in ("features", "observed_labels", "ids", "true_labels"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            assert a.flags.c_contiguous and not a.flags.writeable, field
+
+
 # The fednl_wide benchmark scenario at config seed 57: participant 2's estimate
 # keeps 1 of its 75 rows and no class demands anything.
 WIDE_SEED_57 = """

@@ -39,7 +39,7 @@ from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
-from conftest import make_dataset, reference_objective, train_one
+from conftest import make_dataset, reference_stacked_objective, train_one
 
 
 CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
@@ -123,7 +123,7 @@ def test_optimum_bitwise_equals_per_call_objective(monkeypatch):
     ds = synth_gaussian(4, 40, 3, 4.0, seed=14)
     start = server_init(ds.d, 4, seed=14)
     got = solve_optimum(ds, CONFIG, start=start)
-    monkeypatch.setattr(rounds, "_objective", reference_objective)
+    monkeypatch.setattr(rounds, "_stacked_objective", reference_stacked_objective)
     want = solve_optimum(ds, CONFIG, start=start)
     assert got.model.weights.tobytes() == want.model.weights.tobytes()
     assert (got.loss, got.grad_norm) == (want.loss, want.grad_norm)
@@ -134,6 +134,97 @@ def test_optimum_nonconvergence_reported(monkeypatch):
     monkeypatch.setattr(rounds, "_LBFGS_MAX_ITER", 1)
     with pytest.raises(MeasurementError):
         solve_optimum(ds, CONFIG)
+
+
+def _uneven_members():
+    """Members of 240, 17, 90, 1 and 40 rows; the 90-row one has features scaled by 30."""
+    base = synth_gaussian(4, 100, 3, 4.0, seed=14)
+    perm = np.random.default_rng(3).permutation(base.n)
+    cuts = np.split(perm, np.cumsum([240, 17, 90, 1, 40])[:-1])
+    members = [base.take(np.sort(rows)) for rows in cuts[:5]]
+    scaled = members[2]
+    members[2] = make_dataset(scaled.features * 30.0, scaled.observed_labels, c=4, ids=scaled.ids)
+    return members
+
+
+def _record_evaluations(monkeypatch):
+    """The members each call of the stacked solver objective evaluates."""
+    calls = []
+    real = rounds._stacked_objective
+
+    def recording(members, l2_lambda):
+        evaluate = real(members, l2_lambda)
+
+        def recorded(w, which):
+            calls.append(np.asarray(which).tolist())
+            return evaluate(w, which)
+
+        return recorded
+
+    monkeypatch.setattr(rounds, "_stacked_objective", recording)
+    return calls
+
+
+def test_stacked_solve_bitwise_equals_solving_each_alone(monkeypatch):
+    members = _uneven_members()
+    start = server_init(3, 4, seed=14)
+    calls = _record_evaluations(monkeypatch)
+    got = rounds._solve(members, CONFIG, start)
+    # The run covers what lockstep must get right: the one-row member stops
+    # long before the others, and a row that fails Armijo retries alone or
+    # with a few others (a later call evaluates more members again).
+    last = [max(i for i, call in enumerate(calls) if j in call) for j in range(len(members))]
+    assert last[3] < len(calls) // 10 and last[2] == len(calls) - 1
+    retries = [calls[i] for i in range(len(calls) - 1) if len(calls[i + 1]) > len(calls[i])]
+    assert [2] in retries
+    for optimum, ds in zip(got, members):
+        alone = solve_optimum(ds, CONFIG, start=start)
+        assert optimum.model.weights.tobytes() == alone.model.weights.tobytes()
+        assert (optimum.loss, optimum.grad_norm) == (alone.loss, alone.grad_norm)
+
+
+def test_stacked_solve_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(rounds, "_LBFGS_MAX_ITER", 1)
+    with pytest.raises(MeasurementError):
+        rounds._solve(_uneven_members(), CONFIG, None)
+
+
+def test_lockstep_rare_paths_bitwise_equal_solving_alone(monkeypatch):
+    # Nonconvex rows skip curvature pairs (s'y <= 0), so rows hold unequal
+    # pair counts and the two-loop masks the ages some lack; row 3's value
+    # is NaN, so every step fails Armijo until the point stops moving. The
+    # spies make sure those paths run.
+    rng = np.random.default_rng(0)
+    k, p = 8, 12
+    coef = rng.uniform(0.5, 3.0, size=k)
+    shift = rng.normal(size=(k, p))
+
+    def evaluate(w, which):
+        which = np.asarray(which)
+        z = w - shift[which]
+        a = coef[which][:, None]
+        grad = -a * np.sin(z) + 0.04 * z
+        value = np.add.reduce(a * np.cos(z) + 0.02 * z * z, axis=-1)
+        value[which == 3] = np.nan
+        return value, grad
+
+    x0 = rng.normal(scale=2.0, size=(k, p))
+    used = {"roll": 0, "flatnonzero": 0}
+    for name in used:
+        real = getattr(np, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            used[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    stacked = rounds._lbfgs(evaluate, x0, 500, 1e-12)
+    assert used["roll"] and used["flatnonzero"]
+    monkeypatch.undo()
+    assert stacked[3].tobytes() == x0[3].tobytes()
+    for j in range(k):
+        alone = rounds._lbfgs(lambda w, which: evaluate(w, [j]), x0[j:j + 1], 500, 1e-12)
+        assert stacked[j].tobytes() == alone[0].tobytes(), j
 
 
 def test_optimum_matches_scipy_lbfgsb():

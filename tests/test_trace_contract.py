@@ -114,6 +114,33 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
             assert tracer.counts[f"trainer.train_local.{tag}.steps"] > 0
 
 
+def _run_child_twice(tmp_path, name, command, small):
+    """The benchmark's child on a small cut of one workload, traced and untraced.
+
+    Returns the traced run's layer figures and whether both runs wrote the
+    same bytes.
+    """
+    workload = workloads.WORKLOADS[name]
+    config = tmp_path / "small.cfg"
+    config.write_text(workloads.Workload(why="", command=command,
+                                         keys={**workload.keys, **small}).config_text(0))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env.pop("FEDNL_OUTPUT_ROOT", None)
+    outcomes = {}
+    for mode, flags in (("traced", ["--trace"]), ("untraced", [])):
+        result = tmp_path / f"{mode}.json"
+        subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
+                        "--command", command, "--run-dir", str(tmp_path / mode),
+                        "--result", str(result), "--t0", repr(time.time()), *flags],
+                       env=env, cwd=PERFBENCH.parent, check=True, timeout=120)
+        outcomes[mode] = json.loads(result.read_text())
+        assert "error" not in outcomes[mode], outcomes[mode].get("error")
+    return (outcomes["traced"]["layers"],
+            outcomes["traced"]["checksum"] == outcomes["untraced"]["checksum"])
+
+
 def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
     # The benchmark fails a workload whose `expected` span records no calls,
     # for example when a fast path stops going through `Dataset.take`, and
@@ -124,24 +151,20 @@ def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
                 if name.startswith("fednl") for span in workload.expected}
     small = {"participants": 4, "rounds": 2, "data.per_class": 100, "server.per_class": 100,
              "noise.participants": "0"}
-    wide = workloads.WORKLOADS["fednl_wide"]
-    config = tmp_path / "small.cfg"
-    config.write_text(workloads.Workload(why="", command="run",
-                                         keys={**wide.keys, **small}).config_text(0))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
-    env.pop("FEDNL_OUTPUT_ROOT", None)
-    outcomes = {}
-    for mode, flags in (("traced", ["--trace"]), ("untraced", [])):
-        result = tmp_path / f"{mode}.json"
-        subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "--config", str(config),
-                        "--command", "run", "--run-dir", str(tmp_path / mode),
-                        "--result", str(result), "--t0", repr(time.time()), *flags],
-                       env=env, cwd=PERFBENCH.parent, check=True, timeout=120)
-        outcomes[mode] = json.loads(result.read_text())
-        assert "error" not in outcomes[mode], outcomes[mode].get("error")
-    silent = sorted(span for span in expected
-                    if not outcomes["traced"]["layers"].get(f"{span}.calls"))
+    layers, replayed = _run_child_twice(tmp_path, "fednl_wide", "run", small)
+    silent = sorted(span for span in expected if not layers.get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
-    assert outcomes["traced"]["checksum"] == outcomes["untraced"]["checksum"]
+    assert replayed
+
+
+def test_rounds_workload_spans_fire_in_a_traced_child(tmp_path):
+    # The same check for `rounds_grid`: its optima must still go through
+    # `rounds.solve_optimum`, and `loss`/`gradient` through `rounds`' own
+    # bindings, or the benchmark marks the workload's outputs incorrect.
+    small = {"participants": 3, "data.classes": 3, "data.dim": 2, "data.per_class": 40,
+             "server.per_class": 20, "noise.participants": "0", "rounds_grid.noise": "0.3"}
+    layers, replayed = _run_child_twice(tmp_path, "rounds_grid", "rounds", small)
+    silent = sorted(span for span in workloads.WORKLOADS["rounds_grid"].expected
+                    if not layers.get(f"{span}.calls"))
+    assert not silent, f"spans that recorded no calls: {silent}"
+    assert replayed

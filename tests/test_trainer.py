@@ -26,6 +26,7 @@ from fednl import (
 )
 from fednl import ModelParams, trainer
 from fednl._rng import TRAIN, derive_rng
+from fednl.rounds import _row_dot
 from fednl.trainer import (_augment, _exp_class_sum, _log_softmax, _log_softmax_columns,
                            _log_softmax_rows, _losses, _member_losses, _objective)
 
@@ -174,6 +175,22 @@ def test_exp_class_sum_bitwise_equals_row_reduction():
             got = _exp_class_sum(values)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (c, shape)
+
+
+def test_solver_row_dot_bitwise_equals_one_dot_per_row():
+    # The lockstep L-BFGS takes every dot and norm of a row from `_row_dot`;
+    # each must be what solving that row's problem alone computes.
+    rng = np.random.default_rng(35)
+    for p in (6, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100, 129, 210, 211, 500, 999, 1000):
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            rings = rng.standard_normal((7, 3, p)) * scale
+            b = rng.standard_normal((7, p)) * scale
+            # Rows strided apart, and contiguous rows of unequal scales.
+            for a in (rings[:, 1], rings[:, 2] * rng.uniform(0.5, 2.0, size=(7, 1))):
+                dots, norms = _row_dot(a, b), np.sqrt(_row_dot(a, a))
+                for i in range(len(a)):
+                    assert dots[i] == a[i] @ b[i], (p, scale, i)
+                    assert norms[i] == np.linalg.norm(a[i]), (p, scale, i)
 
 
 def _log_softmax_cases():
