@@ -13,19 +13,24 @@ round, then L, the B components and the init gap) for every caller;
 `RoundConstants.rounds` turns it into B and a round estimate.
 
 Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
-package needs no scipy. Each solve and the smoothness probe evaluate loss
-and gradient in one buffered pass (`trainer._objective`); on the pooled
-set its log-softmax reduces over the class columns, not along each row.
-The B measurement's batch gradients come straight from the sampled rows'
-features and labels (`trainer._gradient`, the body of `gradient`), with no
-`Dataset` built per batch. The pooled optimum is solved once per
-measurement: `measure_b_components` returns it, and the init gap reads it
-from there.
+package needs no scipy. It solves a stack of problems in iteration
+lockstep, every running problem one iteration per tick, each bitwise what
+solving it alone gives; `solve_optimum` is a stack of one. Per noise level
+the pooled set is solved once, through `solve_optimum`, and the init gap
+reads that optimum from `measure_b_components`; then all participants are
+solved in one call (`_solve`) whose objective (`trainer._stacked_objective`)
+holds their rows in one augmented block and evaluates every running
+participant in one pass. The smoothness probe evaluates loss and gradient
+in one buffered pass (`trainer._objective`). On the pooled set both
+log-softmaxes reduce over the class columns, not along each row. The B
+measurement draws every participant's batches, then takes their gradients
+from the sampled rows' features and labels in chunks of batches
+(`trainer._gradient`, the body of `gradient`), with no `Dataset` built per
+batch.
 """
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,7 +292,8 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
             skip = ~kept
             for ring in (s_hist, y_hist, rho):
                 ring[:, skip] = np.roll(ring[:, skip], 1, axis=0)
-            s_hist[head, kept], y_hist[head, kept], rho[head, kept] = s[kept], y[kept], 1.0 / sy[kept]
+            s_hist[head, kept], y_hist[head, kept] = s[kept], y[kept]
+            rho[head, kept] = 1.0 / sy[kept]
             count[kept] += count[kept] < memory
     x[live] = pos
     return x
@@ -372,8 +378,8 @@ def _b_moments(datasets, models, trainer_config: TrainerConfig,
         worst = 0.0
         for chunk in np.split(batches, range(per_chunk, _B_BATCHES, per_chunk)):
             rows = chunk.reshape(-1)
-            bgrads = _gradient(model.weights, _augment(ds.features[rows]).reshape(*chunk.shape, -1),
-                               ds.observed_labels[rows].reshape(chunk.shape), lam)
+            x = _augment(ds.features[rows]).reshape(*chunk.shape, -1)
+            bgrads = _gradient(model.weights, x, ds.observed_labels[rows].reshape(chunk.shape), lam)
             k = len(chunk)
             for dev, size in zip(add(((bgrads - full) ** 2).reshape(k, -1), axis=-1).tolist(),
                                  add((bgrads ** 2).reshape(k, -1), axis=-1).tolist()):

@@ -433,33 +433,19 @@ def _stacked_objective(members, l2_lambda: float):
 def _objective(dataset: Dataset, l2_lambda: float):
     """`loss` and flattened `gradient` of one dataset as one function of the weights.
 
-    Validates the dataset and augments its features once, and allocates one
-    (n, c) buffer. Each call of the returned ``evaluate(w)`` runs the whole
-    pass in that buffer: logits, then `_log_softmax` in place, the loss read
-    through a flat label index, then probabilities minus one at the labels.
-    The two products stay ``np.matmul(x, w, out=buf)`` and
-    ``x.T @ buf``; a class-major ``w.T @ x.T`` changes the bits. ``w`` holds
-    the (d+1, c) weights in any shape that reshapes to it. The values are
-    bitwise those of `loss` and `gradient`.
+    The one-member `_stacked_objective`: validated and augmented once, one
+    (n, c) buffer. ``evaluate(w)`` takes the (d+1, c) weights in any shape
+    that reshapes to it; the values are bitwise those of `loss` and
+    `gradient`.
     """
-    _require_trainable(dataset)
-    x = _augment(dataset.features)
-    n, c = dataset.n, dataset.class_count
-    shape = (x.shape[1], c)
-    buf = np.empty((n, c))
-    flat = buf.reshape(-1)
-    picked = np.arange(n) * c + dataset.observed_labels
-    add = np.add.reduce
+    evaluate = _stacked_objective([dataset], l2_lambda)
+    only = [0]
 
-    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray]:
-        weights = w.reshape(shape)
-        _log_softmax(np.matmul(x, weights, out=buf))
-        value = float(-(add(flat[picked]) / n) + 0.5 * l2_lambda * add(weights ** 2, axis=None))
-        np.exp(buf, out=buf)
-        flat[picked] -= 1.0
-        return value, (x.T @ buf / n + l2_lambda * weights).reshape(-1)
+    def single(w: np.ndarray) -> tuple[float, np.ndarray]:
+        values, grads = evaluate(w.reshape(1, -1), only)
+        return float(values[0]), grads[0]
 
-    return evaluate
+    return single
 
 
 def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ def reference_objective(dataset, l2_lambda):
 
 
 def reference_stacked_objective(members, l2_lambda):
-    """`reference_objective` of each listed member in turn, the stacked solver objective unbuffered."""
+    """`reference_objective` of each listed member in turn: the stacked objective, unbuffered."""
     evaluates = [reference_objective(ds, l2_lambda) for ds in members]
 
     def evaluate(w, which):
