@@ -208,6 +208,7 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
     head = 0  # ring slot of every row's newest pair
     going = np.ones(k, dtype=bool)  # rows the last tick did not stop
     vecdot, every = _row_dot, np.logical_and.reduce
+    every_row = slice(None)
     for _ in range(max_iter):
         going &= ~(np.maximum.reduce(np.abs(g), axis=1) <= gtol)
         if not every(going):
@@ -217,35 +218,26 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
             if not live.size:
                 break
         # q becomes H g, H the inverse-Hessian estimate; the step is along -q.
-        # An age that some rows lack runs on the rows that hold it.
+        # An age that some rows lack runs on the rows that hold it, a basic
+        # slice of all rows while every row holds it.
         fewest, most = int(count.min()), int(count.max())
-        ages = [(slot % memory, None if age < fewest else np.flatnonzero(count > age))
+        ages = [(slot % memory, every_row if age < fewest else np.flatnonzero(count > age))
                 for age, slot in enumerate(range(head, head - most, -1))]
         q = g.copy()
         alphas = []
         for slot, rows in ages:
-            if rows is None:
-                alphas.append(rho[slot] * vecdot(s_hist[slot], q))
-                q -= alphas[-1][:, None] * y_hist[slot]
-            else:
-                alphas.append(rho[slot, rows] * vecdot(s_hist[slot, rows], q[rows]))
-                q[rows] -= alphas[-1][:, None] * y_hist[slot, rows]
-        if fewest:
-            s, y = s_hist[head], y_hist[head]
-            q *= (vecdot(s, y) / vecdot(y, y))[:, None]
-        elif not most:
-            q /= np.sqrt(vecdot(g, g))[:, None]
-        else:
-            rows, first = np.flatnonzero(count), np.flatnonzero(count == 0)
+            alphas.append(rho[slot, rows] * vecdot(s_hist[slot, rows], q[rows]))
+            q[rows] -= alphas[-1][:, None] * y_hist[slot, rows]
+        if most:
+            rows = every_row if fewest else np.flatnonzero(count)
             s, y = s_hist[head, rows], y_hist[head, rows]
             q[rows] *= (vecdot(s, y) / vecdot(y, y))[:, None]
-            q[first] /= np.sqrt(vecdot(g[first], g[first]))[:, None]
+        if not fewest:
+            rows = every_row if not most else np.flatnonzero(count == 0)
+            q[rows] /= np.sqrt(vecdot(g[rows], g[rows]))[:, None]
         for (slot, rows), a in zip(reversed(ages), reversed(alphas)):
-            if rows is None:
-                q += (a - rho[slot] * vecdot(y_hist[slot], q))[:, None] * s_hist[slot]
-            else:
-                q[rows] += ((a - rho[slot, rows] * vecdot(y_hist[slot, rows], q[rows]))[:, None]
-                            * s_hist[slot, rows])
+            q[rows] += ((a - rho[slot, rows] * vecdot(y_hist[slot, rows], q[rows]))[:, None]
+                        * s_hist[slot, rows])
         slope = -vecdot(g, q)
         # Backtracking: every row tries a unit step, then the rows that fail
         # Armijo halve their steps and try again. ``rows`` indexes the rows
@@ -253,7 +245,7 @@ def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
         t = np.ones(len(live))
         moved = np.ones(len(live), dtype=bool)
         pos_new, f_new, g_new = pos.copy(), f.copy(), g.copy()
-        trial, rows = np.arange(len(live)), slice(None)
+        trial, rows = np.arange(len(live)), every_row
         while True:
             base = pos[rows]
             cand = base - t[rows, None] * q[rows]
