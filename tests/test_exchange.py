@@ -254,6 +254,15 @@ def test_apply_rejects_shared_ids_naming_first_five():
         apply_exchange(participant, estimate, server, plan, seed=10)
 
 
+def test_apply_rejects_a_server_of_another_dimension():
+    participant = synth_gaussian(3, 10, 2, 8.0, seed=10)
+    server = synth_gaussian(3, 10, 3, 8.0, seed=11, id_base=100)
+    estimate = fake_estimate([0.2, 0.0, 0.1], [10, 10, 10])
+    plan = fulfill_demands(compute_demands(estimate, [10, 10, 10]), server.class_sizes())
+    with pytest.raises(ValueError, match="disagree on the feature dimension"):
+        apply_exchange(participant, estimate, server, plan, seed=10)
+
+
 # ---------------------------------------------------------------- per-class reference
 
 def reference_exchange(participant, estimate, server, plan, seed):
