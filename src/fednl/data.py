@@ -244,6 +244,9 @@ def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool 
         else:
             raise SchemaError(f"{path}: row {row_no} label {label} outside [0, {c}) "
                               "and out-of-space labels are not permitted")
+    for row_no, label in enumerate(tru, start=1):
+        if not 0 <= label < c:
+            raise SchemaError(f"{path}: row {row_no} true label {label} outside [0, {c})")
     d = len(feat_idx)
     return Dataset(
         features=np.array(feats, dtype=np.float64).reshape(n, d),

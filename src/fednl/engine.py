@@ -66,6 +66,8 @@ class FederationConfig:
             raise ValueError("rounds must be positive")
         if self.weighting not in ("fednl", "fedavg-size"):
             raise ValueError(f"weighting must be 'fednl' or 'fedavg-size', got {self.weighting!r}")
+        if self.demand_cap not in ("size", "z"):
+            raise ValueError(f"demand_cap must be 'size' or 'z', got {self.demand_cap!r}")
         if self.run_procedure2 and not self.run_procedure1:
             raise ValueError("normalization needs estimates; enable run_procedure1")
         if not 0.0 <= self.server_test_fraction < 1.0:

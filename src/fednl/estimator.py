@@ -6,14 +6,16 @@ counts as noise-free only when its existing label and both predictions agree;
 everything else is removed. Per class k this yields the noise-free set S_k,
 the removed set R_k, and the ratio beta_k = |R_k| / |D_k|.
 
-The procedure runs on row positions: the split is three sorted position
-arrays, the two out-of-fold predictions of every row fill one (n, 2) array,
-and the agreement rule is applied to all rows at once. Instance ids appear
-only in the returned estimate. True labels are stripped once, on entry, so no
-fold model ever sees them.
+The procedure runs on row positions. A `FoldPlan` lists each fold model's
+training rows and, for each row, its two voters: the models that never
+trained on it. Scoring gathers every row's two votes from the models'
+predictions into one (n, 2) array and applies the agreement rule to all
+rows in one pass, whichever split voted. Instance ids appear only in the
+returned estimate. True labels are stripped once, on entry, so no fold model
+ever sees them.
 
-An estimate has three steps: `plan_folds` draws the splits, `train_folds`
-trains the fold models and `estimate_noise` scores them. `plan_folds` and
+An estimate has three steps: `plan_folds` builds the plan, `train_folds`
+trains its models and `estimate_noise` scores them. `plan_folds` and
 `train_folds` take many datasets: the first derives all their streams in two
 batches, the second trains all their fold models in one lockstep call, which
 is how the pipeline estimates many participants at once; `estimate_noise`
@@ -94,18 +96,17 @@ class NoiseEstimate:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Procedure 1's three-fold splits of one dataset, drawn once.
+    """Procedure 1's fold models of one dataset and the votes they cast.
 
-    ``in_space`` holds the rows the estimate scores. There is one split per
-    entry of ``folds``: the shared one, or under per-class re-splitting one
-    per class with rows, listed in ``classes``. Split s trains three models,
-    model j on fold ``folds[s][j]`` with seed ``seeds[s][j]``.
+    ``in_space`` holds the rows the estimate scores. Model m trains on rows
+    ``train_rows[m]`` of it with seed ``seeds[m]``. Row r is voted on by
+    models ``voters[r]``, an increasing pair that never trained on it.
     """
 
     in_space: Dataset
-    classes: tuple[int, ...] | None
-    folds: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    seeds: tuple[tuple[int, int, int], ...]
+    train_rows: tuple[np.ndarray, ...]
+    seeds: tuple[int, ...]
+    voters: np.ndarray
 
 
 def fold_rows(dataset: Dataset, per_class_resplit: bool = False) -> int:
@@ -115,9 +116,18 @@ def fold_rows(dataset: Dataset, per_class_resplit: bool = False) -> int:
     return int(sizes.sum()) * (int(np.count_nonzero(sizes)) if per_class_resplit else 1)
 
 
+#: Row r of fold q is voted on by the two models trained on the other folds.
+_OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 def plan_folds(datasets, seeds, per_class_resplit: bool = False) -> list[FoldPlan]:
     """Draw the splits `estimate_noise` trains on, one plan per dataset and
     its seed; see there for the two modes.
+
+    Each split deals the in-space rows over three folds and trains one model
+    per fold. The shared split is models 0-2 and votes on every row. Under
+    per-class re-splitting, the split of the s-th class with rows is models
+    3s to 3s+2 and votes on that class's rows only.
 
     Split s of a dataset seeded ``seed`` is the stream (seed, ESTIMATE, 0),
     or (seed, ESTIMATE, 1, k) for class k; its key 0 seeds the fold split
@@ -125,75 +135,57 @@ def plan_folds(datasets, seeds, per_class_resplit: bool = False) -> list[FoldPla
     batched derivation and the splits' FOLDS generators from another.
     Raises EstimationError when fewer than MIN_FOLD_ROWS rows are in-space.
     """
-    spaces, classes = [], []
+    spaces, splits = [], []
     for dataset in datasets:
         in_space = dataset.training_view().in_space()
         if in_space.n < MIN_FOLD_ROWS:
             raise EstimationError(f"need at least {MIN_FOLD_ROWS} in-space instances "
                                   f"to form folds, got {in_space.n}")
         spaces.append(in_space)
-        classes.append(tuple(np.flatnonzero(in_space.class_sizes()).tolist())
-                       if per_class_resplit else None)
+        # The class each split votes on; None votes on every row.
+        splits.append(tuple(np.flatnonzero(in_space.class_sizes()).tolist())
+                      if per_class_resplit else (None,))
     # One row of keys per split and its four keys along the columns. A seed
     # goes in as a one-element row, so it broadcasts as any int it is.
-    if per_class_resplit:
-        split_seeds = [[seed] for seed, ks in zip(seeds, classes) for _ in ks]
-        keys = (1, np.array([k for ks in classes for k in ks])[:, None])
-    else:
-        split_seeds, keys = [[seed] for seed in seeds], (0,)
+    split_seeds = [[seed] for seed, ks in zip(seeds, splits) for _ in ks]
+    keys = (1, np.array([k for ks in splits for k in ks])[:, None]) if per_class_resplit else (0,)
     streams = derive_seeds(split_seeds, ESTIMATE, *keys, np.arange(4))
     rngs = iter(derive_rngs(streams[:, 0], FOLDS))
     model_seeds = iter(streams[:, 1:].tolist())
     plans = []
-    for in_space, ks in zip(spaces, classes):
-        splits = range(1 if ks is None else len(ks))
-        plans.append(FoldPlan(
-            in_space=in_space,
-            classes=ks,
-            folds=tuple(_deal_three_folds(next(rngs), in_space.n) for _ in splits),
-            seeds=tuple(tuple(next(model_seeds)) for _ in splits),
-        ))
+    for in_space, ks in zip(spaces, splits):
+        n, labels = in_space.n, in_space.observed_labels
+        train_rows, plan_seeds = [], []
+        voters, fold_of = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
+        for s, k in enumerate(ks):
+            folds = _deal_three_folds(next(rngs), n)
+            for q, fold in enumerate(folds):
+                fold_of[fold] = q
+            rows = slice(None) if k is None else labels == k
+            voters[rows] = 3 * s + _OTHER_FOLDS[fold_of[rows]]
+            train_rows += folds
+            plan_seeds += next(model_seeds)
+        plans.append(FoldPlan(in_space, tuple(train_rows), tuple(plan_seeds), voters))
     return plans
 
 
 def train_folds(plans: list[FoldPlan], trainer_config: TrainerConfig) -> list[tuple]:
     """Train the fold models of every plan in one lockstep `train_local` call.
 
-    Returns one tuple per plan of its models, split by split, each from a
+    Returns one tuple per plan of its models, in plan order, each from a
     fresh zero model. The datasets must share the feature and class space.
     """
     members, seeds = [], []
     for plan in plans:
-        for folds, fold_seeds in zip(plan.folds, plan.seeds):
-            members.extend(plan.in_space.take(fold) for fold in folds)
-            seeds.extend(fold_seeds)
+        members.extend(plan.in_space.take(rows) for rows in plan.train_rows)
+        seeds.extend(plan.seeds)
     first = plans[0].in_space
     models = iter(train_local(init_model(first.d, first.class_count),
                               DatasetStack(members, seeds), trainer_config))
-    return [tuple(islice(models, 3 * len(plan.folds))) for plan in plans]
+    return [tuple(islice(models, len(plan.seeds))) for plan in plans]
 
 
-#: Row r of fold q is predicted by the two models trained on the other folds.
-_OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def _cross_predict(in_space: Dataset, folds, models) -> np.ndarray:
-    """Out-of-fold predictions of one split's three models, one stacked matmul.
-
-    Row r of the returned (n, 2) array holds the predictions for row r of the
-    two models that never trained on it, ordered by training-fold index.
-    Ties go to the lowest class, as in `predict`.
-    """
-    n = in_space.n
-    weights = np.stack([model.weights for model in models])
-    labels = np.argmax(np.matmul(_augment(in_space.features), weights), axis=2)
-    fold_of = np.empty(n, dtype=np.int64)
-    for q, fold in enumerate(folds):
-        fold_of[fold] = q
-    return labels[_OTHER_FOLDS[fold_of], np.arange(n)[:, None]]
-
-
-def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray | None) -> ClassEstimate:
+def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray) -> ClassEstimate:
     in_class = dataset.observed_labels == k
     size = int(np.count_nonzero(in_class))
     if size == 0:
@@ -231,18 +223,16 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     else:
         plan, models = trained
     in_space = plan.in_space
-    c = dataset.class_count
-    labels = in_space.observed_labels
-    agreements = []
-    for s, folds in enumerate(plan.folds):
-        preds = _cross_predict(in_space, folds, models[3 * s:3 * s + 3])
-        agreements.append(classify_instance(labels, preds[:, 0], preds[:, 1]))
-    if plan.classes is None:
-        noise_free = dict.fromkeys(range(c), agreements[0])
-    else:
-        noise_free = dict(zip(plan.classes, agreements))
-    # An empty class is scored without reading its (absent) predictions.
-    estimates = [_score_class(in_space, k, noise_free.get(k)) for k in range(c)]
+    # Every model's prediction of every row, ties to the lowest class as in
+    # `predict`. One stacked product per three models keeps the largest
+    # temporary at (3, n, c) however many splits there are.
+    x = _augment(in_space.features)
+    preds = np.concatenate([
+        np.argmax(np.matmul(x, np.stack([m.weights for m in models[j:j + 3]])), axis=2)
+        for j in range(0, len(models), 3)])
+    votes = preds[plan.voters, np.arange(in_space.n)[:, None]]
+    noise_free = classify_instance(in_space.observed_labels, votes[:, 0], votes[:, 1])
+    estimates = [_score_class(in_space, k, noise_free) for k in range(dataset.class_count)]
 
     betas = np.array([e.beta for e in estimates])
     best = int(np.argmin(betas))
@@ -252,7 +242,7 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
         best_class=best,
         beta_mean=float(betas.mean()),
         out_of_space_ids=tuple(dataset.out_of_space_ids().tolist()),
-        trainings=3 * len(plan.folds),
+        trainings=len(plan.seeds),
     )
 
 

@@ -132,6 +132,13 @@ def test_estimate_bad_trainer_flag_is_validation_error(tmp_path, capsys, flag, v
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_estimate_bad_true_label_names_file_and_row(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("f0,label,true_label\n0.5,0,0\n1.5,1,7\n")
+    assert run_cli("estimate", "--data", str(data), "--seed", "1") == EXIT_VALIDATION
+    assert f"{data}: row 2 true label 7 outside [0, 2)" in capsys.readouterr().err
+
+
 #: sha256 of the files `test_file_chain_is_pinned` writes, as it takes it.
 PINNED_CHAIN_DIGEST = "c49aef55957f72dd0cb2d0ac3b57615a16d36b961759ba0cc4821cffd245df5d"
 
@@ -215,6 +222,10 @@ trainer.batch_size = 16
 #: sha256 of PINNED_RUN's deterministic artifacts, as `run_digest` takes it.
 PINNED_RUN_DIGEST = "eb5412d8fdef7e7e0b15283b9b5738b04f009ee4aa244cc9b817bac678795c3d"
 
+#: The same run with Procedure 1 re-splitting per class; no benchmark
+#: workload runs this mode.
+PINNED_RESPLIT_DIGEST = "edc7ace4b0738d244a6599a725c140fa00057d699c836c2120052336154289cc"
+
 
 def run_digest(run_dir):
     """sha256 over rounds, transcript, final metrics and every model, names included."""
@@ -232,6 +243,12 @@ def test_run_artifacts_are_pinned(tmp_path):
     config = write_config(tmp_path, PINNED_RUN)
     assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
     assert run_digest(tmp_path / "run") == PINNED_RUN_DIGEST
+
+
+def test_resplit_run_artifacts_are_pinned(tmp_path):
+    config = write_config(tmp_path, PINNED_RUN + "pipeline.per_class_resplit = true\n")
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "run")) == EXIT_OK
+    assert run_digest(tmp_path / "run") == PINNED_RESPLIT_DIGEST
 
 
 def test_run_fedavg_equals_disabled_pipeline(tmp_path):

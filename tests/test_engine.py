@@ -446,6 +446,14 @@ def test_divergence_names_lowest_participant_not_first_in_lockstep():
     assert str(raised.value) == f"round 1, participant 0: {alone[0]}"
 
 
+@pytest.mark.parametrize("run_procedure2", [True, False])
+def test_bad_demand_cap_rejected_on_construction(run_procedure2):
+    # Rejected before any fold model trains, and also where no exchange runs.
+    with pytest.raises(ValueError, match="demand_cap must be 'size' or 'z', got 'bogus'"):
+        FederationConfig(n_participants=2, rounds=1, trainer=TrainerConfig(), seed=1,
+                         run_procedure2=run_procedure2, demand_cap="bogus")
+
+
 def test_duplicate_ids_rejected():
     base = synth_gaussian(2, 10, 2, 6.0, seed=12)
     config = FederationConfig(

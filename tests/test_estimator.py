@@ -303,6 +303,28 @@ def test_fold_rows_counts_the_planned_rows(per_class_resplit):
     labels[:4] = OUT_OF_SPACE
     dataset = make_dataset(ds.features, labels, c=4, ids=ds.ids)
     plan, = plan_folds([dataset], [13], per_class_resplit)
-    assert fold_rows(dataset, per_class_resplit) == plan.in_space.n * len(plan.folds)
-    assert len(plan.folds) == (3 if per_class_resplit else 1)
-    assert all(sum(f.size for f in folds) == plan.in_space.n for folds in plan.folds)
+    assert fold_rows(dataset, per_class_resplit) == sum(rows.size for rows in plan.train_rows)
+    assert len(plan.train_rows) == len(plan.seeds) == 3 * (3 if per_class_resplit else 1)
+
+
+@pytest.mark.parametrize("per_class_resplit", [False, True])
+def test_plan_voters_never_trained_on_their_rows(per_class_resplit):
+    # Out-of-space rows, an empty class and a class of two rows, so one
+    # split's folds hold none of its class's rows.
+    ds = synth_gaussian(3, 20, 2, 6.0, seed=14)
+    labels = ds.observed_labels.copy()
+    labels[:4] = OUT_OF_SPACE
+    labels[np.flatnonzero(labels == 2)[2:]] = 1
+    dataset = make_dataset(ds.features, labels, c=4, ids=ds.ids)
+    plan, = plan_folds([dataset], [14], per_class_resplit)
+    n, voters = plan.in_space.n, plan.voters
+    assert voters.shape == (n, 2)
+    assert np.all(voters[:, 0] < voters[:, 1])
+    for m, rows in enumerate(plan.train_rows):
+        assert not np.any(voters[rows] == m), f"model {m} votes on a row it trained on"
+    if per_class_resplit:
+        classes = np.flatnonzero(plan.in_space.class_sizes())
+        split_of = np.searchsorted(classes, plan.in_space.observed_labels)
+        assert np.array_equal(voters // 3, np.column_stack([split_of, split_of]))
+    else:
+        assert set(voters.ravel().tolist()) <= {0, 1, 2}

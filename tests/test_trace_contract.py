@@ -141,16 +141,19 @@ def _run_child_twice(tmp_path, name, command, small):
             outcomes["traced"]["checksum"] == outcomes["untraced"]["checksum"])
 
 
-def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path):
+@pytest.mark.parametrize("extra", [{}, {"pipeline.per_class_resplit": "true"}],
+                         ids=["shared", "per_class_resplit"])
+def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path, extra):
     # The benchmark fails a workload whose `expected` span records no calls,
     # for example when a fast path stops going through `Dataset.take`, and
     # one whose traced run writes other bytes than its untraced runs. Run
     # the benchmark's own child on a small cut of `fednl_wide`, tracer on
     # and off; its noisy participant gives the SGD ticks mixed row counts.
+    # No benchmark workload re-splits per class, so this runs that mode too.
     expected = {span for name, workload in workloads.WORKLOADS.items()
                 if name.startswith("fednl") for span in workload.expected}
     small = {"participants": 4, "rounds": 2, "data.per_class": 100, "server.per_class": 100,
-             "noise.participants": "0"}
+             "noise.participants": "0", **extra}
     layers, replayed = _run_child_twice(tmp_path, "fednl_wide", "run", small)
     silent = sorted(span for span in expected if not layers.get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
