@@ -1,5 +1,6 @@
 """Communication-round estimation and measured constants."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -344,6 +345,29 @@ def test_round_constants_match_inline_reference(level):
         B = compute_B(uniform, comps.sigma_sq, smooth.L, comps.Gamma, epochs, comps.G_sq)
         est = estimate_rounds(smooth, RoundParams(epochs, q_o, B, gap), alpha_minus_one=shifted)
         assert got.rounds(epochs, q_o, alpha_minus_one=shifted) == (B, est)
+
+
+#: sha256 of `measure_round_constants`' float64 outputs on a small config at
+#: two noise levels, as `test_round_constants_bytes_are_pinned` takes them.
+PINNED_ROUND_CONSTANTS_DIGEST = "ae9b71c7424ba2f994cf7fb30d51a040ea0dc9ce32a82efb5922521f30aac1a9"
+
+
+def test_round_constants_bytes_are_pinned():
+    # The table prints at .5g, so this pins what it rounds: L, each sigma_i^2,
+    # G^2, Gamma, the pooled optimum's weights and loss and the init gap. The
+    # pooled set's log-softmax reduces over the class columns, the
+    # participants' along each row, and their 80 rows make short last batches.
+    base = synth_gaussian(4, 60, 3, 4.0, seed=21)
+    parts = partition_non_iid(base, 3, seed=21, strategy=ShuffleSplit())
+    trainer = TrainerConfig(local_epochs=3, batch_size=24, l2_lambda=0.01)
+    digest = hashlib.sha256()
+    for level in (0.0, 0.3):
+        got = measure_round_constants(parts, trainer, 21, level, init_scale=0.02)
+        comps = got.components
+        digest.update(np.array([got.smooth.L, *comps.sigma_sq, comps.G_sq, comps.Gamma,
+                                comps.optimum.loss, got.init_gap]).tobytes())
+        digest.update(comps.optimum.model.weights.tobytes())
+    assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
 
 
 def test_full_batch_variance_vanishes():
