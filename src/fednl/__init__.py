@@ -12,8 +12,8 @@ from .contribution import (GAMMA_MIN, ContributionWeights, DegenerateAggregateEr
                            InfluenceState, contributions, decay_factor, effective_sizes,
                            influence, leave_one_out_aggregates, size_weights)
 from .data import (OUT_OF_SPACE, Dataset, LabelSkew, ParseError, PartitionError,
-                   SchemaError, ShuffleSplit, SplitError, concat_datasets, load_dataset,
-                   partition_non_iid, save_dataset, split_three_folds, synth_gaussian)
+                   SchemaError, ShuffleSplit, concat_datasets, load_dataset,
+                   partition_non_iid, save_dataset, synth_gaussian)
 from .engine import (AggregationError, FederationConfig, RoundRecord, RunReport,
                      aggregate, record_to_dict, run_fedavg, run_fednl, server_init)
 from .estimator import (ClassEstimate, EstimationError, NoiseEstimate, classify_instance,

@@ -221,6 +221,10 @@ def cmd_rounds(args) -> int:
     return EXIT_OK
 
 
+#: The fields of a round record that `report` reads.
+_RECORD_FIELDS = ("t", "epsilon", "global_loss", "global_accuracy", "global_macro_f1")
+
+
 def _load_records(run_dir: Path) -> list[dict]:
     path = run_dir / "rounds.ndrecords"
     if not path.exists():
@@ -235,8 +239,11 @@ def _load_records(run_dir: Path) -> list[dict]:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}: record {index} is corrupt: {e}") from None
-            if not isinstance(record, dict) or "t" not in record:
+            if not isinstance(record, dict):
                 raise ParseError(f"{path}: record {index} is corrupt: not a round record")
+            missing = [key for key in _RECORD_FIELDS if key not in record]
+            if missing:
+                raise ParseError(f"{path}: record {index} is corrupt: lacks {', '.join(missing)}")
             records.append(record)
     if not records:
         raise ParseError(f"{path}: no records")

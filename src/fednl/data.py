@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import FOLDS, PARTITION, SYNTH, derive_rng
+from ._rng import PARTITION, SYNTH, derive_rng
 
 #: Sentinel for an observed label outside the class space [c].
 OUT_OF_SPACE = -1
@@ -30,10 +30,6 @@ class SchemaError(ValueError):
 
 class PartitionError(ValueError):
     """A requested partition cannot be built."""
-
-
-class SplitError(ValueError):
-    """A requested fold split cannot be built."""
 
 
 @dataclass(frozen=True)
@@ -191,10 +187,11 @@ def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool 
 
     The header names a ``label`` column and, optionally, a ``true_label``
     column; every other column is a feature, in header order. When
-    ``class_count`` is omitted it is inferred as max(label) + 1. A label
-    outside [0, class_count) raises unless ``allow_out_of_space``, which
-    stores it as OUT_OF_SPACE. Row order is preserved; ids are assigned as
-    id_base, id_base+1, ..., and the dataset is named after the file stem.
+    ``class_count`` is omitted it is inferred as 1 + the largest in-space
+    label of either column. A label outside [0, class_count) raises unless
+    ``allow_out_of_space``, which stores it as OUT_OF_SPACE. Row order is
+    preserved; ids are assigned as id_base, id_base+1, ..., and the dataset
+    is named after the file stem.
     Raises ParseError for malformed rows and SchemaError for label/space
     violations, both naming the offending 1-based data row.
     """
@@ -234,8 +231,9 @@ def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool 
     obs_arr = np.array(obs, dtype=np.int64)
     c = class_count
     if c is None:
-        in_space = obs_arr[obs_arr != OUT_OF_SPACE]
-        c = int(in_space.max()) + 1 if in_space.size else 1
+        # A class that noise emptied of observed labels still counts.
+        labels = np.concatenate([obs_arr[obs_arr != OUT_OF_SPACE], np.array(tru, dtype=np.int64)])
+        c = int(labels.max()) + 1 if labels.size else 1
     for row_no, label in enumerate(obs, start=1):
         if 0 <= label < c:
             continue
@@ -404,19 +402,12 @@ def partition_non_iid(dataset: Dataset, n_participants: int, seed: int,
     raise PartitionError(f"unknown partition strategy: {strategy!r}")
 
 
-def split_three_folds(dataset: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random split of the rows into three disjoint near-equal folds.
+def _deal_three_folds(rng: np.random.Generator, n: int):
+    """Random split of n rows into three disjoint near-equal folds, drawn from ``rng``.
 
     Returns each fold's row positions, sorted; the remainder goes to the
     lowest-indexed folds.
     """
-    if dataset.n < 3:
-        raise SplitError(f"need at least 3 instances to build three folds, got {dataset.n}")
-    return _deal_three_folds(derive_rng(seed, FOLDS), dataset.n)
-
-
-def _deal_three_folds(rng: np.random.Generator, n: int):
-    """`split_three_folds` of n rows with its FOLDS generator already derived."""
     order = rng.permutation(n)
     bounds = np.cumsum(_near_equal_sizes(n, 3))[:-1]
     return tuple(np.sort(fold) for fold in np.split(order, bounds))

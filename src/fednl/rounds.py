@@ -18,15 +18,14 @@ lockstep, every running problem one iteration per tick, each bitwise what
 solving it alone gives; `solve_optimum` is a stack of one. Per noise level
 the pooled set is solved once, through `solve_optimum`, and the init gap
 reads that optimum from `measure_b_components`; then all participants are
-solved in one call (`_solve`) whose objective (`trainer._stacked_objective`)
-holds their rows in one augmented block and evaluates every running
-participant in one pass. The smoothness probe evaluates loss and gradient
-in one buffered pass (`trainer._objective`). On the pooled set both
-log-softmaxes reduce over the class columns, not along each row. The B
+solved in one call (`_solve`). Every full-batch pass, the solvers' and the
+smoothness probe's, is `trainer._stacked_objective`: the rows augmented
+once into one block, each evaluation one pass of the trainer's loss kernel
+(`trainer._xent`) over the running problems. On the pooled set the
+log-softmax reduces over the class columns, not along each row. The B
 measurement draws every participant's batches, then takes their gradients
-from the sampled rows' features and labels in chunks of batches
-(`trainer._gradient`, the body of `gradient`), with no `Dataset` built per
-batch.
+from the sampled rows in chunks of batches, one kernel call per chunk,
+with no `Dataset` built per batch.
 """
 
 import logging
@@ -39,8 +38,8 @@ from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
-from .trainer import (_STEP_BLOCK, DatasetStack, ModelParams, TrainerConfig, _augment, _gradient,
-                      _objective, _stacked_objective, gradient, loss, train_local)
+from .trainer import (_STEP_BLOCK, DatasetStack, ModelParams, TrainerConfig, _augment,
+                      _stacked_objective, _xent, gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -154,17 +153,17 @@ def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
         raise NoStrongConvexityError("l2_lambda is 0; the objective is not strongly convex")
     mu = trainer_config.l2_lambda
     ds = dataset.in_space()
-    if ds.n == 0:
-        raise ValueError("dataset is empty")
     rng = derive_rng(seed, MEASURE)
-    shape = (ds.d + 1, ds.class_count)
-    objective = _objective(ds, mu)
+    # Flat weights, drawn in the (d+1, c) matrices' row-major order.
+    shape = (1, (ds.d + 1) * ds.class_count)
+    objective = _stacked_objective([ds], mu)
+    only = [0]
     best = 0.0
     for _ in range(_SMOOTHNESS_PAIRS):
         wa = rng.standard_normal(shape)
         wb = rng.standard_normal(shape)
-        ga = objective(wa)[1]
-        gb = objective(wb)[1]
+        ga = objective(wa, only)[1]
+        gb = objective(wb, only)[1]
         denom = float(np.linalg.norm(wa - wb))
         if denom == 0.0:
             continue
@@ -330,10 +329,7 @@ def solve_optimum(dataset: Dataset, trainer_config: TrainerConfig,
     a failed measurement and raises. The final gradient and loss come from
     `gradient` and `loss`. This is the one-problem case of `_solve`.
     """
-    ds = dataset.in_space()
-    if ds.n == 0:
-        raise ValueError("dataset is empty")
-    return _solve([ds], trainer_config, start)[0]
+    return _solve([dataset.in_space()], trainer_config, start)[0]
 
 
 def measure_init_gap(d: int, c: int, seed: int, w_star: ModelParams,
@@ -352,8 +348,9 @@ def _b_moments(datasets, models, trainer_config: TrainerConfig,
 
     Each participant draws its _B_BATCHES batches first, from its own MEASURE
     stream in order; they are then scored in chunks of at most _STEP_BLOCK
-    batch logits, one `_gradient` call per chunk and one product per batch,
-    so every batch gradient is bitwise `gradient` on that batch alone.
+    batch logits, one `_xent` call per chunk with every batch a model at the
+    participant's weights, so every batch gradient is bitwise `gradient` on
+    that batch alone.
     """
     lam = trainer_config.l2_lambda
     add = np.add.reduce
@@ -370,9 +367,12 @@ def _b_moments(datasets, models, trainer_config: TrainerConfig,
         worst = 0.0
         for chunk in np.split(batches, range(per_chunk, _B_BATCHES, per_chunk)):
             rows = chunk.reshape(-1)
-            x = _augment(ds.features[rows]).reshape(*chunk.shape, -1)
-            bgrads = _gradient(model.weights, x, ds.observed_labels[rows].reshape(chunk.shape), lam)
-            k = len(chunk)
+            k, c = len(chunk), ds.class_count
+            bgrads = np.empty((k,) + model.weights.shape)
+            _xent(np.broadcast_to(model.weights, bgrads.shape),
+                  [_augment(ds.features[rows]).reshape(*chunk.shape, -1)],
+                  np.empty((rows.size, c)), np.arange(0, rows.size * c, c)
+                  + ds.observed_labels[rows], lam, bgrads)
             for dev, size in zip(add(((bgrads - full) ** 2).reshape(k, -1), axis=-1).tolist(),
                                  add((bgrads ** 2).reshape(k, -1), axis=-1).tolist()):
                 worst = max(worst, dev)

@@ -10,39 +10,44 @@ Learning rates come from a schedule indexed by the global SGD step, which
 advances across rounds; callers pass each model's step count already
 consumed.
 
+Every loss and gradient of that objective comes from one kernel, `_xent`:
+`loss` and `gradient`, the lockstep SGD ticks, the round's local losses,
+the leave-one-out scores of the influence update, the solver objective of
+`_stacked_objective` and the batch gradients of the round-constant
+measurement. It packs the logits of a stack of models into one buffer,
+runs one log-softmax, one label gather and, for gradients, one exp and one
+subtract-at-labels over all of them, and reduces each model's terms on its
+own, so each value is bitwise that of the model alone.
+
 `train_local` trains a `DatasetStack` of k models from one start in
 lockstep: the round's participants, Procedure 1's fold models, or the
 participants of a round-constant measurement. Each step runs in ticks of
 up to `_STEP_BLOCK` batch logits' worth of models, the models of one batch
 row count adjacent (the short last batches of an epoch give a tick
-several). A tick is fused (`_sgd_tick`): it packs every model's batch
-into one block of rows, so one log-softmax, one label gather, one exp, one
-subtract-at-labels, one L2 term and one update serve the whole tick. What
-stays per row count is one stacked matmul each way and the reduction of
-each model's NLL over its own rows. Padding the short batches with zero
-rows to one row count would make those products one matmul per tick, but
-it changes their bits whenever the row count is not a multiple of 4
-(OpenBLAS's row-remainder kernels; 468 of 3000 random shapes), so batches
-are packed, not padded. Either way the per-step interpreter cost is paid
-once per tick instead of once per model. One model is a stack of one, on
-the same loop. Every model's weights and divergence step are bitwise those
-of training it alone.
+several). A tick (`_sgd_tick`) packs every model's batch into one block of
+rows, one `_xent` run per row count, and updates all its models at once.
+Padding the short batches with zero rows to one row count would make a
+tick one run, but it changes the products' bits whenever the row count is
+not a multiple of 4 (OpenBLAS's row-remainder kernels; 468 of 3000 random
+shapes), so batches are packed, not padded. The per-step interpreter cost
+is paid once per tick instead of once per model. One model is a stack of
+one, on the same loop, and every model's weights and divergence step are
+bitwise those of training it alone.
 
 `_log_softmax` reduces along each row or over the c class columns, by row
 count: numpy reduces along a short last axis with one inner loop per row,
 which over thousands of rows costs more than the arithmetic, so from
 `_COLUMN_ROWS_PER_CLASS` rows per class the row max and the exp-sum run as
 a few calls per class column instead, the sum in numpy's own pairwise
-order. On fewer rows (an SGD step, a batch gradient, a small training set)
-those calls cost more than the rows they save. Both forms give the same
-bits. The products keep their layout, ``x @ w`` into an (n, c) array and
-``x.T @ probs``: a class-major product would hand over the columns
-contiguous, but BLAS sums it in another order, and the bits change.
+order. Both forms give the same bits. The products keep their layout,
+``x @ w`` into an (n, c) array and ``x.T @ probs``: a class-major product
+would hand over the columns contiguous, but BLAS sums it in another
+order, and the bits change.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -242,19 +247,66 @@ def _exp_class_sum(values: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def _losses_of_logits(logits: np.ndarray, labels: np.ndarray,
-                      stack: np.ndarray, l2_lambda: float) -> list[float]:
-    """`loss` of each model in an (m, d+1, c) weight stack from its (m, N, c) logits.
+def _xent(w: np.ndarray, runs: list, logits: np.ndarray, picked: np.ndarray, lam: float,
+          grads: np.ndarray | None = None) -> np.ndarray:
+    """`loss` of every model in a (g, d+1, c) weight stack, and its `gradient` into ``grads``.
 
-    Each model's mean NLL and L2 term are reduced on their own, since a mean
-    along an axis of the stacked array sums in another order than the
-    single-model mean.
+    ``runs`` covers the models in stack order: each is a (k, m, d+1) block
+    of augmented rows for the next k models, m rows each, either their own
+    rows or one (m, d+1) block they share, broadcast. The runs' logits are
+    packed in order into ``logits``, (n, c) for their n rows, in which
+    ``picked`` holds each row's flat label index. Each run takes one
+    stacked product each way, the rest runs once over all rows, and each
+    model's NLL and L2 term are reduced on their own along the last axis,
+    as a single model's are: every value is bitwise that model's alone on
+    its rows. ``grads`` is (g, d+1, c) or None. Returns the (g,) losses.
     """
-    n = logits.shape[1]
-    picked = _log_softmax(logits)[:, np.arange(n), labels]
+    g, c = w.shape[0], w.shape[2]
+    parts = []  # (first row, block, logits, slots) of each run
+    sizes = []  # each model's row count
+    start = 0
+    for x in runs:
+        k, m = x.shape[0], x.shape[1]
+        slots = slice(len(sizes), len(sizes) + k)
+        out = logits[start:start + k * m].reshape(k, m, c)
+        np.matmul(x, w[slots], out=out)
+        parts.append((start, x, out, slots))
+        sizes += [m] * k
+        start += k * m
+    flat = _log_softmax(logits).reshape(-1)
+    nll = flat[picked]
+    sums = np.empty(g)
     add = np.add.reduce
-    return [float(-(add(row) / n) + 0.5 * l2_lambda * add(w ** 2, axis=None))
-            for row, w in zip(picked, stack)]
+    for start, x, _, slots in parts:
+        k, m = x.shape[0], x.shape[1]
+        add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
+    rows = np.array(sizes, dtype=np.float64)
+    losses = -(sums / rows) + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
+    if grads is not None:
+        np.exp(logits, out=logits)
+        flat[picked] -= 1.0
+        for _, x, probs, slots in parts:
+            np.matmul(x.transpose(0, 2, 1), probs, out=grads[slots])
+        grads /= rows[:, None, None]
+        grads += lam * w
+    return losses
+
+
+def _pack(members: list) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The members' rows augmented into one block, member after member.
+
+    Returns the block, each member's first row and then the end row, and
+    each row's flat index of its label in an (n, c) logit array.
+    """
+    bounds = list(accumulate((ds.n for ds in members), initial=0))
+    x = np.empty((bounds[-1], members[0].d + 1))
+    x[:, -1] = 1.0
+    for ds, a, b in zip(members, bounds, bounds[1:]):
+        x[a:b, :-1] = ds.features
+    c = members[0].class_count
+    picked = np.arange(0, bounds[-1] * c, c)
+    picked += np.concatenate([ds.observed_labels for ds in members])
+    return x, bounds, picked
 
 
 #: Logits scored per batched matmul in `_losses`. Blocks of 2**13 float64
@@ -276,176 +328,92 @@ def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
             l2_lambda: float) -> list[float]:
     """`loss` of every model in an (m, d+1, c) weight stack on augmented features x.
 
-    Blocks of models share one matmul and one log-softmax.
+    Blocks of up to `_LOSS_BLOCK` logits share the one copy of x, one
+    logit buffer and one label index.
     """
-    per_block = max(1, _LOSS_BLOCK // (x.shape[0] * stack.shape[2]))
+    n, c = x.shape[0], stack.shape[2]
+    per_block = max(1, min(len(stack), _LOSS_BLOCK // (n * c)))
+    logits = np.empty((per_block * n, c))
+    picked = np.arange(0, per_block * n * c, c) + np.tile(labels, per_block)
     out = []
     for start in range(0, len(stack), per_block):
         block = stack[start:start + per_block]
-        out.extend(_losses_of_logits(x @ block, labels, block, l2_lambda))
+        rows = len(block) * n
+        out += _xent(block, [np.broadcast_to(x, (len(block),) + x.shape)], logits[:rows],
+                     picked[:rows], l2_lambda).tolist()
     return out
 
 
 def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float]:
     """`loss` of each weight matrix ``weights[j]`` on its own dataset ``members[j]``.
 
-    Consecutive members share a block of at most `_STEP_BLOCK` logits: each
-    member's augmented product is written into the block, then one
-    log-softmax and one label gather serve the whole block. Each member's
-    NLL and L2 term are reduced on their own, as `_losses` reduces a single
-    model, so every value is bitwise ``_losses(weights[j][None],
-    _augment(x_j), y_j, l2_lambda)[0]``; a member that fills a block alone
-    has a block of its own.
+    Consecutive members share a block of at most `_STEP_BLOCK` logits, one
+    `_xent` call over their packed rows, so every value is bitwise `loss`;
+    a member that fills a block alone has a block of its own.
     """
     c = weights[0].shape[1]
-    sizes = [ds.n for ds in members]
     stack = np.stack(weights)
-    sums = np.empty(len(members))
-    add = np.add.reduce
+    out = []
     start = 0
     while start < len(members):
-        stop, rows = start + 1, sizes[start]
-        while stop < len(members) and (rows + sizes[stop]) * c <= _STEP_BLOCK:
-            rows += sizes[stop]
+        stop, rows = start + 1, members[start].n
+        while stop < len(members) and (rows + members[stop].n) * c <= _STEP_BLOCK:
+            rows += members[stop].n
             stop += 1
-        block = members[start:stop]
-        bounds = list(accumulate(sizes[start:stop], initial=0))
-        # One member's augmented features at a time, as `_augment` would hold them.
-        x = np.empty((max(sizes[start:stop]), stack.shape[1]))
-        x[:, -1] = 1.0
-        logits = np.empty((rows, c))
-        for w, ds, a, b in zip(stack[start:stop], block, bounds, bounds[1:]):
-            x[:b - a, :-1] = ds.features
-            np.matmul(x[:b - a], w, out=logits[a:b])
-        picked = np.arange(0, rows * c, c)
-        picked += np.concatenate([ds.observed_labels for ds in block])
-        nll = _log_softmax(logits).reshape(-1)[picked]
-        for j, a, b in zip(range(start, stop), bounds, bounds[1:]):
-            sums[j] = add(nll[a:b])
+        x, bounds, picked = _pack(members[start:stop])
+        runs = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
+        out += _xent(stack[start:stop], runs, np.empty((rows, c)), picked, l2_lambda).tolist()
         start = stop
-    return (-(sums / sizes) + 0.5 * l2_lambda
-            * add((stack ** 2).reshape(len(members), -1), axis=-1)).tolist()
+    return out
 
 
 def loss(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> float:
     """Mean cross-entropy over the dataset plus (l2_lambda/2) ||W||^2."""
     _require_trainable(dataset)
-    # Let the augmented features go before the softmax temporaries exist:
-    # holding them made every call on a 5000-row set fault fresh pages in,
-    # about twice as slow.
-    weights = model.weights[None]
-    logits = _augment(dataset.features) @ weights
-    return _losses_of_logits(logits, dataset.observed_labels, weights, l2_lambda)[0]
+    return _losses(model.weights[None], _augment(dataset.features), dataset.observed_labels,
+                   l2_lambda)[0]
 
 
 def gradient(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> np.ndarray:
     """Analytic gradient of `loss` over the dataset, same shape as the weights."""
-    _require_trainable(dataset)
-    return _gradient(model.weights, _augment(dataset.features), dataset.observed_labels,
-                     l2_lambda)
-
-
-def _gradient(weights: np.ndarray, x: np.ndarray, labels: np.ndarray,
-              l2_lambda: float) -> np.ndarray:
-    """`gradient` from augmented features x and their labels, unchecked.
-
-    x may hold a stack of equal batches, shape (k, rows, d+1) with labels
-    (k, rows), all at the same weights: the products then run one per batch,
-    and each (d+1, c) slice of the result is bitwise that batch's gradient
-    alone.
-    """
-    probs = np.exp(_log_softmax(x @ weights))
-    c = probs.shape[-1]
-    probs.reshape(-1)[np.arange(0, labels.size * c, c) + labels.reshape(-1)] -= 1.0
-    return np.swapaxes(x, -1, -2) @ probs / labels.shape[-1] + l2_lambda * weights
+    grads = _stacked_objective([dataset], l2_lambda)(model.weights.reshape(1, -1), [0])[1]
+    return grads.reshape(model.weights.shape)
 
 
 def _stacked_objective(members, l2_lambda: float):
     """`loss` and flattened `gradient` of k datasets at once, each on its own rows.
 
-    The members are validated and augmented once, into one block of their
-    rows in member order, and one (n, c) buffer is allocated for all n rows.
-    ``evaluate(w, which)`` takes the flat weights of the members listed in
-    ``which`` (increasing indices), an (m, (d+1) c) array in that order, and
-    returns their losses (m,) and flat gradients (m, (d+1) c). Each member
-    is multiplied on its own rows of the block, its logits packed into the
-    buffer's leading rows in member order; then one `_log_softmax`, one
-    label gather, one exp and one subtract-at-labels serve them all, and
-    each member's NLL, L2 term and gradient are reduced on their own. The
-    products stay ``np.matmul(x, w, out=buf)`` and ``x.T @ buf`` per member:
-    a class-major ``w.T @ x.T`` changes the bits, and so would one product
-    over several members' rows. The values are bitwise those of `loss` and
-    `gradient` on each member alone.
+    The members are validated and packed once (`_pack`), and one (n, c)
+    buffer is allocated for all n rows. ``evaluate(w, which)`` takes the
+    flat weights of the members listed in ``which`` (increasing indices),
+    an (m, (d+1) c) array in that order, and returns their losses (m,) and
+    flat gradients (m, (d+1) c): one `_xent` call, each member a run of one
+    model on its own rows, their logits in the buffer's leading rows. The
+    values are bitwise those of `loss` and `gradient` on each member alone.
     """
-    members = list(members)
     for ds in members:
         _require_trainable(ds)
     d, c = members[0].d, members[0].class_count
-    if any(ds.d != d or ds.class_count != c for ds in members):
-        raise ValueError("members disagree on class space or feature dimension")
-    bounds = list(accumulate((ds.n for ds in members), initial=0))
-    n = bounds[-1]
-    x = np.empty((n, d + 1))
-    x[:, -1] = 1.0
-    for ds, a, b in zip(members, bounds, bounds[1:]):
-        x[a:b, :-1] = ds.features
-    blocks = [x[a:b] for a, b in zip(bounds, bounds[1:])]
-    # Row counts as floats: the means divide by them without a cast.
-    sizes = np.diff(bounds).astype(np.float64)
-    buf = np.empty((n, c))
-    flat = buf.reshape(-1)
-    # (member, first row, end row) of each member's logits when all are
-    # evaluated, each in its own rows, and each row's flat label index then.
-    spans_all = list(zip(range(len(members)), bounds, bounds[1:]))
-    labelled = np.arange(0, n * c, c) + np.concatenate([ds.observed_labels for ds in members])
-    add = np.add.reduce
+    x, bounds, labelled = _pack(members)
+    blocks = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
+    buf = np.empty((bounds[-1], c))
 
     def evaluate(w: np.ndarray, which) -> tuple[np.ndarray, np.ndarray]:
         m = len(which)
-        weights = w.reshape(m, d + 1, c)
         if m == len(blocks):
-            spans, rows, picked = spans_all, sizes, labelled
+            runs, picked = blocks, labelled
         else:
             which = np.asarray(which).tolist()
-            rows = sizes[which]
+            runs = [blocks[j] for j in which]
             offsets = list(accumulate((bounds[j + 1] - bounds[j] for j in which), initial=0))
-            spans = list(zip(which, offsets, offsets[1:]))
             picked = np.concatenate([labelled[bounds[j]:bounds[j + 1]] + (a - bounds[j]) * c
                                      for j, a in zip(which, offsets)])
-        logits = buf[:spans[-1][2]]
-        for wj, (j, a, b) in zip(weights, spans):
-            np.matmul(blocks[j], wj, out=logits[a:b])
-        nll = _log_softmax(logits).reshape(-1)[picked]
-        sums = np.array([add(nll[a:b]) for _, a, b in spans])
-        values = -(sums / rows) + 0.5 * l2_lambda * add((weights ** 2).reshape(m, -1), axis=-1)
-        np.exp(logits, out=logits)
-        flat[picked] -= 1.0
         grads = np.empty((m, d + 1, c))
-        for g, (j, a, b) in zip(grads, spans):
-            np.matmul(blocks[j].T, logits[a:b], out=g)
-        grads /= rows[:, None, None]
-        grads += l2_lambda * weights
+        values = _xent(w.reshape(m, d + 1, c), runs, buf[:len(picked)], picked, l2_lambda,
+                       grads)
         return values, grads.reshape(m, -1)
 
     return evaluate
-
-
-def _objective(dataset: Dataset, l2_lambda: float):
-    """`loss` and flattened `gradient` of one dataset as one function of the weights.
-
-    The one-member `_stacked_objective`: validated and augmented once, one
-    (n, c) buffer. ``evaluate(w)`` takes the (d+1, c) weights in any shape
-    that reshapes to it; the values are bitwise those of `loss` and
-    `gradient`.
-    """
-    evaluate = _stacked_objective([dataset], l2_lambda)
-    only = [0]
-
-    def single(w: np.ndarray) -> tuple[float, np.ndarray]:
-        values, grads = evaluate(w.reshape(1, -1), only)
-        return float(values[0]), grads[0]
-
-    return single
 
 
 def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -492,66 +460,39 @@ def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
     order. Their weights, rows of the (k, d+1, c) stack, are stepped in
     place. The batches are packed in that order into the leading rows of
     the (rows, d+1) and (rows,) buffers, a slot of rows per model; the last
-    column of ``xbuf`` holds the bias 1. Each run of one row count shares
-    one stacked matmul each way and one NLL reduction; the log-softmax, the
-    label gather, the losses, the L2 term and the update each run once over
-    all slots. Returns the batch losses, taken before the step, in slot
-    order.
+    column of ``xbuf`` holds the bias 1. Each run of one row count is one
+    run of `_xent`, which scores all slots at once; the update runs once
+    over all of them. Returns the batch losses, taken before the step, in
+    slot order.
     """
-    d1 = xbuf.shape[1]
-    runs = []  # [row count, slots] of each run of equal row counts
-    for _, rows in tick:
-        if runs and runs[-1][0] == len(rows):
-            runs[-1][1] += 1
-        else:
-            runs.append([len(rows), 1])
-    r = sum(m * k for m, k in runs)
-    c = weights.shape[2]
+    d1, c = xbuf.shape[1], weights.shape[2]
+    sizes = [len(rows) for _, rows in tick]
+    r = sum(sizes)
     # The gathered features, then the logits: a contiguous gather is three
     # times faster than one into the buffer's strided feature columns.
     scratch = np.empty(r * max(d1 - 1, c))
     gathered = scratch[:r * (d1 - 1)].reshape(r, d1 - 1)
     start = 0
     # Rows are in range, so mode="clip" only skips the buffered bounds check.
-    for j, rows in tick:
-        features[j].take(rows, axis=0, out=gathered[start:start + len(rows)], mode="clip")
-        labels[j].take(rows, out=ybuf[start:start + len(rows)], mode="clip")
-        start += len(rows)
+    for (j, rows), m in zip(tick, sizes):
+        features[j].take(rows, axis=0, out=gathered[start:start + m], mode="clip")
+        labels[j].take(rows, out=ybuf[start:start + m], mode="clip")
+        start += m
     xbuf[:r, :-1] = gathered
+    runs = []  # a (k, m, d+1) block of each run of k equal row counts m
+    start = 0
+    for m, run in groupby(sizes):
+        k = len(list(run))
+        runs.append(xbuf[start:start + k * m].reshape(k, m, d1))
+        start += k * m
     members = [j for j, _ in tick]
     g, first = len(members), members[0]
     # The slots are a slice of the stack when the members are consecutive.
     contiguous = members == list(range(first, first + g))
     w = weights[first:first + g] if contiguous else weights[members]
-    logits = scratch[:r * c].reshape(r, c)
     grad = np.empty_like(w)
-    parts = []  # (first row, features, logits, slots) of each run
-    start = slot = 0
-    for m, k in runs:
-        x = xbuf[start:start + k * m].reshape(k, m, d1)
-        out = logits[start:start + k * m].reshape(k, m, c)
-        np.matmul(x, w[slot:slot + k], out=out)
-        parts.append((start, x, out, slice(slot, slot + k)))
-        start += k * m
-        slot += k
-    flat = _log_softmax(logits).reshape(-1)
-    picked = np.arange(0, r * c, c) + ybuf[:r]
-    nll = flat[picked]
-    sums = np.empty(g)
-    add = np.add.reduce
-    # Each model's mean NLL and L2 term are reduced along the last axis,
-    # which sums in the same order as the single-model reductions.
-    for start, _, out, slots in parts:
-        k, m = out.shape[:2]
-        add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
-        sums[slots] /= m
-    batch_loss = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
-    np.exp(logits, out=logits)
-    flat[picked] -= 1.0
-    for _, x, probs, slots in parts:
-        np.matmul(x.transpose(0, 2, 1), probs, out=grad[slots])
-        grad[slots] /= x.shape[1]
-    grad += lam * w
+    batch_loss = _xent(w, runs, scratch[:r * c].reshape(r, c), np.arange(0, r * c, c) + ybuf[:r],
+                       lam, grad)
     w -= rates * grad
     if not contiguous:
         weights[members] = w

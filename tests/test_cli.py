@@ -14,7 +14,7 @@ import fednl
 from fednl import MeasurementError, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
-from conftest import reference_objective, reference_stacked_objective
+from conftest import reference_stacked_objective
 
 
 def run_cli(*argv):
@@ -134,9 +134,20 @@ def test_estimate_bad_trainer_flag_is_validation_error(tmp_path, capsys, flag, v
 
 def test_estimate_bad_true_label_names_file_and_row(tmp_path, capsys):
     data = tmp_path / "d.csv"
-    data.write_text("f0,label,true_label\n0.5,0,0\n1.5,1,7\n")
+    # The class count comes from both label columns, so only a negative
+    # true label can fall outside it here.
+    data.write_text("f0,label,true_label\n0.5,0,0\n1.5,1,-2\n")
     assert run_cli("estimate", "--data", str(data), "--seed", "1") == EXIT_VALIDATION
-    assert f"{data}: row 2 true label 7 outside [0, 2)" in capsys.readouterr().err
+    assert f"{data}: row 2 true label -2 outside [0, 2)" in capsys.readouterr().err
+
+
+def test_estimate_counts_a_class_only_true_labels_hold(tmp_path, capsys):
+    # Noise flipped every row of class 2 away; its true label still counts it.
+    data = tmp_path / "d.csv"
+    data.write_text("f0,label,true_label\n0.1,0,0\n1.1,1,1\n0.2,0,0\n1.2,1,1\n0.5,1,2\n")
+    assert run_cli("estimate", "--data", str(data), "--seed", "1") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "    2      0      0        0  0.000  (empty)" in out.splitlines()
 
 
 #: sha256 of the files `test_file_chain_is_pinned` writes, as it takes it.
@@ -433,16 +444,16 @@ def test_rounds_table_bitwise_equals_per_call_objective(tmp_path, capsys, monkey
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     got = capsys.readouterr().out
     calls, stacks = _record_solves(monkeypatch)
-    monkeypatch.setattr(rounds, "_objective", reference_objective)
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == got
     assert "error" not in got
-    # The pooled set is solved once, through `solve_optimum`, and the three
+    # The smoothness probe evaluates the pooled set as a stack of one. The
+    # pooled set is solved once, through `solve_optimum`, and the three
     # participants once each, in one stack over the same rows; the init gap
     # reuses the pooled optimum.
     assert len(calls) == 1
-    assert [len(sizes) for sizes in stacks] == [1, 3]
-    assert stacks[0] == [sum(stacks[1])]
+    assert [len(sizes) for sizes in stacks] == [1, 1, 3]
+    assert stacks[0] == stacks[1] == [sum(stacks[2])]
 
 
 def test_rounds_measurement_failure_prints_error_rows(tmp_path, capsys, monkeypatch):
@@ -509,3 +520,9 @@ def test_report_corrupt_record_names_index(tmp_path, capsys):
     records.write_text("\n".join(lines) + "\n")
     assert run_cli("report", "--run", str(run_dir)) == EXIT_VALIDATION
     assert "record 2" in capsys.readouterr().err
+    # A record that parses but lacks a field `report` reads is malformed too.
+    lines[1] = '{"t": 1}'
+    records.write_text("\n".join(lines) + "\n")
+    assert run_cli("report", "--run", str(run_dir)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "record 2 is corrupt: lacks epsilon, global_loss, global_accuracy" in err

@@ -6,19 +6,20 @@ import pytest
 from fednl import (
     OUT_OF_SPACE,
     Dataset,
+    EstimationError,
     LabelSkew,
     ParseError,
     PartitionError,
     SchemaError,
     ShuffleSplit,
-    SplitError,
     concat_datasets,
     load_dataset,
     partition_non_iid,
     save_dataset,
-    split_three_folds,
     synth_gaussian,
 )
+
+from fednl.estimator import plan_folds
 
 from conftest import make_dataset, train_one
 
@@ -181,26 +182,31 @@ def test_partition_deterministic():
 
 # ---------------------------------------------------------------- folds
 
+def _fold_rows(dataset, seed):
+    """The row positions of the three folds `plan_folds` deals, its shared split."""
+    return plan_folds([dataset], [seed])[0].train_rows
+
+
 def test_folds_exact_division(tiny_dataset):
-    folds = split_three_folds(tiny_dataset, seed=1)
+    folds = _fold_rows(tiny_dataset, seed=1)
     assert [f.size for f in folds] == [3, 3, 3]
 
 
 def test_folds_remainder_to_earliest():
     ds = make_dataset([[float(i)] for i in range(10)], [i % 2 for i in range(10)], c=2)
-    folds = split_three_folds(ds, seed=1)
+    folds = _fold_rows(ds, seed=1)
     assert [f.size for f in folds] == [4, 3, 3]
 
 
 def test_folds_too_small():
     ds = make_dataset([[0.0], [1.0]], [0, 1], c=2)
-    with pytest.raises(SplitError):
-        split_three_folds(ds, seed=0)
+    with pytest.raises(EstimationError):
+        _fold_rows(ds, seed=0)
 
 
 def test_folds_disjoint_union():
     ds = synth_gaussian(3, 11, 2, 5.0, seed=6)
-    folds = split_three_folds(ds, seed=6)
+    folds = _fold_rows(ds, seed=6)
     sizes = [f.size for f in folds]
     assert max(sizes) - min(sizes) <= 1
     assert all(np.all(np.diff(f) > 0) for f in folds)

@@ -40,7 +40,7 @@ from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
-from conftest import make_dataset, reference_stacked_objective, train_one
+from conftest import make_dataset, reference_objective, reference_stacked_objective, train_one
 
 
 CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
@@ -234,7 +234,7 @@ def test_optimum_matches_scipy_lbfgsb():
     config = TrainerConfig(l2_lambda=0.01)
     start = server_init(ds.d, 10, seed=15)
     got = solve_optimum(ds, config, start=start)
-    res = optimize.minimize(rounds._objective(ds, config.l2_lambda), start.weights.ravel(),
+    res = optimize.minimize(reference_objective(ds, config.l2_lambda), start.weights.ravel(),
                             jac=True, method="L-BFGS-B",
                             options={"maxiter": 5000, "gtol": 1e-10, "ftol": 1e-18})
     assert got.loss == pytest.approx(float(res.fun), rel=1e-12, abs=0.0)

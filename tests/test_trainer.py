@@ -28,7 +28,7 @@ from fednl import ModelParams, trainer
 from fednl._rng import TRAIN, derive_rng
 from fednl.rounds import _row_dot
 from fednl.trainer import (_augment, _exp_class_sum, _log_softmax, _log_softmax_columns,
-                           _log_softmax_rows, _losses, _member_losses, _objective)
+                           _log_softmax_rows, _member_losses, _stacked_objective, _xent)
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -132,33 +132,63 @@ def _objective_cases():
 
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 def test_objective_bitwise_equals_loss_and_gradient(lam):
+    # The one-member stacked objective, as the smoothness probe runs it.
     rng = np.random.default_rng(23)
     for ds in _objective_cases():
-        evaluate = _objective(ds, lam)
+        evaluate = _stacked_objective([ds], lam)
         # Repeated calls on one closure reuse its buffer; none may see another's values.
         for _ in range(4):
             weights = rng.normal(size=(ds.d + 1, ds.class_count))
-            value, grad = evaluate(weights.ravel())
+            values, grads = evaluate(weights.reshape(1, -1), [0])
             model = ModelParams(weights, ds.class_count)
-            assert value == loss(model, ds, lam)
-            assert grad.shape == (weights.size,)
-            assert grad.tobytes() == gradient(model, ds, lam).ravel().tobytes()
+            assert values[0] == loss(model, ds, lam)
+            assert grads.shape == (1, weights.size)
+            assert grads[0].tobytes() == gradient(model, ds, lam).ravel().tobytes()
 
 
 def test_objective_result_survives_next_call():
     ds = synth_gaussian(3, 20, 2, 3.0, seed=24)
-    evaluate = _objective(ds, 0.01)
-    first = evaluate(np.zeros(9))[1]
+    evaluate = _stacked_objective([ds], 0.01)
+    first = evaluate(np.zeros((1, 9)), [0])[1]
     kept = first.copy()
-    evaluate(np.ones(9))
+    evaluate(np.ones((1, 9)), [0])
     assert first.tobytes() == kept.tobytes()
 
 
 def test_objective_rejects_untrainable_dataset():
     with pytest.raises(ValueError):
-        _objective(make_dataset(np.zeros((0, 2)), [], c=3), 0.0)
+        _stacked_objective([make_dataset(np.zeros((0, 2)), [], c=3)], 0.0)
     with pytest.raises(ValueError):
-        _objective(make_dataset([[0.0, 1.0]], [-1], c=3), 0.0)
+        _stacked_objective([make_dataset([[0.0, 1.0]], [-1], c=3)], 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
+    # One call: three models share a 130-row block (broadcast), then runs of
+    # 2 models on 17 own rows each, 1 on 1 row and 3 on 40 rows each. With
+    # c = 4 the call's 545 rows take the column log-softmax, each model
+    # alone the row form.
+    rng = np.random.default_rng(25)
+    shared = synth_gaussian(4, 33, 3, 3.0, seed=25).take(np.arange(130))
+    own = _stack_members([17, 17, 1, 40, 40, 40], 4, 3, seed=26)
+    counts = [2, 1, 3]
+    weights = rng.normal(scale=0.8, size=(3 + len(own), 4, 4))
+    runs = [np.broadcast_to(_augment(shared.features), (3, 130, 4))]
+    labels = [np.tile(shared.observed_labels, 3)]
+    start = 0
+    for k in counts:
+        block = own[start:start + k]
+        runs.append(np.stack([_augment(ds.features) for ds in block]))
+        labels += [ds.observed_labels for ds in block]
+        start += k
+    labels = np.concatenate(labels)
+    n = labels.size
+    grads = np.empty_like(weights)
+    losses = _xent(weights, runs, np.empty((n, 4)), np.arange(0, n * 4, 4) + labels, lam, grads)
+    assert n == 545 and losses.shape == (9,)
+    for w, ds, value, grad in zip(weights, [shared] * 3 + own, losses, grads):
+        assert value == reference_loss(w, ds, lam)
+        assert grad.tobytes() == gradient(ModelParams(w, 4), ds, lam).tobytes()
 
 
 # ---------------------------------------------------------------- column log-softmax
@@ -531,8 +561,7 @@ def test_member_losses_bitwise_equal_single_model_losses(monkeypatch, lam):
     members = _stack_members(sizes, 3, 4, seed=39)
     rng = np.random.default_rng(39)
     weights = [rng.normal(scale=0.7, size=(5, 3)) for _ in sizes]
-    expected = [_losses(w[None], _augment(ds.features), ds.observed_labels, lam)[0]
-                for w, ds in zip(weights, members)]
+    expected = [reference_loss(w, ds, lam) for w, ds in zip(weights, members)]
     blocks = []
     real = trainer._log_softmax
     monkeypatch.setattr(trainer, "_log_softmax", lambda logits: blocks.append(logits.shape[-2])
