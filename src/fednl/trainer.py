@@ -256,23 +256,22 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, picked: np.ndarray, lam
     rows or one (m, d+1) block they share, broadcast. The runs' logits are
     packed in order into ``logits``, (n, c) for their n rows, in which
     ``picked`` holds each row's flat label index. Each run takes one
-    stacked product each way, the rest runs once over all rows, and each
-    model's NLL and L2 term are reduced on their own along the last axis,
-    as a single model's are: every value is bitwise that model's alone on
-    its rows. ``grads`` is (g, d+1, c) or None. Returns the (g,) losses.
+    stacked product each way and one NLL reduction; the log-softmax, label
+    gather, exp and subtract-at-labels run once over all rows. Each model's
+    terms are reduced on their own along the last axis, as a single model's
+    are, so its returned loss and its ``grads`` slice are bitwise what it gets alone.
     """
     g, c = w.shape[0], w.shape[2]
     parts = []  # (first row, block, logits, slots) of each run
-    sizes = []  # each model's row count
-    start = 0
+    start = slot = 0
     for x in runs:
         k, m = x.shape[0], x.shape[1]
-        slots = slice(len(sizes), len(sizes) + k)
+        slots = slice(slot, slot + k)
         out = logits[start:start + k * m].reshape(k, m, c)
         np.matmul(x, w[slots], out=out)
         parts.append((start, x, out, slots))
-        sizes += [m] * k
         start += k * m
+        slot += k
     flat = _log_softmax(logits).reshape(-1)
     nll = flat[picked]
     sums = np.empty(g)
@@ -280,14 +279,14 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, picked: np.ndarray, lam
     for start, x, _, slots in parts:
         k, m = x.shape[0], x.shape[1]
         add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
-    rows = np.array(sizes, dtype=np.float64)
-    losses = -(sums / rows) + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
+        sums[slots] /= m
+    losses = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
     if grads is not None:
         np.exp(logits, out=logits)
         flat[picked] -= 1.0
         for _, x, probs, slots in parts:
             np.matmul(x.transpose(0, 2, 1), probs, out=grads[slots])
-        grads /= rows[:, None, None]
+            grads[slots] /= x.shape[1]
         grads += lam * w
     return losses
 
@@ -334,7 +333,8 @@ def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
     n, c = x.shape[0], stack.shape[2]
     per_block = max(1, min(len(stack), _LOSS_BLOCK // (n * c)))
     logits = np.empty((per_block * n, c))
-    picked = np.arange(0, per_block * n * c, c) + np.tile(labels, per_block)
+    picked = np.tile(labels, per_block)
+    picked += np.arange(0, per_block * n * c, c)
     out = []
     for start in range(0, len(stack), per_block):
         block = stack[start:start + per_block]
