@@ -367,12 +367,11 @@ def _b_moments(datasets, models, trainer_config: TrainerConfig,
         worst = 0.0
         for chunk in np.split(batches, range(per_chunk, _B_BATCHES, per_chunk)):
             rows = chunk.reshape(-1)
-            k, c = len(chunk), ds.class_count
+            k = len(chunk)
             bgrads = np.empty((k,) + model.weights.shape)
             _xent(np.broadcast_to(model.weights, bgrads.shape),
                   [_augment(ds.features[rows]).reshape(*chunk.shape, -1)],
-                  np.empty((rows.size, c)), np.arange(0, rows.size * c, c)
-                  + ds.observed_labels[rows], lam, bgrads)
+                  np.empty((rows.size, ds.class_count)), ds.observed_labels[rows], lam, bgrads)
             for dev, size in zip(add(((bgrads - full) ** 2).reshape(k, -1), axis=-1).tolist(),
                                  add((bgrads ** 2).reshape(k, -1), axis=-1).tolist()):
                 worst = max(worst, dev)

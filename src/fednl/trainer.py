@@ -247,15 +247,15 @@ def _exp_class_sum(values: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def _xent(w: np.ndarray, runs: list, logits: np.ndarray, picked: np.ndarray, lam: float,
+def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam: float,
           grads: np.ndarray | None = None) -> np.ndarray:
     """`loss` of every model in a (g, d+1, c) weight stack, and its `gradient` into ``grads``.
 
     ``runs`` covers the models in stack order: each is a (k, m, d+1) block
     of augmented rows for the next k models, m rows each, either their own
     rows or one (m, d+1) block they share, broadcast. The runs' logits are
-    packed in order into ``logits``, (n, c) for their n rows, in which
-    ``picked`` holds each row's flat label index. Each run takes one
+    packed in order into ``logits``, (n, c) for their n rows, whose labels
+    are ``labels`` (n,). Each run takes one
     stacked product each way and one NLL reduction; the log-softmax, label
     gather, exp and subtract-at-labels run once over all rows. Each model's
     terms are reduced on their own along the last axis, as a single model's
@@ -273,6 +273,10 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, picked: np.ndarray, lam
         start += k * m
         slot += k
     flat = _log_softmax(logits).reshape(-1)
+    # Each row's flat label index, made once the log-softmax has freed its
+    # temporaries.
+    picked = np.arange(0, flat.size, c)
+    picked += labels
     nll = flat[picked]
     sums = np.empty(g)
     add = np.add.reduce
@@ -295,17 +299,14 @@ def _pack(members: list) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The members' rows augmented into one block, member after member.
 
     Returns the block, each member's first row and then the end row, and
-    each row's flat index of its label in an (n, c) logit array.
+    the rows' labels.
     """
     bounds = list(accumulate((ds.n for ds in members), initial=0))
     x = np.empty((bounds[-1], members[0].d + 1))
     x[:, -1] = 1.0
     for ds, a, b in zip(members, bounds, bounds[1:]):
         x[a:b, :-1] = ds.features
-    c = members[0].class_count
-    picked = np.arange(0, bounds[-1] * c, c)
-    picked += np.concatenate([ds.observed_labels for ds in members])
-    return x, bounds, picked
+    return x, bounds, np.concatenate([ds.observed_labels for ds in members])
 
 
 #: Logits scored per batched matmul in `_losses`. Blocks of 2**13 float64
@@ -328,19 +329,18 @@ def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
     """`loss` of every model in an (m, d+1, c) weight stack on augmented features x.
 
     Blocks of up to `_LOSS_BLOCK` logits share the one copy of x, one
-    logit buffer and one label index.
+    logit buffer and one copy of the labels per model.
     """
     n, c = x.shape[0], stack.shape[2]
     per_block = max(1, min(len(stack), _LOSS_BLOCK // (n * c)))
     logits = np.empty((per_block * n, c))
-    picked = np.tile(labels, per_block)
-    picked += np.arange(0, per_block * n * c, c)
+    labels = np.tile(labels, per_block)
     out = []
     for start in range(0, len(stack), per_block):
         block = stack[start:start + per_block]
         rows = len(block) * n
         out += _xent(block, [np.broadcast_to(x, (len(block),) + x.shape)], logits[:rows],
-                     picked[:rows], l2_lambda).tolist()
+                     labels[:rows], l2_lambda).tolist()
     return out
 
 
@@ -360,9 +360,9 @@ def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float
         while stop < len(members) and (rows + members[stop].n) * c <= _STEP_BLOCK:
             rows += members[stop].n
             stop += 1
-        x, bounds, picked = _pack(members[start:stop])
+        x, bounds, labels = _pack(members[start:stop])
         runs = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
-        out += _xent(stack[start:stop], runs, np.empty((rows, c)), picked, l2_lambda).tolist()
+        out += _xent(stack[start:stop], runs, np.empty((rows, c)), labels, l2_lambda).tolist()
         start = stop
     return out
 
@@ -394,22 +394,20 @@ def _stacked_objective(members, l2_lambda: float):
     for ds in members:
         _require_trainable(ds)
     d, c = members[0].d, members[0].class_count
-    x, bounds, labelled = _pack(members)
+    x, bounds, all_labels = _pack(members)
     blocks = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
     buf = np.empty((bounds[-1], c))
 
     def evaluate(w: np.ndarray, which) -> tuple[np.ndarray, np.ndarray]:
         m = len(which)
         if m == len(blocks):
-            runs, picked = blocks, labelled
+            runs, labels = blocks, all_labels
         else:
             which = np.asarray(which).tolist()
             runs = [blocks[j] for j in which]
-            offsets = list(accumulate((bounds[j + 1] - bounds[j] for j in which), initial=0))
-            picked = np.concatenate([labelled[bounds[j]:bounds[j + 1]] + (a - bounds[j]) * c
-                                     for j, a in zip(which, offsets)])
+            labels = np.concatenate([all_labels[bounds[j]:bounds[j + 1]] for j in which])
         grads = np.empty((m, d + 1, c))
-        values = _xent(w.reshape(m, d + 1, c), runs, buf[:len(picked)], picked, l2_lambda,
+        values = _xent(w.reshape(m, d + 1, c), runs, buf[:len(labels)], labels, l2_lambda,
                        grads)
         return values, grads.reshape(m, -1)
 
@@ -491,8 +489,7 @@ def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
     contiguous = members == list(range(first, first + g))
     w = weights[first:first + g] if contiguous else weights[members]
     grad = np.empty_like(w)
-    batch_loss = _xent(w, runs, scratch[:r * c].reshape(r, c), np.arange(0, r * c, c) + ybuf[:r],
-                       lam, grad)
+    batch_loss = _xent(w, runs, scratch[:r * c].reshape(r, c), ybuf[:r], lam, grad)
     w -= rates * grad
     if not contiguous:
         weights[members] = w

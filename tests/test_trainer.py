@@ -184,7 +184,7 @@ def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
     labels = np.concatenate(labels)
     n = labels.size
     grads = np.empty_like(weights)
-    losses = _xent(weights, runs, np.empty((n, 4)), np.arange(0, n * 4, 4) + labels, lam, grads)
+    losses = _xent(weights, runs, np.empty((n, 4)), labels, lam, grads)
     assert n == 545 and losses.shape == (9,)
     for w, ds, value, grad in zip(weights, [shared] * 3 + own, losses, grads):
         assert value == reference_loss(w, ds, lam)
