@@ -255,14 +255,16 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
     of augmented rows for the next k models, m rows each, either their own
     rows or one (m, d+1) block they share, broadcast. The runs' logits are
     packed in order into ``logits``, (n, c) for their n rows, whose labels
-    are ``labels`` (n,). Each run takes one
-    stacked product each way and one NLL reduction; the log-softmax, label
-    gather, exp and subtract-at-labels run once over all rows. Each model's
-    terms are reduced on their own along the last axis, as a single model's
-    are, so its returned loss and its ``grads`` slice are bitwise what it gets alone.
+    are ``labels`` (n,). Each run takes one stacked product each way and
+    one NLL reduction; the log-softmax, label gather, exp and
+    subtract-at-labels run once over all rows. Each model's terms are
+    reduced on their own along the last axis, as a single model's are, so
+    its returned loss and its ``grads`` slice are bitwise what it gets
+    alone.
     """
     g, c = w.shape[0], w.shape[2]
     parts = []  # (first row, block, logits, slots) of each run
+    rows = np.empty(g)  # each model's row count
     start = slot = 0
     for x in runs:
         k, m = x.shape[0], x.shape[1]
@@ -270,6 +272,7 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
         out = logits[start:start + k * m].reshape(k, m, c)
         np.matmul(x, w[slots], out=out)
         parts.append((start, x, out, slots))
+        rows[slots] = m
         start += k * m
         slot += k
     flat = _log_softmax(logits).reshape(-1)
@@ -283,14 +286,14 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
     for start, x, _, slots in parts:
         k, m = x.shape[0], x.shape[1]
         add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
-        sums[slots] /= m
+    sums /= rows
     losses = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
     if grads is not None:
         np.exp(logits, out=logits)
         flat[picked] -= 1.0
         for _, x, probs, slots in parts:
             np.matmul(x.transpose(0, 2, 1), probs, out=grads[slots])
-            grads[slots] /= x.shape[1]
+        grads /= rows[:, None, None]
         grads += lam * w
     return losses
 
