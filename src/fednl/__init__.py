@@ -28,8 +28,8 @@ from .noise import (NoiseReport, TransitionMatrix, asymmetric_matrix, inject_noi
 from .rounds import (BComponents, MeasurementError, NoStrongConvexityError, Optimum,
                      RoundConstants, RoundEstimate, RoundParams, SmoothnessParams,
                      compute_B, estimate_rounds, measure_b_components, measure_init_gap,
-                     measure_round_constants, measure_smoothness, solve_optimum,
-                     verify_rate)
+                     measure_round_constants, measure_round_grid, measure_smoothness,
+                     solve_optimum, verify_rate)
 from .trainer import (Constant, DatasetStack, Diminishing, DivergenceError, ModelParams,
                       TrainerConfig, gradient, init_model, loss, lr_at, predict, save_model,
                       smoothness_bound, steps_per_round, train_local)

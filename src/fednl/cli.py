@@ -21,8 +21,8 @@ from .estimator import estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
 from .metrics import format_snapshot
 from .noise import asymmetric_matrix, inject_noise, save_matrix, symmetric_matrix, with_out_of_space
-from .rounds import MeasurementError, measure_round_constants
-from .trainer import Constant, DivergenceError, TrainerConfig, save_model
+from .rounds import _GRID_ERRORS, measure_round_grid
+from .trainer import Constant, TrainerConfig, save_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -172,13 +172,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-#: Failures `fednl rounds` reports as error rows of one grid point or noise
-#: level before going on: invalid or unmeasurable constants (ValueError covers
-#: NoStrongConvexityError, EstimationError and numpy's LinAlgError) and
-#: diverged training. Anything else is a program error and exits 3.
-_GRID_ERRORS = (ValueError, MeasurementError, DivergenceError)
-
-
 def cmd_rounds(args) -> int:
     config = load_config(args.config)
     clean_cfg = ExperimentConfig(values={**config.values, "noise.kind": "none"})
@@ -192,14 +185,14 @@ def cmd_rounds(args) -> int:
     print(header)
     print("-" * len(header))
     failures = 0
-    for level in config["rounds_grid.noise"]:
-        try:
-            constants = measure_round_constants(participants, trainer, config["seed"], level,
-                                                config["pipeline.init_scale"])
-        except _GRID_ERRORS as e:
+    levels = config["rounds_grid.noise"]
+    grid = measure_round_grid(participants, trainer, config["seed"], levels,
+                              config["pipeline.init_scale"])
+    for level, constants in zip(levels, grid):
+        if isinstance(constants, Exception):
             for epochs in grid_epochs:
                 for q_o in grid_qo:
-                    print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {e}")
+                    print(f"{level:>6.3f} {epochs:>4} {q_o:>10.4g}  error: {constants}")
                     failures += 1
             continue
         smooth, comps = constants.smooth, constants.components

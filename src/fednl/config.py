@@ -7,6 +7,7 @@ transition matrix, trainer and federation configs) so the command-line layer
 stays thin.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,8 +58,17 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.split(",") if v.strip()]
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip()]
+def _finite_list(kind, **bounds):
+    """A comma-separated list of finite values, each within `_ranged`'s bounds."""
+    check = _ranged(kind, **bounds)
+
+    def parse(raw: str) -> list:
+        values = [check(v) for v in raw.split(",") if v.strip()]
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"must be finite, got {bad[0]}")
+        return values
+    return parse
 
 
 def _identity(raw: str) -> str:
@@ -136,9 +146,9 @@ _SCHEMA = {
     "pipeline.per_class_resplit": (_parse_bool, False),
     "pipeline.init_scale": (_ranged(float, low=0.0), 0.01),
 
-    "rounds_grid.q_o": (_parse_float_list, [0.01]),
-    "rounds_grid.local_epochs": (_parse_int_list, [20]),
-    "rounds_grid.noise": (_parse_float_list, [0.0]),
+    "rounds_grid.q_o": (_finite_list(float, low=0.0, low_open=True), [0.01]),
+    "rounds_grid.local_epochs": (_finite_list(int, low=1), [20]),
+    "rounds_grid.noise": (_finite_list(float, low=0.0, high=1.0, high_open=True), [0.0]),
 }
 
 

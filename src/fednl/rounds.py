@@ -8,9 +8,16 @@ trainer: smoothness L, strong convexity mu, per-participant gradient
 variance sigma_i^2, gradient bound G^2, non-iid degree Gamma, and the
 init-to-optimum gap.
 
-`measure_round_constants` runs the whole measurement (noise, one local
-round, then L, the B components and the init gap) for every caller;
-`RoundConstants.rounds` turns it into B and a round estimate.
+`measure_round_grid` runs the whole measurement at every noise level of a
+grid (noise, one local round, then L, the B components and the init gap),
+and `measure_round_constants` is its one-level case; `RoundConstants.rounds`
+turns a level's constants into B and a round estimate. The grid trains
+every level first, then probes L once for all of them: the levels' pooled
+sets hold the same rows under other labels, and the probe's weight draws
+are the same at every level, so `measure_smoothness` runs each pass once,
+with the levels' label sets in one kernel call (`trainer._xent`), and only
+the label step per level. The B components and the init gap follow level
+by level.
 
 Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
 package needs no scipy. It solves a stack of problems in iteration
@@ -18,14 +25,13 @@ lockstep, every running problem one iteration per tick, each bitwise what
 solving it alone gives; `solve_optimum` is a stack of one. Per noise level
 the pooled set is solved once, through `solve_optimum`, and the init gap
 reads that optimum from `measure_b_components`; then all participants are
-solved in one call (`_solve`). Every full-batch pass, the solvers' and the
-smoothness probe's, is `trainer._stacked_objective`: the rows augmented
-once into one block, each evaluation one pass of the trainer's loss kernel
-(`trainer._xent`) over the running problems. On the pooled set the
-log-softmax reduces over the class columns, not along each row. The B
-measurement draws every participant's batches, then takes their gradients
-from the sampled rows in chunks of batches, one kernel call per chunk,
-with no `Dataset` built per batch.
+solved in one call (`_solve`). Every solver pass is
+`trainer._stacked_objective`: the rows augmented once into one block, each
+evaluation one pass of the kernel over the running problems. On the pooled
+set the log-softmax reduces over the class columns, not along each row.
+The B measurement draws every participant's batches, then takes their
+gradients from the sampled rows in chunks of batches, one kernel call per
+chunk, with no `Dataset` built per batch.
 """
 
 import logging
@@ -38,8 +44,9 @@ from ._rng import INIT_GAP, INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
-from .trainer import (_STEP_BLOCK, DatasetStack, ModelParams, TrainerConfig, _augment,
-                      _stacked_objective, _xent, gradient, loss, train_local)
+from .trainer import (_STEP_BLOCK, DatasetStack, DivergenceError, ModelParams, TrainerConfig,
+                      _augment, _require_trainable, _stacked_objective, _xent, gradient, loss,
+                      train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -142,33 +149,70 @@ _LBFGS_MAX_ITER = 5000
 _row_dot = np.vecdot
 
 
-def measure_smoothness(dataset: Dataset, trainer_config: TrainerConfig,
-                       seed: int = 0) -> SmoothnessParams:
-    """Estimate L empirically; mu is the L2 coefficient exactly.
+def measure_smoothness(datasets, trainer_config: TrainerConfig,
+                       seed: int = 0) -> list[SmoothnessParams]:
+    """Estimate L empirically on each dataset; mu is the L2 coefficient exactly.
 
     L is the largest gradient-difference ratio over random weight pairs,
-    inflated by a 1.2 safety factor and floored at mu.
+    inflated by a 1.2 safety factor and floored at mu. Returns one
+    `SmoothnessParams` per dataset, each bitwise what the dataset gets
+    alone. Datasets whose in-space features are equal share every pass
+    (`_largest_ratios`): the same weight draws on the same rows, so only
+    the label step runs once per dataset.
     """
     if trainer_config.l2_lambda <= 0.0:
         raise NoStrongConvexityError("l2_lambda is 0; the objective is not strongly convex")
     mu = trainer_config.l2_lambda
-    ds = dataset.in_space()
+    sets = [ds.in_space() for ds in datasets]
+    for ds in sets:
+        _require_trainable(ds)
+    groups: list[list[int]] = []  # positions of the sets that share one probe
+    for i, ds in enumerate(sets):
+        for group in groups:
+            first = sets[group[0]]
+            if first.class_count == ds.class_count and (
+                    first.features is ds.features or np.array_equal(first.features, ds.features)):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    smooth = [None] * len(sets)
+    for group in groups:
+        first = sets[group[0]]
+        labels = np.stack([sets[i].observed_labels for i in group])
+        for i, best in zip(group, _largest_ratios(first.features, labels, first.class_count,
+                                                  mu, seed)):
+            smooth[i] = SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
+    return smooth
+
+
+def _largest_ratios(features: np.ndarray, labels: np.ndarray, c: int, mu: float,
+                    seed: int) -> list[float]:
+    """Largest gradient-difference ratio of each label set over the probe's weight pairs.
+
+    ``labels`` is (s, n), s label sets over the n rows of ``features``. The
+    pairs are `_SMOOTHNESS_PAIRS` draws from the MEASURE stream of ``seed``,
+    flat weights in the (d+1, c) matrices' row-major order. Each draw is
+    one `_xent` call over all s sets, so its products, log-softmax and exp
+    run once.
+    """
+    x = _augment(features)[None]
+    s, d1 = len(labels), x.shape[2]
     rng = derive_rng(seed, MEASURE)
-    # Flat weights, drawn in the (d+1, c) matrices' row-major order.
-    shape = (1, (ds.d + 1) * ds.class_count)
-    objective = _stacked_objective([ds], mu)
-    only = [0]
-    best = 0.0
+    logits = np.empty((labels.shape[1], c))
+    ga, gb = np.empty((2, s, 1, d1, c))
+    best = [0.0] * s
     for _ in range(_SMOOTHNESS_PAIRS):
-        wa = rng.standard_normal(shape)
-        wb = rng.standard_normal(shape)
-        ga = objective(wa, only)[1]
-        gb = objective(wb, only)[1]
+        wa = rng.standard_normal((1, d1, c))
+        wb = rng.standard_normal((1, d1, c))
+        _xent(wa, [x], logits, labels, mu, ga)
+        _xent(wb, [x], logits, labels, mu, gb)
         denom = float(np.linalg.norm(wa - wb))
         if denom == 0.0:
             continue
-        best = max(best, float(np.linalg.norm(ga - gb)) / denom)
-    return SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
+        for i in range(s):
+            best[i] = max(best[i], float(np.linalg.norm(ga[i] - gb[i])) / denom)
+    return best
 
 
 def _lbfgs(objective, x: np.ndarray, max_iter: int, gtol: float) -> np.ndarray:
@@ -470,6 +514,101 @@ class RoundConstants:
                                   alpha_minus_one=alpha_minus_one)
 
 
+#: Failures that stop one noise level of a round grid, which `fednl rounds`
+#: reports as error rows before going on: invalid or unmeasurable constants
+#: (ValueError covers NoStrongConvexityError, EstimationError and numpy's
+#: LinAlgError) and diverged training. Anything else is a program error.
+_GRID_ERRORS = (ValueError, MeasurementError, DivergenceError)
+
+
+def measure_round_grid(participants, trainer_config: TrainerConfig, seed: int, noise_levels,
+                       init_scale: float = 0.01) -> list:
+    """`measure_round_constants` at each noise level, with one smoothness probe for all.
+
+    Returns, per level, its `RoundConstants` or the `_GRID_ERRORS` error
+    that stopped it; any other error propagates. Each level runs the steps
+    of a level alone in their order (inject, train, L, B, init gap), so a
+    failing level reports the first error it would hit alone. All levels
+    are injected and trained first; then one `measure_smoothness` call
+    probes every trained level's pooled set, and levels whose pooled rows
+    are equal share its passes. The probe's only failure, a zero
+    l2_lambda, holds at every level alike. The pooled sets share one
+    features array where their levels' parts do (`_pool`).
+    """
+    d, c = participants[0].d, participants[0].class_count
+    init = server_init(d, c, seed, init_scale)
+    results = [None] * len(noise_levels)
+    trained = []  # (position, key, training sets, models) of each level that trained
+    for at, level in enumerate(noise_levels):
+        try:
+            trained.append((at, *_train_level(participants, trainer_config, seed, level, init)))
+        except _GRID_ERRORS as e:
+            results[at] = e
+    if not trained:
+        return results
+    try:
+        smooth = measure_smoothness(_pool([sets for _, _, sets, _ in trained]), trainer_config,
+                                    seed=seed)
+    except _GRID_ERRORS as e:
+        smooth = [e] * len(trained)
+    for level_smooth in smooth:
+        # Each level's sets are dropped once measured.
+        at, key, train_sets, models = trained.pop(0)
+        if isinstance(level_smooth, Exception):
+            results[at] = level_smooth
+            continue
+        try:
+            comps = measure_b_components(train_sets, models, init, trainer_config,
+                                         seed=derive_seed(seed, MEASURE, key))
+            gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
+        except _GRID_ERRORS as e:
+            results[at] = e
+            continue
+        results[at] = RoundConstants(smooth=level_smooth, components=comps, init_gap=gap)
+    return results
+
+
+def _train_level(participants, trainer_config: TrainerConfig, seed: int, level: float,
+                 init: ModelParams) -> tuple[int, list, list]:
+    """A level's key, its participants' in-space training sets and their models
+    after one local round from ``init``.
+
+    The injected participants, which carry their true labels, go with the
+    call; the training sets hold only their observed labels.
+    """
+    key = int(round(level * 10**6))
+    if level > 0.0:
+        matrix = symmetric_matrix(participants[0].class_count, level)
+        participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
+                        for i, ds in enumerate(participants)]
+    train_sets = [ds.training_view().in_space() for ds in participants]
+    seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
+    return key, train_sets, train_local(init, DatasetStack(train_sets, seeds), trainer_config)
+
+
+def _pool(levels) -> list[Dataset]:
+    """The pooled set of each level's training sets, as `concat_datasets` builds it.
+
+    A level whose sets hold the very feature arrays of an earlier level's
+    sets reuses that level's pooled features, so no two copies of the
+    pooled rows are alive at once.
+    """
+    pooled = []
+    for sets in levels:
+        for earlier, done in zip(levels, pooled):
+            if len(earlier) == len(sets) and all(
+                    a.features is b.features for a, b in zip(earlier, sets)):
+                pooled.append(Dataset(
+                    features=done.features,
+                    observed_labels=np.concatenate([ds.observed_labels for ds in sets]),
+                    ids=np.concatenate([ds.ids for ds in sets]),
+                    class_count=done.class_count, name="pooled"))
+                break
+        else:
+            pooled.append(concat_datasets(sets, name="pooled"))
+    return pooled
+
+
 def measure_round_constants(participants, trainer_config: TrainerConfig, seed: int,
                             noise_level: float = 0.0,
                             init_scale: float = 0.01) -> RoundConstants:
@@ -480,23 +619,13 @@ def measure_round_constants(participants, trainer_config: TrainerConfig, seed: i
     in-space view. With key = the level in millionths, injection and training
     draw from (INJECT|TRAIN, key, i), the B measurement from (MEASURE, key),
     and L's probe and the init gap from ``seed``, shared by every level.
+    This is the one-level case of `measure_round_grid`; a failure raises.
     """
-    d, c = participants[0].d, participants[0].class_count
-    key = int(round(noise_level * 10**6))
-    if noise_level > 0.0:
-        matrix = symmetric_matrix(c, noise_level)
-        participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
-                        for i, ds in enumerate(participants)]
-    train_sets = [ds.training_view().in_space() for ds in participants]
-    init = server_init(d, c, seed, init_scale)
-    seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
-    models = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
-    smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer_config,
-                                seed=seed)
-    comps = measure_b_components(train_sets, models, init, trainer_config,
-                                 seed=derive_seed(seed, MEASURE, key))
-    gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
-    return RoundConstants(smooth=smooth, components=comps, init_gap=gap)
+    (result,) = measure_round_grid(participants, trainer_config, seed, [noise_level],
+                                   init_scale)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def verify_rate(run: RunReport, optimum_loss: float) -> float:

@@ -63,6 +63,15 @@ def reference_stacked_objective(members, l2_lambda):
     return evaluate
 
 
+def round_constants_bytes(constants):
+    """The float64 bytes of a `RoundConstants`: L, each sigma_i^2, G^2, Gamma, the
+    pooled optimum's loss, the init gap, then the optimum's weights."""
+    comps = constants.components
+    return (np.array([constants.smooth.L, *comps.sigma_sq, comps.G_sq, comps.Gamma,
+                      comps.optimum.loss, constants.init_gap]).tobytes()
+            + comps.optimum.model.weights.tobytes())
+
+
 @pytest.fixture
 def tiny_dataset():
     """Nine linearly separated instances over three classes."""

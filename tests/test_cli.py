@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import fednl
-from fednl import MeasurementError, rounds, save_dataset, synth_gaussian
+from fednl import MeasurementError, cli, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
-from conftest import reference_stacked_objective
+from conftest import make_dataset, reference_stacked_objective, round_constants_bytes
 
 
 def run_cli(*argv):
@@ -389,6 +389,144 @@ def test_rounds_table_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == ROUNDS_TABLE
 
 
+#: `fednl rounds` on ROUNDS_CONFIG over two noise levels and two epoch
+#: counts. L is equal at both levels; the rest differs, so a value that
+#: leaks from one level into the other fails here.
+ROUNDS_TABLE_TWO_LEVELS = """\
+ noise    E        q_o            B     alpha            raw   rounds
+---------------------------------------------------------------------
+# noise 0.000: L=1.581 mu=0.01 max sigma^2=0.01328 G^2=0.05601 Gamma=0.0003706 gap=2.967
+ 0.000    5        0.1       7.1766      1265     4.5952e+05   459517
+ 0.000    5       0.01       7.1766      1265     4.5974e+06  4597442
+ 0.000   20        0.1       161.77      1265     2.5589e+06  2558880
+ 0.000   20       0.01       161.77      1265     2.5589e+07 25589366
+# noise 0.300: L=1.581 mu=0.01 max sigma^2=1.493 G^2=2.501 Gamma=0.04344 gap=0.2451
+ 0.300    5        0.1       320.83      1265     2.0289e+07 20288826
+ 0.300    5       0.01       320.83      1265     2.0289e+08 202890526
+ 0.300   20        0.1       7222.3      1265     1.1418e+08 114181832
+ 0.300   20       0.01       7222.3      1265     1.1418e+09 1141818881
+"""
+
+TWO_LEVELS = {"rounds_grid.noise = 0.0": "rounds_grid.noise = 0.0, 0.3",
+              "rounds_grid.local_epochs = 5": "rounds_grid.local_epochs = 5, 20"}
+
+
+def _edit(text, replacements):
+    for old, new in replacements.items():
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+def _record_probes(monkeypatch):
+    """The dataset count of each `measure_smoothness` call and the label-set
+    count of each probe it runs."""
+    calls, probes = [], []
+    measure, largest = rounds.measure_smoothness, rounds._largest_ratios
+
+    def measured(datasets, *args, **kwargs):
+        calls.append(len(datasets))
+        return measure(datasets, *args, **kwargs)
+
+    def probed(features, labels, *args):
+        probes.append(len(labels))
+        return largest(features, labels, *args)
+
+    monkeypatch.setattr(rounds, "measure_smoothness", measured)
+    monkeypatch.setattr(rounds, "_largest_ratios", probed)
+    return calls, probes
+
+
+def test_rounds_two_level_table_is_pinned_and_probed_once(tmp_path, capsys, monkeypatch):
+    calls, probes = _record_probes(monkeypatch)
+    config = write_config(tmp_path, _edit(ROUNDS_CONFIG, TWO_LEVELS))
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    assert capsys.readouterr().out == ROUNDS_TABLE_TWO_LEVELS
+    assert calls == [2] and probes == [2]
+
+
+def _grid_and_levels_alone(tmp_path, capsys, monkeypatch, text):
+    """`fednl rounds` on a config: its table, the grid's results, each level
+    measured alone by `measure_round_constants`, and the probe counts."""
+    recorded = []
+    grid = cli.measure_round_grid
+
+    def recording(*args):
+        recorded.append((args, grid(*args)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(cli, "measure_round_grid", recording)
+    calls, probes = _record_probes(monkeypatch)
+    assert run_cli("rounds", "--config", str(write_config(tmp_path, text))) == EXIT_OK
+    out = capsys.readouterr().out
+    counts = (calls[:], probes[:])
+    ((participants, trainer, seed, levels, init_scale), results), = recorded
+    alone = []
+    for level in levels:
+        try:
+            alone.append(rounds.measure_round_constants(participants, trainer, seed, level,
+                                                        init_scale))
+        except rounds._GRID_ERRORS as e:
+            alone.append(e)
+    for got, want in zip(results, alone, strict=True):
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert round_constants_bytes(got) == round_constants_bytes(want)
+    return out, results, counts
+
+
+def _file_grid_config(tmp_path, keep_truth, extra=""):
+    """A three-participant rounds grid at noise 0 and 0.3 over a data file whose
+    every seventh row has an out-of-space observed label; its true label is
+    kept in the file when ``keep_truth``."""
+    base = synth_gaussian(3, 40, 2, 8.0, seed=31)
+    labels = base.observed_labels.copy()
+    labels[::7] = -1
+    dataset = make_dataset(base.features, labels, c=3, ids=base.ids,
+                           true_labels=base.observed_labels if keep_truth else None)
+    path = tmp_path / "data.csv"
+    save_dataset(dataset, path)
+    return (f"seed = 31\nparticipants = 3\ndata.source = file\ndata.path = {path}\n"
+            "trainer.local_epochs = 3\ntrainer.batch_size = 16\n"
+            "rounds_grid.q_o = 0.1, 0.01\nrounds_grid.local_epochs = 5\n"
+            "rounds_grid.noise = 0, 0.3\n" + extra)
+
+
+def test_rounds_file_grid_probes_unequal_pooled_rows_apart(tmp_path, capsys, monkeypatch):
+    # Level 0 drops the out-of-space rows; level 0.3 draws every row's label
+    # from its true label, so its pooled set keeps them: two probes.
+    out, results, counts = _grid_and_levels_alone(
+        tmp_path, capsys, monkeypatch, _file_grid_config(tmp_path, keep_truth=True))
+    assert counts == ([2], [1, 1])
+    assert "error" not in out and out.count("# noise") == 2
+    assert results[0].smooth.L != results[1].smooth.L
+
+
+def test_rounds_file_grid_failed_injection_spares_clean_level(tmp_path, capsys, monkeypatch):
+    # Without true labels the out-of-space rows cannot be injected at 0.3;
+    # level 0 trains on the in-space rows and prints its table.
+    out, results, counts = _grid_and_levels_alone(
+        tmp_path, capsys, monkeypatch, _file_grid_config(tmp_path, keep_truth=False))
+    assert counts == ([1], [1])
+    rows = [line for line in out.splitlines() if line.startswith(" 0.")]
+    assert len(rows) == 4 and "error" not in "".join(rows[:2])
+    message = "error: cannot inject noise without a true in-space label for every instance"
+    assert rows[2:] == [f" 0.300    5 {q_o:>10.4g}  {message}" for q_o in (0.1, 0.01)]
+    assert isinstance(results[1], ValueError)
+    assert "2 grid point(s) failed" in out
+
+
+def test_rounds_file_grid_without_l2_fails_every_level(tmp_path, capsys, monkeypatch):
+    out, results, counts = _grid_and_levels_alone(
+        tmp_path, capsys, monkeypatch,
+        _file_grid_config(tmp_path, keep_truth=True, extra="trainer.l2_lambda = 0\n"))
+    assert counts == ([2], [])
+    assert all(isinstance(r, rounds.NoStrongConvexityError) for r in results)
+    assert out.count("error: l2_lambda is 0; the objective is not strongly convex") == 4
+    assert "4 grid point(s) failed" in out
+
+
 def test_rounds_alpha_minus_one_shifts_only_alpha(tmp_path, capsys, monkeypatch):
     estimates = []
     estimate = rounds.estimate_rounds
@@ -415,6 +553,19 @@ def test_rounds_empty_grid_rejected(tmp_path):
     config = write_config(tmp_path, ROUNDS_CONFIG.replace(
         "rounds_grid.q_o = 0.1, 0.01", "rounds_grid.q_o ="))
     assert run_cli("rounds", "--config", str(config)) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("old, new", [
+    ("rounds_grid.noise = 0.0", "rounds_grid.noise = 0.0, 1.0"),
+    ("rounds_grid.q_o = 0.1, 0.01", "rounds_grid.q_o = inf"),
+    ("rounds_grid.local_epochs = 5", "rounds_grid.local_epochs = 0"),
+])
+def test_rounds_bad_grid_value_is_validation_error(tmp_path, capsys, old, new):
+    # Rejected when the config loads, before any training, naming the key.
+    config = write_config(tmp_path, _edit(ROUNDS_CONFIG, {old: new}))
+    assert run_cli("rounds", "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and new.split(" =")[0] + ": must be" in captured.err
 
 
 def _record_solves(monkeypatch):
@@ -447,13 +598,14 @@ def test_rounds_table_bitwise_equals_per_call_objective(tmp_path, capsys, monkey
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == got
     assert "error" not in got
-    # The smoothness probe evaluates the pooled set as a stack of one. The
-    # pooled set is solved once, through `solve_optimum`, and the three
+    # The smoothness probe runs the kernel itself, with no solver objective
+    # (`test_smoothness_bitwise_equals_per_call_gradients` checks its bits).
+    # The pooled set is solved once, through `solve_optimum`, and the three
     # participants once each, in one stack over the same rows; the init gap
     # reuses the pooled optimum.
     assert len(calls) == 1
-    assert [len(sizes) for sizes in stacks] == [1, 1, 3]
-    assert stacks[0] == stacks[1] == [sum(stacks[2])]
+    assert [len(sizes) for sizes in stacks] == [1, 3]
+    assert stacks[0] == [sum(stacks[1])]
 
 
 def test_rounds_measurement_failure_prints_error_rows(tmp_path, capsys, monkeypatch):

@@ -75,6 +75,29 @@ def test_empty_rounds_grid_rejected():
         parse_config_text("seed = 1\nrounds_grid.q_o =\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("rounds_grid.noise = 0, -0.1", "rounds_grid.noise: must be >= 0.0, got -0.1"),
+    ("rounds_grid.noise = nan", "rounds_grid.noise: must be finite, got nan"),
+    ("rounds_grid.noise = 0.3, 1.0", "rounds_grid.noise: must be < 1.0, got 1.0"),
+    ("rounds_grid.q_o = inf", "rounds_grid.q_o: must be finite, got inf"),
+    ("rounds_grid.q_o = 0.1, -1", "rounds_grid.q_o: must be > 0.0, got -1.0"),
+    ("rounds_grid.q_o = 0", "rounds_grid.q_o: must be > 0.0, got 0.0"),
+    ("rounds_grid.local_epochs = 5, 0", "rounds_grid.local_epochs: must be >= 1, got 0"),
+])
+def test_bad_rounds_grid_value_rejected_at_load(line, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(MINIMAL + line + "\n", source="exp.cfg")
+    assert info.value.errors == [f"exp.cfg:2: {message}"]
+
+
+def test_rounds_grid_values_parsed():
+    config = parse_config_text(MINIMAL + "rounds_grid.noise = 0, 0.3\n"
+                               "rounds_grid.q_o = 0.1, 1e-3\nrounds_grid.local_epochs = 1, 20\n")
+    assert config["rounds_grid.noise"] == [0.0, 0.3]
+    assert config["rounds_grid.q_o"] == [0.1, 0.001]
+    assert config["rounds_grid.local_epochs"] == [1, 20]
+
+
 def test_noise_participants_range_checked():
     text = "seed = 1\nparticipants = 3\nnoise.kind = symmetric\nnoise.participants = 0,5\n"
     with pytest.raises(ConfigError, match="noise.participants"):

@@ -26,6 +26,7 @@ from fednl import (
     measure_b_components,
     measure_init_gap,
     measure_round_constants,
+    measure_round_grid,
     measure_smoothness,
     partition_non_iid,
     run_fedavg,
@@ -40,7 +41,8 @@ from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
-from conftest import make_dataset, reference_objective, reference_stacked_objective, train_one
+from conftest import (make_dataset, reference_objective, reference_stacked_objective,
+                      round_constants_bytes, train_one)
 
 
 CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
@@ -50,20 +52,20 @@ CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
 
 def test_mu_is_exactly_lambda():
     ds = synth_gaussian(3, 30, 2, 6.0, seed=1)
-    smooth = measure_smoothness(ds, CONFIG, seed=1)
+    (smooth,) = measure_smoothness([ds], CONFIG, seed=1)
     assert smooth.mu == 0.05
 
 
 def test_L_at_least_mu():
     ds = synth_gaussian(2, 10, 1, 3.0, seed=2)
-    smooth = measure_smoothness(ds, CONFIG, seed=2)
+    (smooth,) = measure_smoothness([ds], CONFIG, seed=2)
     assert smooth.L >= smooth.mu
 
 
 def test_L_stable_across_seeds():
     ds = synth_gaussian(3, 60, 2, 6.0, seed=3)
-    a = measure_smoothness(ds, CONFIG, seed=10)
-    b = measure_smoothness(ds, CONFIG, seed=20)
+    (a,) = measure_smoothness([ds], CONFIG, seed=10)
+    (b,) = measure_smoothness([ds], CONFIG, seed=20)
     assert abs(a.L - b.L) / a.L <= 0.2
 
 
@@ -71,7 +73,7 @@ def test_zero_lambda_rejected():
     ds = synth_gaussian(2, 10, 2, 3.0, seed=4)
     loose = TrainerConfig(local_epochs=1, batch_size=8, l2_lambda=0.0)
     with pytest.raises(NoStrongConvexityError):
-        measure_smoothness(ds, loose, seed=4)
+        measure_smoothness([ds], loose, seed=4)
 
 
 def test_smoothness_params_validation():
@@ -107,8 +109,39 @@ def test_smoothness_bitwise_equals_per_call_gradients():
     labels[:4] = OUT_OF_SPACE
     with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
     for ds, seed in ((wide, 11), (small, 12), (with_out_of_space, 13)):
-        got = measure_smoothness(ds, CONFIG, seed=seed)
+        (got,) = measure_smoothness([ds], CONFIG, seed=seed)
         assert got.L == reference_smoothness_L(ds, CONFIG, seed=seed)
+
+
+def test_smoothness_of_several_sets_bitwise_equals_each_alone(monkeypatch):
+    # Sets over equal in-space rows share one probe, whatever their labels
+    # or out-of-space rows; sets over other rows, even of the same shape,
+    # get their own.
+    small = synth_gaussian(3, 20, 2, 6.0, seed=12)
+    relabeled = make_dataset(small.features, np.roll(small.observed_labels, 7), c=3,
+                             ids=small.ids)
+    scaled = make_dataset(small.features * 2.0, small.observed_labels, c=3, ids=small.ids)
+    labels = small.observed_labels.copy()
+    labels[:4] = OUT_OF_SPACE
+    with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
+    labels = np.concatenate([labels[:4], np.roll(labels[4:], 5)])
+    relabeled_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
+    wide = synth_gaussian(10, 30, 20, 3.0, seed=11)
+    sets = [small, wide, with_out_of_space, relabeled, scaled, relabeled_out_of_space, small]
+    label_sets = []
+    largest = rounds._largest_ratios
+
+    def counted(features, labels, *args):
+        label_sets.append(len(labels))
+        return largest(features, labels, *args)
+
+    monkeypatch.setattr(rounds, "_largest_ratios", counted)
+    got = measure_smoothness(sets, CONFIG, seed=12)
+    assert label_sets == [3, 1, 2, 1]
+    assert [s.mu for s in got] == [CONFIG.l2_lambda] * len(sets)
+    want = [reference_smoothness_L(ds, CONFIG, seed=12) for ds in sets]
+    assert [s.L for s in got] == want
+    assert len(set(want)) == 4
 
 
 # ---------------------------------------------------------------- optimum
@@ -319,7 +352,8 @@ def reference_round_constants(participants, trainer, seed, level, init_scale):
     train_sets = [ds.training_view().in_space() for ds in participants]
     models = [train_one(init, ds, trainer, derive_seed(seed, TRAIN, key, i))
               for i, ds in enumerate(train_sets)]
-    smooth = measure_smoothness(concat_datasets(train_sets, name="pooled"), trainer, seed=seed)
+    (smooth,) = measure_smoothness([concat_datasets(train_sets, name="pooled")], trainer,
+                                   seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer,
                                  seed=derive_seed(seed, MEASURE, key))
     gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
@@ -352,21 +386,41 @@ def test_round_constants_match_inline_reference(level):
 PINNED_ROUND_CONSTANTS_DIGEST = "ae9b71c7424ba2f994cf7fb30d51a040ea0dc9ce32a82efb5922521f30aac1a9"
 
 
+def _pinned_config():
+    base = synth_gaussian(4, 60, 3, 4.0, seed=21)
+    parts = partition_non_iid(base, 3, seed=21, strategy=ShuffleSplit())
+    return parts, TrainerConfig(local_epochs=3, batch_size=24, l2_lambda=0.01)
+
+
 def test_round_constants_bytes_are_pinned():
     # The table prints at .5g, so this pins what it rounds: L, each sigma_i^2,
     # G^2, Gamma, the pooled optimum's weights and loss and the init gap. The
     # pooled set's log-softmax reduces over the class columns, the
     # participants' along each row, and their 80 rows make short last batches.
-    base = synth_gaussian(4, 60, 3, 4.0, seed=21)
-    parts = partition_non_iid(base, 3, seed=21, strategy=ShuffleSplit())
-    trainer = TrainerConfig(local_epochs=3, batch_size=24, l2_lambda=0.01)
+    parts, trainer = _pinned_config()
     digest = hashlib.sha256()
     for level in (0.0, 0.3):
-        got = measure_round_constants(parts, trainer, 21, level, init_scale=0.02)
-        comps = got.components
-        digest.update(np.array([got.smooth.L, *comps.sigma_sq, comps.G_sq, comps.Gamma,
-                                comps.optimum.loss, got.init_gap]).tobytes())
-        digest.update(comps.optimum.model.weights.tobytes())
+        digest.update(round_constants_bytes(
+            measure_round_constants(parts, trainer, 21, level, init_scale=0.02)))
+    assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
+
+
+def test_round_grid_bytes_are_pinned(monkeypatch):
+    # Both levels in one grid: one probe, its passes shared by the two
+    # levels' pooled sets, which hold the same rows under other labels.
+    parts, trainer = _pinned_config()
+    label_sets = []
+    largest = rounds._largest_ratios
+
+    def counted(features, labels, *args):
+        label_sets.append(len(labels))
+        return largest(features, labels, *args)
+
+    monkeypatch.setattr(rounds, "_largest_ratios", counted)
+    digest = hashlib.sha256()
+    for got in measure_round_grid(parts, trainer, 21, (0.0, 0.3), init_scale=0.02):
+        digest.update(round_constants_bytes(got))
+    assert label_sets == [2]
     assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
 
 
@@ -552,7 +606,7 @@ def test_real_run_slope_in_theorem_band():
     probe = TrainerConfig(local_epochs=1, batch_size=60,
                           lr_schedule=Diminishing(2.0 / lam, 1.0),
                           l2_lambda=lam)
-    smooth = measure_smoothness(pooled, probe, seed=1)
+    (smooth,) = measure_smoothness([pooled], probe, seed=1)
     alpha = max(8.0 * smooth.L / smooth.mu, 1.0)
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),

@@ -162,10 +162,12 @@ def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path, extra):
 
 def test_rounds_workload_spans_fire_in_a_traced_child(tmp_path):
     # The same check for `rounds_grid`: its optima must still go through
-    # `rounds.solve_optimum`, and `loss`/`gradient` through `rounds`' own
-    # bindings, or the benchmark marks the workload's outputs incorrect.
+    # `rounds.solve_optimum`, its one smoothness probe for both noise levels
+    # through `rounds.measure_smoothness`, and `loss`/`gradient` through
+    # `rounds`' own bindings, or the benchmark marks the workload's outputs
+    # incorrect.
     small = {"participants": 3, "data.classes": 3, "data.dim": 2, "data.per_class": 40,
-             "server.per_class": 20, "noise.participants": "0", "rounds_grid.noise": "0.3"}
+             "server.per_class": 20, "noise.participants": "0", "rounds_grid.noise": "0, 0.3"}
     layers, replayed = _run_child_twice(tmp_path, "rounds_grid", "rounds", small)
     silent = sorted(span for span in workloads.WORKLOADS["rounds_grid"].expected
                     if not layers.get(f"{span}.calls"))

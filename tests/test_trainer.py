@@ -162,12 +162,14 @@ def test_objective_rejects_untrainable_dataset():
         _stacked_objective([make_dataset([[0.0, 1.0]], [-1], c=3)], 0.0)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.05])
-def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
-    # One call: three models share a 130-row block (broadcast), then runs of
-    # 2 models on 17 own rows each, 1 on 1 row and 3 on 40 rows each. With
-    # c = 4 the call's 545 rows take the column log-softmax, each model
-    # alone the row form.
+def _mixed_runs():
+    """Weights, runs, labels and datasets of nine models in one `_xent` call.
+
+    Three models share a 130-row block (broadcast), then runs of 2 models on
+    17 own rows each, 1 on 1 row and 3 on 40 rows each. With c = 4 the
+    call's 545 rows take the column log-softmax, each model alone the row
+    form.
+    """
     rng = np.random.default_rng(25)
     shared = synth_gaussian(4, 33, 3, 3.0, seed=25).take(np.arange(130))
     own = _stack_members([17, 17, 1, 40, 40, 40], 4, 3, seed=26)
@@ -181,14 +183,39 @@ def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
         runs.append(np.stack([_augment(ds.features) for ds in block]))
         labels += [ds.observed_labels for ds in block]
         start += k
-    labels = np.concatenate(labels)
+    return weights, runs, np.concatenate(labels), [shared] * 3 + own
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
+    weights, runs, labels, members = _mixed_runs()
     n = labels.size
     grads = np.empty_like(weights)
     losses = _xent(weights, runs, np.empty((n, 4)), labels, lam, grads)
     assert n == 545 and losses.shape == (9,)
-    for w, ds, value, grad in zip(weights, [shared] * 3 + own, losses, grads):
+    for w, ds, value, grad in zip(weights, members, losses, grads):
         assert value == reference_loss(w, ds, lam)
         assert grad.tobytes() == gradient(ModelParams(w, 4), ds, lam).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_xent_label_sets_bitwise_equal_one_set_calls(lam):
+    # Three label sets over the mixed runs' rows: the models' own labels and
+    # two random relabelings, which agree with it on about a quarter of the
+    # rows. Each set overwrites the probabilities at its labels, so a set
+    # that saw an earlier set's leftovers would get other gradients.
+    weights, runs, labels, _ = _mixed_runs()
+    n = labels.size
+    rng = np.random.default_rng(27)
+    sets = np.stack([labels, rng.integers(0, 4, n), rng.integers(0, 4, n)])
+    grads = np.empty((3,) + weights.shape)
+    losses = _xent(weights, runs, np.empty((n, 4)), sets, lam, grads)
+    assert losses.shape == (3, 9)
+    assert _xent(weights, runs, np.empty((n, 4)), sets, lam).tobytes() == losses.tobytes()
+    for one, value, grad in zip(sets, losses, grads):
+        alone = np.empty_like(weights)
+        assert _xent(weights, runs, np.empty((n, 4)), one, lam, alone).tobytes() == value.tobytes()
+        assert grad.tobytes() == alone.tobytes()
 
 
 # ---------------------------------------------------------------- column log-softmax
