@@ -531,9 +531,10 @@ def measure_round_grid(participants, trainer_config: TrainerConfig, seed: int, n
     failing level reports the first error it would hit alone. All levels
     are injected and trained first; then one `measure_smoothness` call
     probes every trained level's pooled set, and levels whose pooled rows
-    are equal share its passes. The probe's only failure, a zero
-    l2_lambda, holds at every level alike. The pooled sets share one
-    features array where their levels' parts do (`_pool`).
+    are equal share its passes. A probe error is every probed level's
+    error: the one it can raise after training, a zero l2_lambda, each
+    level would raise alone. The pooled sets share one features array
+    where their levels' parts do (`_pool`).
     """
     d, c = participants[0].d, participants[0].class_count
     init = server_init(d, c, seed, init_scale)
@@ -589,19 +590,19 @@ def _train_level(participants, trainer_config: TrainerConfig, seed: int, level: 
 def _pool(levels) -> list[Dataset]:
     """The pooled set of each level's training sets, as `concat_datasets` builds it.
 
-    A level whose sets hold the very feature arrays of an earlier level's
-    sets reuses that level's pooled features, so no two copies of the
-    pooled rows are alive at once.
+    A level whose sets hold the very feature and id arrays of an earlier
+    level's sets reuses that level's pooled features and ids, so no two
+    copies of the pooled rows are alive at once.
     """
     pooled = []
     for sets in levels:
         for earlier, done in zip(levels, pooled):
             if len(earlier) == len(sets) and all(
-                    a.features is b.features for a, b in zip(earlier, sets)):
+                    a.features is b.features and a.ids is b.ids for a, b in zip(earlier, sets)):
                 pooled.append(Dataset(
                     features=done.features,
                     observed_labels=np.concatenate([ds.observed_labels for ds in sets]),
-                    ids=np.concatenate([ds.ids for ds in sets]),
+                    ids=done.ids,
                     class_count=done.class_count, name="pooled"))
                 break
         else:
