@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fednl import Dataset, DatasetStack, ModelParams, gradient, loss, train_local
+from fednl import Dataset, DatasetStack, ModelParams, gradient, loss, rounds, train_local
 
 
 def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"):
@@ -70,6 +70,25 @@ def round_constants_bytes(constants):
     return (np.array([constants.smooth.L, *comps.sigma_sq, comps.G_sq, comps.Gamma,
                       comps.optimum.loss, constants.init_gap]).tobytes()
             + comps.optimum.model.weights.tobytes())
+
+
+def record_probes(monkeypatch):
+    """The dataset count of each `rounds.measure_smoothness` call and the
+    label-set count of each probe it runs."""
+    calls, probes = [], []
+    measure, largest = rounds.measure_smoothness, rounds._largest_ratios
+
+    def measured(datasets, *args, **kwargs):
+        calls.append(len(datasets))
+        return measure(datasets, *args, **kwargs)
+
+    def probed(features, labels, *args):
+        probes.append(len(labels))
+        return largest(features, labels, *args)
+
+    monkeypatch.setattr(rounds, "measure_smoothness", measured)
+    monkeypatch.setattr(rounds, "_largest_ratios", probed)
+    return calls, probes
 
 
 @pytest.fixture

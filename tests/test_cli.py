@@ -14,7 +14,8 @@ import fednl
 from fednl import MeasurementError, cli, rounds, save_dataset, synth_gaussian
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
-from conftest import make_dataset, reference_stacked_objective, round_constants_bytes
+from conftest import (make_dataset, record_probes, reference_stacked_objective,
+                      round_constants_bytes)
 
 
 def run_cli(*argv):
@@ -418,27 +419,8 @@ def _edit(text, replacements):
     return text
 
 
-def _record_probes(monkeypatch):
-    """The dataset count of each `measure_smoothness` call and the label-set
-    count of each probe it runs."""
-    calls, probes = [], []
-    measure, largest = rounds.measure_smoothness, rounds._largest_ratios
-
-    def measured(datasets, *args, **kwargs):
-        calls.append(len(datasets))
-        return measure(datasets, *args, **kwargs)
-
-    def probed(features, labels, *args):
-        probes.append(len(labels))
-        return largest(features, labels, *args)
-
-    monkeypatch.setattr(rounds, "measure_smoothness", measured)
-    monkeypatch.setattr(rounds, "_largest_ratios", probed)
-    return calls, probes
-
-
 def test_rounds_two_level_table_is_pinned_and_probed_once(tmp_path, capsys, monkeypatch):
-    calls, probes = _record_probes(monkeypatch)
+    calls, probes = record_probes(monkeypatch)
     config = write_config(tmp_path, _edit(ROUNDS_CONFIG, TWO_LEVELS))
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == ROUNDS_TABLE_TWO_LEVELS
@@ -456,7 +438,7 @@ def _grid_and_levels_alone(tmp_path, capsys, monkeypatch, text):
         return recorded[-1][1]
 
     monkeypatch.setattr(cli, "measure_round_grid", recording)
-    calls, probes = _record_probes(monkeypatch)
+    calls, probes = record_probes(monkeypatch)
     assert run_cli("rounds", "--config", str(write_config(tmp_path, text))) == EXIT_OK
     out = capsys.readouterr().out
     counts = (calls[:], probes[:])

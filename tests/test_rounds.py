@@ -41,8 +41,8 @@ from fednl._rng import INJECT, MEASURE, TRAIN, derive_rng, derive_seed
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import RoundRecord, RunReport
 
-from conftest import (make_dataset, reference_objective, reference_stacked_objective,
-                      round_constants_bytes, train_one)
+from conftest import (make_dataset, record_probes, reference_objective,
+                      reference_stacked_objective, round_constants_bytes, train_one)
 
 
 CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
@@ -128,16 +128,9 @@ def test_smoothness_of_several_sets_bitwise_equals_each_alone(monkeypatch):
     relabeled_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
     wide = synth_gaussian(10, 30, 20, 3.0, seed=11)
     sets = [small, wide, with_out_of_space, relabeled, scaled, relabeled_out_of_space, small]
-    label_sets = []
-    largest = rounds._largest_ratios
-
-    def counted(features, labels, *args):
-        label_sets.append(len(labels))
-        return largest(features, labels, *args)
-
-    monkeypatch.setattr(rounds, "_largest_ratios", counted)
-    got = measure_smoothness(sets, CONFIG, seed=12)
-    assert label_sets == [3, 1, 2, 1]
+    probes = record_probes(monkeypatch)[1]
+    got = rounds.measure_smoothness(sets, CONFIG, seed=12)
+    assert probes == [3, 1, 2, 1]
     assert [s.mu for s in got] == [CONFIG.l2_lambda] * len(sets)
     want = [reference_smoothness_L(ds, CONFIG, seed=12) for ds in sets]
     assert [s.L for s in got] == want
@@ -409,18 +402,11 @@ def test_round_grid_bytes_are_pinned(monkeypatch):
     # Both levels in one grid: one probe, its passes shared by the two
     # levels' pooled sets, which hold the same rows under other labels.
     parts, trainer = _pinned_config()
-    label_sets = []
-    largest = rounds._largest_ratios
-
-    def counted(features, labels, *args):
-        label_sets.append(len(labels))
-        return largest(features, labels, *args)
-
-    monkeypatch.setattr(rounds, "_largest_ratios", counted)
+    calls, probes = record_probes(monkeypatch)
     digest = hashlib.sha256()
     for got in measure_round_grid(parts, trainer, 21, (0.0, 0.3), init_scale=0.02):
         digest.update(round_constants_bytes(got))
-    assert label_sets == [2]
+    assert calls == [2] and probes == [2]
     assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
 
 
