@@ -49,6 +49,8 @@ def parse_flip_rules(raw: str) -> list[tuple[int, int, float]]:
             pairs.append((int(src), int(dst), float(mass)))
         except ValueError:
             raise ValueError(f"bad flip rule {chunk!r}; expected src>dst:mass") from None
+        if not math.isfinite(pairs[-1][2]):
+            raise ValueError(f"flip rule {chunk!r} has a non-finite mass")
     if not pairs:
         raise ValueError("no flip rules given")
     return pairs
@@ -58,16 +60,12 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(v) for v in raw.split(",") if v.strip()]
 
 
-def _finite_list(kind, **bounds):
-    """A comma-separated list of finite values, each within `_ranged`'s bounds."""
+def _ranged_list(kind, **bounds):
+    """A comma-separated list of values, each checked as `_ranged` checks one."""
     check = _ranged(kind, **bounds)
 
     def parse(raw: str) -> list:
-        values = [check(v) for v in raw.split(",") if v.strip()]
-        bad = [v for v in values if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"must be finite, got {bad[0]}")
-        return values
+        return [check(v) for v in raw.split(",") if v.strip()]
     return parse
 
 
@@ -85,8 +83,12 @@ def _choice(*options):
 
 
 def _ranged(kind, low=None, high=None, low_open=False, high_open=False):
+    """A number within the bounds; a float must also be finite (NaN fails no
+    comparison, and an infinite rate or weight only fails once training runs)."""
     def parse(raw: str):
         value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
         if low is not None and (value <= low if low_open else value < low):
             raise ValueError(f"must be {'>' if low_open else '>='} {low}, got {value}")
         if high is not None and (value >= high if high_open else value > high):
@@ -146,9 +148,9 @@ _SCHEMA = {
     "pipeline.per_class_resplit": (_parse_bool, False),
     "pipeline.init_scale": (_ranged(float, low=0.0), 0.01),
 
-    "rounds_grid.q_o": (_finite_list(float, low=0.0, low_open=True), [0.01]),
-    "rounds_grid.local_epochs": (_finite_list(int, low=1), [20]),
-    "rounds_grid.noise": (_finite_list(float, low=0.0, high=1.0, high_open=True), [0.0]),
+    "rounds_grid.q_o": (_ranged_list(float, low=0.0, low_open=True), [0.01]),
+    "rounds_grid.local_epochs": (_ranged_list(int, low=1), [20]),
+    "rounds_grid.noise": (_ranged_list(float, low=0.0, high=1.0, high_open=True), [0.0]),
 }
 
 

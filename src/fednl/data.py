@@ -5,6 +5,11 @@ retained true labels (read only by evaluation code), and stable integer
 instance ids so that set algebra over instances is id-based. All types are
 immutable after construction; every randomized operation is a pure function
 of its inputs and a seed.
+
+Id checks and lookups sort and search (`np.sort`, `np.searchsorted`) rather
+than call numpy's set routines: in numpy 2.4 `np.unique` and `np.isin`
+import `numpy.ma` on first use, which costs a process 8-13 ms and
+1.2 MB for masked arrays the package never makes.
 """
 
 import csv
@@ -62,8 +67,7 @@ class Dataset:
         in_space = (obs >= 0) & (obs < self.class_count)
         if not np.all(in_space | (obs == OUT_OF_SPACE)):
             raise ValueError("observed labels must lie in [0, class_count) or be OUT_OF_SPACE")
-        if len(np.unique(ids)) != n:
-            raise ValueError("instance ids must be unique")
+        _check_unique(ids)
         tru = self.true_labels
         if tru is not None:
             tru = np.ascontiguousarray(tru, dtype=np.int64)
@@ -109,10 +113,9 @@ class Dataset:
             raise ValueError(f"take expects 1-D row positions, got shape {positions.shape}")
         positions = positions.astype(np.int64, copy=False)
         ids = self.ids[positions]
-        if (not ((positions.size == 0 or positions[0] >= 0)
-                 and (positions[1:] > positions[:-1]).all())
-                and len(np.unique(ids)) != ids.size):
-            raise ValueError("instance ids must be unique")
+        if not ((positions.size == 0 or positions[0] >= 0)
+                and (positions[1:] > positions[:-1]).all()):
+            _check_unique(ids)
         return _trusted(
             features=self.features[positions],
             observed_labels=self.observed_labels[positions],
@@ -125,11 +128,16 @@ class Dataset:
     def by_ids(self, wanted_ids) -> "Dataset":
         """Sub-dataset of the given instance ids, in this dataset's row order.
 
-        ``wanted_ids`` may come in any order and may name ids this dataset
-        does not hold; those are ignored.
+        ``wanted_ids`` may come in any order, repeat, be empty and name ids
+        this dataset does not hold; those are ignored.
         """
-        wanted = np.asarray(wanted_ids, dtype=np.int64)
-        return self.take(np.flatnonzero(np.isin(self.ids, wanted)))
+        wanted = np.sort(np.asarray(wanted_ids, dtype=np.int64), axis=None)
+        if not wanted.size:
+            return self.take(np.empty(0, dtype=np.int64))
+        # Each id's insertion point, clamped so that an id above every wanted
+        # one is compared with the last instead of read past the end.
+        at = np.minimum(np.searchsorted(wanted, self.ids), wanted.size - 1)
+        return self.take(np.flatnonzero(wanted[at] == self.ids))
 
     def training_view(self) -> "Dataset":
         """Copy with true labels stripped; hand this to training/estimation code.
@@ -153,11 +161,17 @@ class Dataset:
         return self.ids[self.observed_labels == OUT_OF_SPACE]
 
     def class_sizes(self) -> np.ndarray:
-        """Count of in-space instances per observed class."""
-        sizes = np.zeros(self.class_count, dtype=np.int64)
-        labels = self.observed_labels[self.observed_labels != OUT_OF_SPACE]
-        np.add.at(sizes, labels, 1)
-        return sizes
+        """Count of in-space instances per observed class, as int64."""
+        labels = self.observed_labels
+        return np.bincount(labels[labels != OUT_OF_SPACE],
+                           minlength=self.class_count).astype(np.int64, copy=False)
+
+
+def _check_unique(ids: np.ndarray) -> None:
+    """Raise unless the 1-D ids are pairwise distinct: sorted, repeats are neighbours."""
+    ids = np.sort(ids)
+    if (ids[1:] == ids[:-1]).any():
+        raise ValueError("instance ids must be unique")
 
 
 def _trusted(features, observed_labels, ids, class_count, true_labels, name) -> Dataset:

@@ -550,6 +550,14 @@ def test_rounds_bad_grid_value_is_validation_error(tmp_path, capsys, old, new):
     assert captured.out == "" and new.split(" =")[0] + ": must be" in captured.err
 
 
+def test_rounds_non_finite_l2_lambda_is_validation_error(tmp_path, capsys):
+    # Once printed a "loss went non-finite" row per grid point and exited 0.
+    config = write_config(tmp_path, ROUNDS_CONFIG + "trainer.l2_lambda = nan\n")
+    assert run_cli("rounds", "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "trainer.l2_lambda: must be finite, got nan" in captured.err
+
+
 def _record_solves(monkeypatch):
     """Calls of `solve_optimum`, and the member sizes of each stacked solve.
 

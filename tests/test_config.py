@@ -90,6 +90,30 @@ def test_bad_rounds_grid_value_rejected_at_load(line, message):
     assert info.value.errors == [f"exp.cfg:2: {message}"]
 
 
+@pytest.mark.parametrize("line, message", [
+    ("noise.beta = nan", "noise.beta: must be finite, got nan"),
+    ("trainer.eta = inf", "trainer.eta: must be finite, got inf"),
+    ("trainer.l2_lambda = nan", "trainer.l2_lambda: must be finite, got nan"),
+    ("pipeline.init_scale = inf", "pipeline.init_scale: must be finite, got inf"),
+    ("data.separation = inf", "data.separation: must be finite, got inf"),
+    ("partition.skew = nan", "partition.skew: must be finite, got nan"),
+])
+def test_non_finite_scalar_float_rejected_at_load(line, message):
+    # NaN passes every bound check and inf passes the one-sided ones.
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(MINIMAL + line + "\n", source="exp.cfg")
+    assert info.value.errors == [f"exp.cfg:2: {message}"]
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+def test_non_finite_flip_mass_rejected_at_load(mass):
+    text = MINIMAL + f"noise.kind = asymmetric\nnoise.pairs = 1>0:{mass}\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text, source="exp.cfg")
+    assert info.value.errors == [
+        f"exp.cfg:3: noise.pairs: flip rule '1>0:{mass}' has a non-finite mass"]
+
+
 def test_rounds_grid_values_parsed():
     config = parse_config_text(MINIMAL + "rounds_grid.noise = 0, 0.3\n"
                                "rounds_grid.q_o = 0.1, 1e-3\nrounds_grid.local_epochs = 1, 20\n")

@@ -283,6 +283,78 @@ def test_by_ids_empty_unordered_and_absent(wanted, expected):
     assert picked.features[:, 0].tolist() == [float(ids.index(i)) for i in expected]
 
 
+def _random_set(rng, n, c=3):
+    """A set of n rows: unique ids drawn from [0, 3n) in random order, some
+    labels OUT_OF_SPACE, features that record each row's position."""
+    ids = rng.permutation(3 * n + 1)[:n]
+    labels = rng.integers(-1, c, size=n)
+    return make_dataset(np.arange(n, dtype=np.float64).reshape(n, 1), labels, c=c, ids=ids)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_by_ids_matches_isin_reference(case):
+    # Wanted ids repeat, come unsorted and name ids the set lacks, above
+    # and below all of its own; the set may be empty and so may the wanted.
+    rng = np.random.default_rng(case)
+    ds = _random_set(rng, int(rng.integers(0, 30)))
+    wanted = rng.integers(-3, 3 * ds.n + 5, size=int(rng.integers(0, 40)))
+    reference = ds.take(np.flatnonzero(np.isin(ds.ids, wanted)))
+    for picked in (ds.by_ids(wanted), ds.by_ids(wanted.tolist())):
+        assert picked.ids.dtype == np.int64
+        assert np.array_equal(picked.ids, reference.ids)
+        assert np.array_equal(picked.features, reference.features)
+        assert np.array_equal(picked.observed_labels, reference.observed_labels)
+
+
+def test_by_ids_edges():
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[30, 10, 20])
+    assert ds.by_ids([5]).n == 0  # every row's id lies above every wanted one
+    assert ds.by_ids([99, 99]).n == 0  # and below
+    assert ds.by_ids([10, 10, 30, 30]).ids.tolist() == [30, 10]
+    assert ds.take([]).by_ids([1, 2]).n == 0
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_repeat_check_matches_unique_reference(case):
+    # The constructor and `take` refuse the same cuts, with the same words,
+    # as a count of np.unique would; repeats need not be neighbours.
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(2, 12))
+    ds = _random_set(rng, n)
+    positions = rng.integers(0, n, size=n)
+    ids = ds.ids[positions]
+    repeats = len(np.unique(ids)) != ids.size
+    errors = []
+    for build in (lambda: ds.take(positions),
+                  lambda: make_dataset(ds.features[positions], ds.observed_labels[positions],
+                                       c=3, ids=ids)):
+        try:
+            build()
+        except ValueError as err:
+            errors.append(str(err))
+    assert errors == (["instance ids must be unique"] * 2 if repeats else [])
+
+
+def test_constructor_and_take_share_repeat_error():
+    with pytest.raises(ValueError) as built:
+        make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[7, 3, 7])
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[7, 3, 5])
+    with pytest.raises(ValueError) as cut:
+        ds.take([2, 1, 2])
+    assert str(built.value) == str(cut.value) == "instance ids must be unique"
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_class_sizes_matches_add_at_reference(case):
+    rng = np.random.default_rng(case)
+    c = int(rng.integers(2, 6))
+    ds = _random_set(rng, int(rng.integers(0, 25)), c=c)
+    expected = np.zeros(c, dtype=np.int64)
+    np.add.at(expected, ds.observed_labels[ds.observed_labels != OUT_OF_SPACE], 1)
+    sizes = ds.class_sizes()
+    assert sizes.dtype == np.int64 and sizes.tolist() == expected.tolist()
+
+
 def test_take_rejects_repeated_position():
     ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0], c=2, ids=[10, 20, 30])
     with pytest.raises(ValueError, match="instance ids must be unique"):

@@ -244,6 +244,36 @@ def test_apply_rejects_overallocation():
                        forced, seed=9)
 
 
+def _granted_plan(final):
+    demanded = tuple(final)
+    return DemandPlan(fractions=tuple(0.0 for _ in final), demanded=demanded,
+                      delta1=demanded, u=max(final), final=tuple(final))
+
+
+def test_apply_overgrant_error_names_class_and_stock():
+    # Class 0 is truncated first; class 1 asks one row more than the server has.
+    participant = synth_gaussian(3, 10, 2, 8.0, seed=10)
+    server = synth_gaussian(3, 6, 2, 8.0, seed=11, id_base=100)
+    estimate = fake_estimate([0.2, 0.5, 0.0], [10, 10, 10])
+    with pytest.raises(AllocationError) as info:
+        apply_exchange(participant, estimate, server, _granted_plan([5, 7, 0]), seed=3)
+    assert str(info.value) == "class 1: granted 7 but server holds only 6"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_one_class_grant_draws_that_class_stream(k):
+    participant = synth_gaussian(3, 10, 2, 8.0, seed=10)
+    server = synth_gaussian(3, 30, 2, 8.0, seed=11, id_base=100)
+    estimate = fake_estimate([0.5, 0.5, 0.5], [10, 10, 10])
+    final = [0, 0, 0]
+    final[k] = 4
+    result = apply_exchange(participant, estimate, server, _granted_plan(final), seed=21)
+    pool = np.flatnonzero(server.observed_labels == k)
+    rows = np.sort(derive_rng(21, EXCHANGE, k).choice(pool, size=4, replace=False))
+    assert result.transcript.transfers == {k: tuple(server.ids[rows].tolist())}
+    assert result.transcript.truncated == {}
+
+
 def test_apply_rejects_shared_ids_naming_first_five():
     participant = synth_gaussian(3, 10, 2, 8.0, seed=10)  # ids 0..29
     server = synth_gaussian(3, 10, 2, 8.0, seed=11, id_base=23)
