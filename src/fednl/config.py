@@ -234,8 +234,14 @@ def _cross_validate(values: dict) -> list[str]:
             errors.append("server.path is required when server.source = file")
         elif not Path(values["server.path"]).exists():
             errors.append(f"server.path does not exist: {values['server.path']}")
-    if values["noise.kind"] == "asymmetric" and values["noise.pairs"] is None:
-        errors.append("noise.pairs is required when noise.kind = asymmetric")
+    if values["noise.kind"] == "asymmetric":
+        if values["noise.pairs"] is None:
+            errors.append("noise.pairs is required when noise.kind = asymmetric")
+        else:
+            try:
+                asymmetric_matrix(values["data.classes"], values["noise.pairs"])
+            except ValueError as e:
+                errors.append(f"noise.pairs: {e}")
     if values["trainer.schedule"] == "diminishing":
         if values["trainer.alpha"] is None:
             errors.append("trainer.alpha is required when trainer.schedule = diminishing")
@@ -250,11 +256,20 @@ def _cross_validate(values: dict) -> list[str]:
         except ValueError:
             errors.append("noise.participants must be 'all' or a comma-separated index list")
     if (values["algorithm"] == "fednl" and values["pipeline.procedure2"]
+            and not values["pipeline.procedure1"]):
+        errors.append("pipeline.procedure2 normalizes Procedure 1's estimates; "
+                      "set pipeline.procedure1 = true")
+    if (values["algorithm"] == "fednl" and values["pipeline.procedure2"]
             and values["server.source"] == "none"):
         errors.append("pipeline.procedure2 needs a server dataset; set server.source")
     if (values["algorithm"] == "fednl" and values["pipeline.weighting"] == "fednl"
             and values["server.source"] == "none"):
         errors.append("pipeline.weighting = fednl needs a server dataset; set server.source")
+    if values["data.source"] == "synth":
+        rows = values["data.classes"] * values["data.per_class"]
+        if values["participants"] > rows:
+            errors.append(f"participants = {values['participants']} exceeds the {rows} "
+                          "synthetic instances (data.classes x data.per_class)")
     for key in ("rounds_grid.q_o", "rounds_grid.local_epochs", "rounds_grid.noise"):
         if not values[key]:
             errors.append(f"{key} must list at least one value")

@@ -347,7 +347,7 @@ def run_fednl(config: FederationConfig, participant_datasets,
         agg = aggregate(local_models, eps)
         global_loss = float(np.dot(eps.epsilon, local_losses))
         if test is not None and test.n:
-            snapshot = evaluate(agg, test, scope="global")
+            snapshot = evaluate(agg, test)
         gamma_rec = None
         if config.weighting == "fednl":
             if n >= 2:

@@ -15,8 +15,7 @@ class MetricsSnapshot:
     ``confusion`` rows are true classes, columns are predictions. Per-class
     arrays are indexed by class; a class with zero support (or zero predicted
     positives) scores 0 on the affected ratio rather than NaN, and such
-    classes are listed in ``zero_support``. ``scope`` tags whether the
-    evaluation was against a participant's own data or the server's.
+    classes are listed in ``zero_support``.
     """
 
     confusion: np.ndarray
@@ -28,7 +27,6 @@ class MetricsSnapshot:
     micro_f1: float
     support: np.ndarray
     zero_support: tuple[int, ...] = ()
-    scope: str = "global"
 
     def __post_init__(self):
         for arr in (self.confusion, self.precision, self.recall, self.f1, self.support):
@@ -49,7 +47,7 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num, dtype=np.float64), where=den > 0)
 
 
-def scores_from_confusion(confusion: np.ndarray, scope: str = "global") -> MetricsSnapshot:
+def scores_from_confusion(confusion: np.ndarray) -> MetricsSnapshot:
     """Derive all ratio metrics from a confusion matrix.
 
     Macro F1 is the unweighted mean of per-class F1 over all c classes;
@@ -79,11 +77,10 @@ def scores_from_confusion(confusion: np.ndarray, scope: str = "global") -> Metri
         micro_f1=float(tp.sum() / total),
         support=support,
         zero_support=tuple(int(k) for k in np.flatnonzero(support == 0)),
-        scope=scope,
     )
 
 
-def evaluate(model: ModelParams, dataset: Dataset, scope: str = "global") -> MetricsSnapshot:
+def evaluate(model: ModelParams, dataset: Dataset) -> MetricsSnapshot:
     """Score the model against the dataset's observed labels.
 
     Labels feeding the confusion matrix must be in the class space, so
@@ -95,7 +92,7 @@ def evaluate(model: ModelParams, dataset: Dataset, scope: str = "global") -> Met
         raise ValueError("evaluation dataset has out-of-space observed labels")
     predicted = predict(model, dataset.features)
     confusion = confusion_matrix(dataset.observed_labels, predicted, dataset.class_count)
-    return scores_from_confusion(confusion, scope=scope)
+    return scores_from_confusion(confusion)
 
 
 def detection_scores(flagged_ids, actual_ids) -> tuple[float, float]:
@@ -113,10 +110,14 @@ def detection_scores(flagged_ids, actual_ids) -> tuple[float, float]:
 
 
 def format_snapshot(snapshot: MetricsSnapshot) -> str:
-    """Render a snapshot as an aligned text table."""
+    """Render a snapshot as an aligned text table.
+
+    The first line is always ``scope     global``: the engine scores only
+    the global model, on the server's test split.
+    """
     c = snapshot.confusion.shape[0]
     lines = [
-        f"scope     {snapshot.scope}",
+        "scope     global",
         f"accuracy  {snapshot.accuracy:.4f}",
         f"macro F1  {snapshot.macro_f1:.4f}",
         f"micro F1  {snapshot.micro_f1:.4f}",

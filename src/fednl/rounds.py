@@ -12,12 +12,11 @@ init-to-optimum gap.
 grid (noise, one local round, then L, the B components and the init gap),
 and `measure_round_constants` is its one-level case; `RoundConstants.rounds`
 turns a level's constants into B and a round estimate. The grid trains
-every level first, then probes L once for all of them: the levels' pooled
-sets hold the same rows under other labels, and the probe's weight draws
-are the same at every level, so `measure_smoothness` runs each pass once,
-with the levels' label sets in one kernel call (`trainer._xent`), and only
-the label step per level. The B components and the init gap follow level
-by level.
+every level first, then makes one `measure_smoothness` call for all of
+them. L is measured from the in-space features alone: the probe's gradient
+differences hold no labels (`trainer._label_free_gradient`), so levels
+whose pooled sets hold the same rows under other labels share one probe
+and one L. The B components and the init gap follow level by level.
 
 Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
 package needs no scipy. It solves a stack of problems in iteration
@@ -45,8 +44,8 @@ from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
 from .trainer import (_STEP_BLOCK, DatasetStack, DivergenceError, ModelParams, TrainerConfig,
-                      _augment, _require_trainable, _stacked_objective, _xent, gradient, loss,
-                      train_local)
+                      _augment, _label_free_gradient, _require_trainable, _stacked_objective,
+                      _xent, gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -153,12 +152,11 @@ def measure_smoothness(datasets, trainer_config: TrainerConfig,
                        seed: int = 0) -> list[SmoothnessParams]:
     """Estimate L empirically on each dataset; mu is the L2 coefficient exactly.
 
-    L is the largest gradient-difference ratio over random weight pairs,
-    inflated by a 1.2 safety factor and floored at mu. Returns one
-    `SmoothnessParams` per dataset, each bitwise what the dataset gets
-    alone. Datasets whose in-space features are equal share every pass
-    (`_largest_ratios`): the same weight draws on the same rows, so only
-    the label step runs once per dataset.
+    L is the largest gradient-difference ratio over random weight pairs
+    (`_largest_ratio`), inflated by a 1.2 safety factor and floored at mu.
+    The differences hold no labels, so L is a function of the in-space
+    features: datasets whose in-space features are equal share one probe
+    and get the same L. Returns one `SmoothnessParams` per dataset.
     """
     if trainer_config.l2_lambda <= 0.0:
         raise NoStrongConvexityError("l2_lambda is 0; the objective is not strongly convex")
@@ -166,52 +164,43 @@ def measure_smoothness(datasets, trainer_config: TrainerConfig,
     sets = [ds.in_space() for ds in datasets]
     for ds in sets:
         _require_trainable(ds)
-    groups: list[list[int]] = []  # positions of the sets that share one probe
-    for i, ds in enumerate(sets):
-        for group in groups:
-            first = sets[group[0]]
+    probed = []  # (in-space set, its SmoothnessParams) of each probe run
+    smooth = []
+    for ds in sets:
+        for first, params in probed:
             if first.class_count == ds.class_count and (
                     first.features is ds.features or np.array_equal(first.features, ds.features)):
-                group.append(i)
                 break
         else:
-            groups.append([i])
-    smooth = [None] * len(sets)
-    for group in groups:
-        first = sets[group[0]]
-        labels = np.stack([sets[i].observed_labels for i in group])
-        for i, best in zip(group, _largest_ratios(first.features, labels, first.class_count,
-                                                  mu, seed)):
-            smooth[i] = SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
+            best = _largest_ratio(ds.features, ds.class_count, mu, seed)
+            params = SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
+            probed.append((ds, params))
+        smooth.append(params)
     return smooth
 
 
-def _largest_ratios(features: np.ndarray, labels: np.ndarray, c: int, mu: float,
-                    seed: int) -> list[float]:
-    """Largest gradient-difference ratio of each label set over the probe's weight pairs.
+def _largest_ratio(features: np.ndarray, c: int, mu: float, seed: int) -> float:
+    """Largest gradient-difference ratio on the rows of ``features`` over the probe's pairs.
 
-    ``labels`` is (s, n), s label sets over the n rows of ``features``. The
-    pairs are `_SMOOTHNESS_PAIRS` draws from the MEASURE stream of ``seed``,
-    flat weights in the (d+1, c) matrices' row-major order. Each draw is
-    one `_xent` call over all s sets, so its products, log-softmax and exp
-    run once.
+    The pairs are `_SMOOTHNESS_PAIRS` draws of two (d+1, c) weight matrices
+    from the MEASURE stream of ``seed``; a pair at distance zero is
+    skipped. The gradients are `_label_free_gradient`s into one (n, c)
+    buffer: their differences are those of `gradient` under any labels.
     """
-    x = _augment(features)[None]
-    s, d1 = len(labels), x.shape[2]
+    x = _augment(features)
+    shape = (x.shape[1], c)
     rng = derive_rng(seed, MEASURE)
-    logits = np.empty((labels.shape[1], c))
-    ga, gb = np.empty((2, s, 1, d1, c))
-    best = [0.0] * s
+    probs = np.empty((len(x), c))
+    best = 0.0
     for _ in range(_SMOOTHNESS_PAIRS):
-        wa = rng.standard_normal((1, d1, c))
-        wb = rng.standard_normal((1, d1, c))
-        _xent(wa, [x], logits, labels, mu, ga)
-        _xent(wb, [x], logits, labels, mu, gb)
+        wa = rng.standard_normal(shape)
+        wb = rng.standard_normal(shape)
         denom = float(np.linalg.norm(wa - wb))
         if denom == 0.0:
             continue
-        for i in range(s):
-            best[i] = max(best[i], float(np.linalg.norm(ga[i] - gb[i])) / denom)
+        ga = _label_free_gradient(wa, x, probs, mu)
+        gb = _label_free_gradient(wb, x, probs, mu)
+        best = max(best, float(np.linalg.norm(ga - gb)) / denom)
     return best
 
 
@@ -530,11 +519,11 @@ def measure_round_grid(participants, trainer_config: TrainerConfig, seed: int, n
     of a level alone in their order (inject, train, L, B, init gap), so a
     failing level reports the first error it would hit alone. All levels
     are injected and trained first; then one `measure_smoothness` call
-    probes every trained level's pooled set, and levels whose pooled rows
-    are equal share its passes. A probe error is every probed level's
+    measures every trained level's pooled set, and levels whose pooled rows
+    are equal share one probe. A probe error is every probed level's
     error: the one it can raise after training, a zero l2_lambda, each
-    level would raise alone. The pooled sets share one features array
-    where their levels' parts do (`_pool`).
+    level would raise alone. Levels whose parts hold the same rows share
+    one pooled set (`_pool`).
     """
     d, c = participants[0].d, participants[0].class_count
     init = server_init(d, c, seed, init_scale)
@@ -588,22 +577,19 @@ def _train_level(participants, trainer_config: TrainerConfig, seed: int, level: 
 
 
 def _pool(levels) -> list[Dataset]:
-    """The pooled set of each level's training sets, as `concat_datasets` builds it.
+    """The pooled set of each level's training sets for `measure_smoothness`.
 
-    A level whose sets hold the very feature and id arrays of an earlier
-    level's sets reuses that level's pooled features and ids, so no two
-    copies of the pooled rows are alive at once.
+    A pooled set is what `concat_datasets` builds. A level whose sets hold
+    the very feature and id arrays of an earlier level's sets reuses that
+    level's pooled set, labels and all: L reads only the in-space rows, so
+    one copy of them serves every such level.
     """
     pooled = []
     for sets in levels:
         for earlier, done in zip(levels, pooled):
             if len(earlier) == len(sets) and all(
                     a.features is b.features and a.ids is b.ids for a, b in zip(earlier, sets)):
-                pooled.append(Dataset(
-                    features=done.features,
-                    observed_labels=np.concatenate([ds.observed_labels for ds in sets]),
-                    ids=done.ids,
-                    class_count=done.class_count, name="pooled"))
+                pooled.append(done)
                 break
         else:
             pooled.append(concat_datasets(sets, name="pooled"))

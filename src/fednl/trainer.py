@@ -14,13 +14,12 @@ Every loss and gradient of that objective comes from one kernel, `_xent`:
 `loss` and `gradient`, the lockstep SGD ticks, the round's local losses,
 the leave-one-out scores of the influence update, the solver objective of
 `_stacked_objective` and the batch gradients of the round-constant
-measurement, and the smoothness probe. It packs the logits of a stack of
-models into one buffer, runs one log-softmax, one label gather and, for
-gradients, one exp and one subtract-at-labels over all of them, and
-reduces each model's terms on its own, so each value is bitwise that of
-the model alone. Given several label sets over the same rows (the probe's
-noise levels), it runs the products, the log-softmax and the exp once and
-only the label step per set (`_xent_sets`), each set bitwise as if alone.
+measurement. It packs the logits of a stack of models into one buffer,
+runs one log-softmax, one label gather and, for gradients, one exp and one
+subtract-at-labels over all of them, and reduces each model's terms on its
+own, so each value is bitwise that of the model alone. The smoothness
+probe needs only gradient differences, which hold no labels: it takes
+`_label_free_gradient`, the gradient without its label term.
 
 `train_local` trains a `DatasetStack` of k models from one start in
 lockstep: the round's participants, Procedure 1's fold models, or the
@@ -264,10 +263,6 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
     reduced on their own along the last axis, as a single model's are, so
     its returned loss and its ``grads`` slice are bitwise what it gets
     alone.
-
-    ``labels`` may instead be an (s, n) array of s label sets over the same
-    rows: the losses are then (s, g) and ``grads`` is (s, g, d+1, c), each
-    set's bitwise those of a call with that set alone (`_xent_sets`).
     """
     g, c = w.shape[0], w.shape[2]
     parts = []  # (first row, block, logits, slots) of each run
@@ -286,8 +281,6 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
     # Each row's flat label index, made once the log-softmax has freed its
     # temporaries.
     picked = np.arange(0, flat.size, c)
-    if labels.ndim > 1:
-        return _xent_sets(w, parts, rows, logits, picked, labels, lam, grads)
     picked += labels
     nll = flat[picked]
     sums = np.empty(g)
@@ -307,44 +300,22 @@ def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam
     return losses
 
 
-def _xent_sets(w: np.ndarray, parts: list, rows: np.ndarray, logits: np.ndarray,
-               rowstart: np.ndarray, labels: np.ndarray, lam: float,
-               grads: np.ndarray | None) -> np.ndarray:
-    """`_xent`'s steps after the log-softmax, for an (s, n) array of label sets.
+def _label_free_gradient(w: np.ndarray, x: np.ndarray, probs: np.ndarray,
+                         lam: float) -> np.ndarray:
+    """`gradient` at the (d+1, c) weights w without its label term: x' softmax(x w) / n + lam w.
 
-    ``logits`` holds the log-softmax, ``rowstart`` each row's first flat
-    index, and ``parts`` and ``rows`` are `_xent`'s runs and row counts.
-    Each set takes its own label gather and NLL reductions. The exp runs
-    once; then each set subtracts at its labels, takes its backward
-    products into ``grads[i]`` and writes back the probabilities it
-    overwrote (the last set need not), so the next set sees what a call of
-    its own would. A function of its own, so `_xent`'s one-set path, which
-    every SGD tick takes, pays nothing for the set loop.
+    ``x`` holds the n augmented rows and ``probs`` is an (n, c) buffer. The
+    label term, -x' Y / n for the one-hot labels Y, does not depend on w,
+    so the difference of two weights' values is that of their gradients,
+    whatever the labels.
     """
-    g = len(w)
-    flat = logits.reshape(-1)
-    picks = [rowstart + y for y in labels]
-    sums = np.empty((len(picks), g))
-    add = np.add.reduce
-    for i, picked in enumerate(picks):
-        nll = flat[picked]
-        for start, x, _, slots in parts:
-            k, m = x.shape[0], x.shape[1]
-            add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[i, slots])
-    sums /= rows
-    losses = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
-    if grads is not None:
-        np.exp(logits, out=logits)
-        for i, picked in enumerate(picks):
-            kept = flat[picked] if i + 1 < len(picks) else None
-            flat[picked] -= 1.0
-            for _, x, probs, slots in parts:
-                np.matmul(x.transpose(0, 2, 1), probs, out=grads[i, slots])
-            if kept is not None:
-                flat[picked] = kept
-        grads /= rows[:, None, None]
-        grads += lam * w
-    return losses
+    np.matmul(x, w, out=probs)
+    _log_softmax(probs)
+    np.exp(probs, out=probs)
+    g = x.T @ probs
+    g /= len(x)
+    g += lam * w
+    return g
 
 
 def _pack(members: list) -> tuple[np.ndarray, list[int], np.ndarray]:

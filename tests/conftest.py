@@ -73,21 +73,21 @@ def round_constants_bytes(constants):
 
 
 def record_probes(monkeypatch):
-    """The dataset count of each `rounds.measure_smoothness` call and the
-    label-set count of each probe it runs."""
+    """The dataset count of each `rounds.measure_smoothness` call, and a 1 for
+    each probe it runs."""
     calls, probes = [], []
-    measure, largest = rounds.measure_smoothness, rounds._largest_ratios
+    measure, largest = rounds.measure_smoothness, rounds._largest_ratio
 
     def measured(datasets, *args, **kwargs):
         calls.append(len(datasets))
         return measure(datasets, *args, **kwargs)
 
-    def probed(features, labels, *args):
-        probes.append(len(labels))
-        return largest(features, labels, *args)
+    def probed(*args):
+        probes.append(1)
+        return largest(*args)
 
     monkeypatch.setattr(rounds, "measure_smoothness", measured)
-    monkeypatch.setattr(rounds, "_largest_ratios", probed)
+    monkeypatch.setattr(rounds, "_largest_ratio", probed)
     return calls, probes
 
 

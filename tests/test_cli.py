@@ -286,6 +286,25 @@ def test_run_invalid_config_lists_field(tmp_path, capsys):
     assert "noise.beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra, key", [
+    ("run", "pipeline.procedure1 = false\npipeline.procedure2 = true\n",
+     "pipeline.procedure2"),
+    ("run", "noise.kind = asymmetric\nnoise.pairs = 0>1:0.6\n", "noise.pairs"),
+    ("run", "noise.kind = asymmetric\nnoise.pairs = 0>7:0.2\n", "noise.pairs"),
+    ("run", "participants = 1000\n", "participants"),
+    ("rounds", "participants = 1000\n", "participants"),
+])
+def test_config_rejected_at_load_before_any_work(tmp_path, capsys, command, extra, key):
+    # Each parses, but would fail later with a runtime exit: in the engine's
+    # procedure check, the flip rules' matrix or the partition's row count.
+    out = tmp_path / "out"
+    config = write_config(tmp_path, f"seed = 1\noutput = {out}\n" + extra)
+    assert run_cli(command, "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and key in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_divergence_is_runtime_error(tmp_path, capsys):
     config = write_config(tmp_path, BASE_RUN + (
@@ -424,7 +443,7 @@ def test_rounds_two_level_table_is_pinned_and_probed_once(tmp_path, capsys, monk
     config = write_config(tmp_path, _edit(ROUNDS_CONFIG, TWO_LEVELS))
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == ROUNDS_TABLE_TWO_LEVELS
-    assert calls == [2] and probes == [2]
+    assert calls == [2] and probes == [1]
 
 
 def _grid_and_levels_alone(tmp_path, capsys, monkeypatch, text):

@@ -83,18 +83,16 @@ def test_smoothness_params_validation():
         SmoothnessParams(L=1.0, mu=0.0)
 
 
-def reference_smoothness_L(dataset, trainer_config, seed=0):
-    """The L of `measure_smoothness`, one `gradient` call per weight draw."""
-    mu = trainer_config.l2_lambda
-    ds = dataset.in_space()
+def _probe_L(ds, mu, seed, grad):
+    """The L of `measure_smoothness` on the in-space set ``ds``, with the
+    gradient of each weight draw taken by ``grad``."""
     rng = derive_rng(seed, MEASURE)
     shape = (ds.d + 1, ds.class_count)
     best = 0.0
     for _ in range(rounds._SMOOTHNESS_PAIRS):
         wa = rng.standard_normal(shape)
         wb = rng.standard_normal(shape)
-        ga = gradient(ModelParams(wa, ds.class_count), ds, mu)
-        gb = gradient(ModelParams(wb, ds.class_count), ds, mu)
+        ga, gb = grad(wa), grad(wb)
         denom = float(np.linalg.norm(wa - wb))
         if denom == 0.0:
             continue
@@ -102,7 +100,32 @@ def reference_smoothness_L(dataset, trainer_config, seed=0):
     return max(mu, 1.2 * best)
 
 
+def reference_smoothness_L(dataset, trainer_config, seed=0):
+    """The L of `measure_smoothness`, one `gradient` call per weight draw."""
+    mu = trainer_config.l2_lambda
+    ds = dataset.in_space()
+    return _probe_L(ds, mu, seed, lambda w: gradient(ModelParams(w, ds.class_count), ds, mu))
+
+
+def reference_label_free_L(dataset, trainer_config, seed=0):
+    """The L of `measure_smoothness` in plain numpy: each draw's gradient
+    without its label term, x' softmax(x w) / n + lambda w."""
+    mu = trainer_config.l2_lambda
+    ds = dataset.in_space()
+    x = np.hstack([ds.features, np.ones((ds.n, 1))])
+
+    def grad(w):
+        logits = x @ w
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+        return x.T @ p / ds.n + mu * w
+
+    return _probe_L(ds, mu, seed, grad)
+
+
 def test_smoothness_bitwise_equals_per_call_gradients():
+    # Bitwise the label-free reference; within a few ulps of per-call
+    # `gradient`s, whose label term rounds the differences otherwise.
     wide = synth_gaussian(10, 30, 20, 3.0, seed=11)
     small = synth_gaussian(3, 20, 2, 6.0, seed=12)
     labels = small.observed_labels.copy()
@@ -110,7 +133,9 @@ def test_smoothness_bitwise_equals_per_call_gradients():
     with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
     for ds, seed in ((wide, 11), (small, 12), (with_out_of_space, 13)):
         (got,) = measure_smoothness([ds], CONFIG, seed=seed)
-        assert got.L == reference_smoothness_L(ds, CONFIG, seed=seed)
+        assert got.L == reference_label_free_L(ds, CONFIG, seed=seed)
+        per_call = reference_smoothness_L(ds, CONFIG, seed=seed)
+        assert abs(got.L - per_call) <= 4 * math.ulp(per_call)
 
 
 def test_smoothness_of_several_sets_bitwise_equals_each_alone(monkeypatch):
@@ -130,11 +155,29 @@ def test_smoothness_of_several_sets_bitwise_equals_each_alone(monkeypatch):
     sets = [small, wide, with_out_of_space, relabeled, scaled, relabeled_out_of_space, small]
     probes = record_probes(monkeypatch)[1]
     got = rounds.measure_smoothness(sets, CONFIG, seed=12)
-    assert probes == [3, 1, 2, 1]
+    assert probes == [1, 1, 1, 1]
     assert [s.mu for s in got] == [CONFIG.l2_lambda] * len(sets)
-    want = [reference_smoothness_L(ds, CONFIG, seed=12) for ds in sets]
+    want = [reference_label_free_L(ds, CONFIG, seed=12) for ds in sets]
     assert [s.L for s in got] == want
     assert len(set(want)) == 4
+    for s, ds in zip(got, sets):
+        per_call = reference_smoothness_L(ds, CONFIG, seed=12)
+        assert abs(s.L - per_call) <= 4 * math.ulp(per_call)
+
+
+def test_smoothness_of_the_same_rows_ignores_their_labels():
+    # Each set probed on its own: L is a function of the rows alone, to the
+    # bit, as it is of each level of a grid over the same rows.
+    ds = synth_gaussian(4, 15, 3, 6.0, seed=0)
+    rolled = make_dataset(ds.features, np.roll(ds.observed_labels, 7), c=4, ids=ds.ids)
+    (a,) = measure_smoothness([ds], CONFIG, seed=0)
+    (b,) = measure_smoothness([rolled], CONFIG, seed=0)
+    assert a.L.hex() == b.L.hex()
+    base = synth_gaussian(4, 60, 3, 4.0, seed=0)
+    parts = partition_non_iid(base, 3, seed=0, strategy=ShuffleSplit())
+    trainer = TrainerConfig(local_epochs=3, batch_size=24, l2_lambda=0.01)
+    grid = measure_round_grid(parts, trainer, 0, (0.0, 0.3, 0.5), init_scale=0.02)
+    assert len({got.smooth.L.hex() for got in grid}) == 1
 
 
 # ---------------------------------------------------------------- optimum
@@ -406,7 +449,7 @@ def test_round_grid_bytes_are_pinned(monkeypatch):
     digest = hashlib.sha256()
     for got in measure_round_grid(parts, trainer, 21, (0.0, 0.3), init_scale=0.02):
         digest.update(round_constants_bytes(got))
-    assert calls == [2] and probes == [2]
+    assert calls == [2] and probes == [1]
     assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
 
 

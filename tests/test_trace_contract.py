@@ -3,10 +3,13 @@
 `perfbench/spans.py` wraps functions by module and name, and
 `perfbench/workloads.py` lists the spans each workload must record. A rename
 in `fednl`, or a call that stops going through a traced name, would only
-show up as a failed benchmark run; these checks make it fail here. The
-perfbench files are read and run as they are, never edited.
+show up as a failed benchmark run; these checks make it fail here. One
+workload's output is pinned too, so a change to the bytes the benchmark
+checks fails here first. The perfbench files are read and run as they are,
+never edited.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -20,7 +23,7 @@ import pytest
 
 from fednl import (FederationConfig, ShuffleSplit, TrainerConfig, measure_round_constants,
                    partition_non_iid, run_fednl, synth_gaussian)
-from fednl import engine, estimator, rounds
+from fednl import cli, engine, estimator, rounds
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -173,3 +176,17 @@ def test_rounds_workload_spans_fire_in_a_traced_child(tmp_path):
                     if not layers.get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
     assert replayed
+
+
+#: sha256 of `fednl rounds` stdout on `rounds_grid` at config seed 4: the
+#: checksum `perfbench/run.py --seed 1` prints for that config. Its noise
+#: levels hold the same rows under other labels, and must print one L.
+PINNED_ROUNDS_GRID_SEED4 = "62a05e44700afe6c2a50dbbae845d2e70f676d6babb6eaa6514e94d66383a6bb"
+
+
+def test_rounds_grid_workload_output_is_pinned(tmp_path, capsys):
+    config = tmp_path / "rounds_grid.cfg"
+    config.write_text(workloads.WORKLOADS["rounds_grid"].config_text(4))
+    assert cli.main(["rounds", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ROUNDS_GRID_SEED4

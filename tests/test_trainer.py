@@ -198,26 +198,6 @@ def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
         assert grad.tobytes() == gradient(ModelParams(w, 4), ds, lam).tobytes()
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.05])
-def test_xent_label_sets_bitwise_equal_one_set_calls(lam):
-    # Three label sets over the mixed runs' rows: the models' own labels and
-    # two random relabelings, which agree with it on about a quarter of the
-    # rows. Each set overwrites the probabilities at its labels, so a set
-    # that saw an earlier set's leftovers would get other gradients.
-    weights, runs, labels, _ = _mixed_runs()
-    n = labels.size
-    rng = np.random.default_rng(27)
-    sets = np.stack([labels, rng.integers(0, 4, n), rng.integers(0, 4, n)])
-    grads = np.empty((3,) + weights.shape)
-    losses = _xent(weights, runs, np.empty((n, 4)), sets, lam, grads)
-    assert losses.shape == (3, 9)
-    assert _xent(weights, runs, np.empty((n, 4)), sets, lam).tobytes() == losses.tobytes()
-    for one, value, grad in zip(sets, losses, grads):
-        alone = np.empty_like(weights)
-        assert _xent(weights, runs, np.empty((n, 4)), one, lam, alone).tobytes() == value.tobytes()
-        assert grad.tobytes() == alone.tobytes()
-
-
 # ---------------------------------------------------------------- column log-softmax
 
 def test_exp_class_sum_bitwise_equals_row_reduction():
