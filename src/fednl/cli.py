@@ -152,6 +152,12 @@ def cmd_run(args) -> int:
     _require_fresh(run_dir, args.force)
 
     participants, server = build_datasets(config)
+    # Checked here, not in `build_datasets`: `fednl rounds` reads no server.
+    c = participants[0].class_count
+    if server is not None and server.class_count != c:
+        key = "data.classes" if config["server.source"] == "synth" else "server.path"
+        raise ConfigError([f"{key}: the server holds {server.class_count} classes, "
+                           f"the participants {c}"])
     fed = build_federation_config(config)
     if config["algorithm"] == "fednl":
         run = run_fednl(fed, participants, server)

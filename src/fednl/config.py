@@ -364,6 +364,9 @@ def build_datasets(config: ExperimentConfig) -> tuple[list[Dataset], Dataset | N
 
     matrix = build_transition_matrix(config)
     if matrix is not None:
+        if matrix.class_count != base.class_count:
+            raise ConfigError([f"data.classes: must be {base.class_count}, the class count "
+                               f"of data.path, got {matrix.class_count}"])
         noisy = set(noisy_participant_indices(config))
         parts = [
             inject_noise(ds, matrix, derive_seed(seed, INJECT, i))[0] if i in noisy else ds

@@ -9,14 +9,13 @@ variance sigma_i^2, gradient bound G^2, non-iid degree Gamma, and the
 init-to-optimum gap.
 
 `measure_round_grid` runs the whole measurement at every noise level of a
-grid (noise, one local round, then L, the B components and the init gap),
-and `measure_round_constants` is its one-level case; `RoundConstants.rounds`
-turns a level's constants into B and a round estimate. The grid trains
-every level first, then makes one `measure_smoothness` call for all of
-them. L is measured from the in-space features alone: the probe's gradient
-differences hold no labels (`trainer._label_free_gradient`), so levels
-whose pooled sets hold the same rows under other labels share one probe
-and one L. The B components and the init gap follow level by level.
+grid, one level after the other (noise, one local round, then L, the B
+components and the init gap), and `measure_round_constants` is its
+one-level case; `RoundConstants.rounds` turns a level's constants into B
+and a round estimate. L is measured from the in-space features alone: the
+probe's gradient differences hold no labels (`trainer._label_free_gradient`),
+so a level whose training sets hold an earlier level's rows under other
+labels reuses that level's L instead of probing again.
 
 Optima come from `_lbfgs`, a numpy L-BFGS with Armijo backtracking, so the
 package needs no scipy. It solves a stack of problems in iteration
@@ -44,8 +43,8 @@ from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
 from .trainer import (_STEP_BLOCK, DatasetStack, DivergenceError, ModelParams, TrainerConfig,
-                      _augment, _label_free_gradient, _require_trainable, _stacked_objective,
-                      _xent, gradient, loss, train_local)
+                      _augment, _label_free_gradient, _pack, _stacked_objective, _xent,
+                      gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
 
@@ -149,45 +148,41 @@ _row_dot = np.vecdot
 
 
 def measure_smoothness(datasets, trainer_config: TrainerConfig,
-                       seed: int = 0) -> list[SmoothnessParams]:
-    """Estimate L empirically on each dataset; mu is the L2 coefficient exactly.
+                       seed: int = 0) -> SmoothnessParams:
+    """Estimate L empirically on the pooled in-space rows of the datasets; mu
+    is the L2 coefficient exactly.
 
     L is the largest gradient-difference ratio over random weight pairs
     (`_largest_ratio`), inflated by a 1.2 safety factor and floored at mu.
     The differences hold no labels, so L is a function of the in-space
-    features: datasets whose in-space features are equal share one probe
-    and get the same L. Returns one `SmoothnessParams` per dataset.
+    features alone. The datasets must agree on the class count and on d.
     """
     if trainer_config.l2_lambda <= 0.0:
         raise NoStrongConvexityError("l2_lambda is 0; the objective is not strongly convex")
     mu = trainer_config.l2_lambda
     sets = [ds.in_space() for ds in datasets]
-    for ds in sets:
-        _require_trainable(ds)
-    probed = []  # (in-space set, its SmoothnessParams) of each probe run
-    smooth = []
-    for ds in sets:
-        for first, params in probed:
-            if first.class_count == ds.class_count and (
-                    first.features is ds.features or np.array_equal(first.features, ds.features)):
-                break
-        else:
-            best = _largest_ratio(ds.features, ds.class_count, mu, seed)
-            params = SmoothnessParams(L=max(mu, 1.2 * best), mu=mu)
-            probed.append((ds, params))
-        smooth.append(params)
-    return smooth
+    if not sets:
+        raise ValueError("no datasets to measure")
+    c, d = sets[0].class_count, sets[0].d
+    for ds in sets[1:]:
+        if ds.class_count != c:
+            raise ValueError(f"datasets disagree on the class count: {c} and {ds.class_count}")
+        if ds.d != d:
+            raise ValueError(f"datasets disagree on the feature dimension: {d} and {ds.d}")
+    x = _pack(sets)[0]
+    if not len(x):
+        raise ValueError("dataset is empty")
+    return SmoothnessParams(L=max(mu, 1.2 * _largest_ratio(x, c, mu, seed)), mu=mu)
 
 
-def _largest_ratio(features: np.ndarray, c: int, mu: float, seed: int) -> float:
-    """Largest gradient-difference ratio on the rows of ``features`` over the probe's pairs.
+def _largest_ratio(x: np.ndarray, c: int, mu: float, seed: int) -> float:
+    """Largest gradient-difference ratio on the augmented rows ``x`` over the probe's pairs.
 
     The pairs are `_SMOOTHNESS_PAIRS` draws of two (d+1, c) weight matrices
     from the MEASURE stream of ``seed``; a pair at distance zero is
     skipped. The gradients are `_label_free_gradient`s into one (n, c)
     buffer: their differences are those of `gradient` under any labels.
     """
-    x = _augment(features)
     shape = (x.shape[1], c)
     rng = derive_rng(seed, MEASURE)
     probs = np.empty((len(x), c))
@@ -505,95 +500,65 @@ class RoundConstants:
 
 #: Failures that stop one noise level of a round grid, which `fednl rounds`
 #: reports as error rows before going on: invalid or unmeasurable constants
-#: (ValueError covers NoStrongConvexityError, EstimationError and numpy's
+#: (ValueError covers NoStrongConvexityError, a failed injection and numpy's
 #: LinAlgError) and diverged training. Anything else is a program error.
 _GRID_ERRORS = (ValueError, MeasurementError, DivergenceError)
 
 
 def measure_round_grid(participants, trainer_config: TrainerConfig, seed: int, noise_levels,
                        init_scale: float = 0.01) -> list:
-    """`measure_round_constants` at each noise level, with one smoothness probe for all.
+    """`measure_round_constants` at each noise level, in order.
 
     Returns, per level, its `RoundConstants` or the `_GRID_ERRORS` error
-    that stopped it; any other error propagates. Each level runs the steps
-    of a level alone in their order (inject, train, L, B, init gap), so a
-    failing level reports the first error it would hit alone. All levels
-    are injected and trained first; then one `measure_smoothness` call
-    measures every trained level's pooled set, and levels whose pooled rows
-    are equal share one probe. A probe error is every probed level's
-    error: the one it can raise after training, a zero l2_lambda, each
-    level would raise alone. Levels whose parts hold the same rows share
-    one pooled set (`_pool`).
+    that stopped it; any other error propagates. Each level runs its steps
+    in order (`_measure_level`), so a failing level reports the first error
+    it would hit alone. A level whose training sets hold the features of an
+    earlier probed level's sets reuses that level's L: the probe would
+    measure the same L again.
     """
     d, c = participants[0].d, participants[0].class_count
     init = server_init(d, c, seed, init_scale)
-    results = [None] * len(noise_levels)
-    trained = []  # (position, key, training sets, models) of each level that trained
-    for at, level in enumerate(noise_levels):
+    probed = []  # (training features, SmoothnessParams) of each level that ran a probe
+    results = []
+    for level in noise_levels:
         try:
-            trained.append((at, *_train_level(participants, trainer_config, seed, level, init)))
+            results.append(_measure_level(participants, trainer_config, seed, level, init,
+                                          init_scale, probed))
         except _GRID_ERRORS as e:
-            results[at] = e
-    if not trained:
-        return results
-    try:
-        smooth = measure_smoothness(_pool([sets for _, _, sets, _ in trained]), trainer_config,
-                                    seed=seed)
-    except _GRID_ERRORS as e:
-        smooth = [e] * len(trained)
-    for level_smooth in smooth:
-        # Each level's sets are dropped once measured.
-        at, key, train_sets, models = trained.pop(0)
-        if isinstance(level_smooth, Exception):
-            results[at] = level_smooth
-            continue
-        try:
-            comps = measure_b_components(train_sets, models, init, trainer_config,
-                                         seed=derive_seed(seed, MEASURE, key))
-            gap = measure_init_gap(d, c, seed, comps.optimum.model, init_scale=init_scale)
-        except _GRID_ERRORS as e:
-            results[at] = e
-            continue
-        results[at] = RoundConstants(smooth=level_smooth, components=comps, init_gap=gap)
+            results.append(e)
     return results
 
 
-def _train_level(participants, trainer_config: TrainerConfig, seed: int, level: float,
-                 init: ModelParams) -> tuple[int, list, list]:
-    """A level's key, its participants' in-space training sets and their models
-    after one local round from ``init``.
+def _measure_level(participants, trainer_config: TrainerConfig, seed: int, level: float,
+                   init: ModelParams, init_scale: float, probed: list) -> RoundConstants:
+    """One level of `measure_round_grid`: inject, train one local round from
+    ``init``, then L, the B components and the init gap.
 
-    The injected participants, which carry their true labels, go with the
-    call; the training sets hold only their observed labels.
+    L comes from the first ``probed`` entry whose features equal the
+    level's, set by set; else the level's probe runs and joins ``probed``.
     """
     key = int(round(level * 10**6))
     if level > 0.0:
+        # The injected sets' copies of the true labels go at once: only
+        # their observed labels live on, in the training sets.
         matrix = symmetric_matrix(participants[0].class_count, level)
         participants = [inject_noise(ds, matrix, derive_seed(seed, INJECT, key, i))[0]
-                        for i, ds in enumerate(participants)]
+                        .training_view() for i, ds in enumerate(participants)]
     train_sets = [ds.training_view().in_space() for ds in participants]
     seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
-    return key, train_sets, train_local(init, DatasetStack(train_sets, seeds), trainer_config)
-
-
-def _pool(levels) -> list[Dataset]:
-    """The pooled set of each level's training sets for `measure_smoothness`.
-
-    A pooled set is what `concat_datasets` builds. A level whose sets hold
-    the very feature and id arrays of an earlier level's sets reuses that
-    level's pooled set, labels and all: L reads only the in-space rows, so
-    one copy of them serves every such level.
-    """
-    pooled = []
-    for sets in levels:
-        for earlier, done in zip(levels, pooled):
-            if len(earlier) == len(sets) and all(
-                    a.features is b.features and a.ids is b.ids for a, b in zip(earlier, sets)):
-                pooled.append(done)
-                break
-        else:
-            pooled.append(concat_datasets(sets, name="pooled"))
-    return pooled
+    models = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
+    features = [ds.features for ds in train_sets]
+    for earlier, smooth in probed:
+        if all(a is b or np.array_equal(a, b) for a, b in zip(earlier, features)):
+            break
+    else:
+        smooth = measure_smoothness(train_sets, trainer_config, seed=seed)
+        probed.append((features, smooth))
+    comps = measure_b_components(train_sets, models, init, trainer_config,
+                                 seed=derive_seed(seed, MEASURE, key))
+    gap = measure_init_gap(init.d, init.class_count, seed, comps.optimum.model,
+                           init_scale=init_scale)
+    return RoundConstants(smooth=smooth, components=comps, init_gap=gap)
 
 
 def measure_round_constants(participants, trainer_config: TrainerConfig, seed: int,

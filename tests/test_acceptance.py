@@ -301,7 +301,7 @@ def test_convergence_rate_slope():
     probe = TrainerConfig(local_epochs=1, batch_size=60,
                           lr_schedule=Diminishing(2.0 / lam, 1.0),
                           l2_lambda=lam)
-    (smooth,) = measure_smoothness([pooled], probe, seed=1)
+    smooth = measure_smoothness([pooled], probe, seed=1)
     alpha = max(8.0 * smooth.L / smooth.mu, 1.0)
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),

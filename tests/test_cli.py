@@ -305,6 +305,53 @@ def test_config_rejected_at_load_before_any_work(tmp_path, capsys, command, extr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+def _four_class_files(tmp_path):
+    """A 4-class `fednl synth` participant file and a 4-class server file."""
+    paths = tmp_path / "four.csv", tmp_path / "server4.csv"
+    for seed, path in enumerate(paths, start=1):
+        assert run_cli("synth", "--classes", "4", "--per-class", "30", "--seed", str(seed),
+                       "--out", str(path), "--id-base", str(1000 * seed)) == EXIT_OK
+    return paths
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("data.source = file\ndata.path = {data}\nnoise.kind = symmetric\n",
+     "data.classes: must be 4, the class count of data.path, got 3"),
+    ("data.source = file\ndata.path = {data}\n",
+     "data.classes: the server holds 3 classes, the participants 4"),
+    ("data.source = file\ndata.path = {data}\nalgorithm = fedavg\n",
+     "data.classes: the server holds 3 classes, the participants 4"),
+    ("server.source = file\nserver.path = {server}\n",
+     "server.path: the server holds 4 classes, the participants 3"),
+], ids=["channel", "synth_server", "fedavg", "server_file"])
+def test_run_class_count_mismatch_is_validation_error(tmp_path, capsys, extra, message):
+    # Each once failed with a runtime exit inside the channel, the exchange
+    # or the evaluation on the server's test split.
+    data, server = _four_class_files(tmp_path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, f"seed = 1\nparticipants = 3\nrounds = 2\noutput = {out}\n"
+                          + extra.format(data=data, server=server))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+def test_rounds_on_four_class_file_ignores_data_classes(tmp_path, capsys):
+    # `fednl rounds` injects its own channel over the file's classes and
+    # reads no server, so data.classes = 3 does not stop it.
+    data, _ = _four_class_files(tmp_path)
+    config = write_config(tmp_path, "seed = 1\nparticipants = 3\nrounds = 2\n"
+                          f"data.source = file\ndata.path = {data}\n")
+    capsys.readouterr()
+    assert run_cli("rounds", "--config", str(config)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "error" not in out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "96e2d4ec423f05d8d0d2229d3315b6f36e7e7e8fda758b7a0f20d74d804decae")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_divergence_is_runtime_error(tmp_path, capsys):
     config = write_config(tmp_path, BASE_RUN + (
@@ -443,7 +490,7 @@ def test_rounds_two_level_table_is_pinned_and_probed_once(tmp_path, capsys, monk
     config = write_config(tmp_path, _edit(ROUNDS_CONFIG, TWO_LEVELS))
     assert run_cli("rounds", "--config", str(config)) == EXIT_OK
     assert capsys.readouterr().out == ROUNDS_TABLE_TWO_LEVELS
-    assert calls == [2] and probes == [1]
+    assert calls == [1] and probes == [1]
 
 
 def _grid_and_levels_alone(tmp_path, capsys, monkeypatch, text):
@@ -494,14 +541,44 @@ def _file_grid_config(tmp_path, keep_truth, extra=""):
             "rounds_grid.noise = 0, 0.3\n" + extra)
 
 
+def _file_grid(tmp_path, capsys, monkeypatch, keep_truth, levels):
+    """`_grid_and_levels_alone` on `_file_grid_config` at the noise levels
+    ``levels``, with the sha256 of its table in place of the table."""
+    text = _edit(_file_grid_config(tmp_path, keep_truth),
+                 {"rounds_grid.noise = 0, 0.3": f"rounds_grid.noise = {levels}"})
+    out, results, counts = _grid_and_levels_alone(tmp_path, capsys, monkeypatch, text)
+    return hashlib.sha256(out.encode()).hexdigest(), out, results, counts
+
+
 def test_rounds_file_grid_probes_unequal_pooled_rows_apart(tmp_path, capsys, monkeypatch):
     # Level 0 drops the out-of-space rows; level 0.3 draws every row's label
-    # from its true label, so its pooled set keeps them: two probes.
-    out, results, counts = _grid_and_levels_alone(
-        tmp_path, capsys, monkeypatch, _file_grid_config(tmp_path, keep_truth=True))
-    assert counts == ([2], [1, 1])
+    # from its true label, so its training sets keep them: two probes.
+    digest, out, results, counts = _file_grid(tmp_path, capsys, monkeypatch, True, "0, 0.3")
+    assert counts == ([1, 1], [1, 1])
     assert "error" not in out and out.count("# noise") == 2
     assert results[0].smooth.L != results[1].smooth.L
+    assert digest == "88c07e91c11ccc90b9972d1bea6618c83463aa565f3aca5ca79203ab02c7728d"
+
+
+def test_rounds_file_grid_reuses_L_of_equal_rows(tmp_path, capsys, monkeypatch):
+    # Each level's in-space views are fresh arrays, so the second level 0
+    # finds the first one's rows by value, not identity: two probes for
+    # three levels, and the two level-0 results hold the same L.
+    digest, out, results, counts = _file_grid(tmp_path, capsys, monkeypatch, True, "0, 0.3, 0")
+    assert counts == ([1, 1], [1, 1])
+    assert "error" not in out and out.count("# noise") == 3
+    assert results[0].smooth.L.hex() == results[2].smooth.L.hex()
+    assert round_constants_bytes(results[0]) == round_constants_bytes(results[2])
+    assert digest == "cf4058c6bbb92ba7a35712a5a3e2422be45f10485d36348ae0e5f2f71e44800b"
+
+
+def test_rounds_file_grid_failed_first_level_spares_the_next(tmp_path, capsys, monkeypatch):
+    # Levels run in order: 0.3 fails to inject, then level 0 probes its own rows.
+    digest, out, results, counts = _file_grid(tmp_path, capsys, monkeypatch, False, "0.3, 0")
+    assert counts == ([1], [1])
+    assert isinstance(results[0], ValueError) and "cannot inject noise" in str(results[0])
+    assert out.count("# noise") == 1 and "2 grid point(s) failed" in out
+    assert digest == "0f5ab9459382fd1ff9afc84f97e80afbd1750319a59458c57a2ac157282c377b"
 
 
 def test_rounds_file_grid_failed_injection_spares_clean_level(tmp_path, capsys, monkeypatch):
@@ -522,7 +599,7 @@ def test_rounds_file_grid_without_l2_fails_every_level(tmp_path, capsys, monkeyp
     out, results, counts = _grid_and_levels_alone(
         tmp_path, capsys, monkeypatch,
         _file_grid_config(tmp_path, keep_truth=True, extra="trainer.l2_lambda = 0\n"))
-    assert counts == ([2], [])
+    assert counts == ([1, 1], [])
     assert all(isinstance(r, rounds.NoStrongConvexityError) for r in results)
     assert out.count("error: l2_lambda is 0; the objective is not strongly convex") == 4
     assert "4 grid point(s) failed" in out

@@ -52,20 +52,20 @@ CONFIG = TrainerConfig(local_epochs=5, batch_size=32, l2_lambda=0.05)
 
 def test_mu_is_exactly_lambda():
     ds = synth_gaussian(3, 30, 2, 6.0, seed=1)
-    (smooth,) = measure_smoothness([ds], CONFIG, seed=1)
+    smooth = measure_smoothness([ds], CONFIG, seed=1)
     assert smooth.mu == 0.05
 
 
 def test_L_at_least_mu():
     ds = synth_gaussian(2, 10, 1, 3.0, seed=2)
-    (smooth,) = measure_smoothness([ds], CONFIG, seed=2)
+    smooth = measure_smoothness([ds], CONFIG, seed=2)
     assert smooth.L >= smooth.mu
 
 
 def test_L_stable_across_seeds():
     ds = synth_gaussian(3, 60, 2, 6.0, seed=3)
-    (a,) = measure_smoothness([ds], CONFIG, seed=10)
-    (b,) = measure_smoothness([ds], CONFIG, seed=20)
+    a = measure_smoothness([ds], CONFIG, seed=10)
+    b = measure_smoothness([ds], CONFIG, seed=20)
     assert abs(a.L - b.L) / a.L <= 0.2
 
 
@@ -132,37 +132,35 @@ def test_smoothness_bitwise_equals_per_call_gradients():
     labels[:4] = OUT_OF_SPACE
     with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
     for ds, seed in ((wide, 11), (small, 12), (with_out_of_space, 13)):
-        (got,) = measure_smoothness([ds], CONFIG, seed=seed)
+        got = measure_smoothness([ds], CONFIG, seed=seed)
         assert got.L == reference_label_free_L(ds, CONFIG, seed=seed)
         per_call = reference_smoothness_L(ds, CONFIG, seed=seed)
         assert abs(got.L - per_call) <= 4 * math.ulp(per_call)
 
 
-def test_smoothness_of_several_sets_bitwise_equals_each_alone(monkeypatch):
-    # Sets over equal in-space rows share one probe, whatever their labels
-    # or out-of-space rows; sets over other rows, even of the same shape,
-    # get their own.
+def test_smoothness_of_several_sets_bitwise_equals_their_concatenation():
+    # One probe over the sets' pooled in-space rows, whatever their labels
+    # or out-of-space rows: L is that of the concatenated set, to the bit.
     small = synth_gaussian(3, 20, 2, 6.0, seed=12)
-    relabeled = make_dataset(small.features, np.roll(small.observed_labels, 7), c=3,
-                             ids=small.ids)
-    scaled = make_dataset(small.features * 2.0, small.observed_labels, c=3, ids=small.ids)
     labels = small.observed_labels.copy()
     labels[:4] = OUT_OF_SPACE
-    with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
-    labels = np.concatenate([labels[:4], np.roll(labels[4:], 5)])
-    relabeled_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids)
-    wide = synth_gaussian(10, 30, 20, 3.0, seed=11)
-    sets = [small, wide, with_out_of_space, relabeled, scaled, relabeled_out_of_space, small]
-    probes = record_probes(monkeypatch)[1]
-    got = rounds.measure_smoothness(sets, CONFIG, seed=12)
-    assert probes == [1, 1, 1, 1]
-    assert [s.mu for s in got] == [CONFIG.l2_lambda] * len(sets)
-    want = [reference_label_free_L(ds, CONFIG, seed=12) for ds in sets]
-    assert [s.L for s in got] == want
-    assert len(set(want)) == 4
-    for s, ds in zip(got, sets):
-        per_call = reference_smoothness_L(ds, CONFIG, seed=12)
-        assert abs(s.L - per_call) <= 4 * math.ulp(per_call)
+    with_out_of_space = make_dataset(small.features, labels, c=3, ids=small.ids + 100)
+    other = synth_gaussian(3, 10, 2, 3.0, seed=13, id_base=200)
+    sets = [small, with_out_of_space, other]
+    got = measure_smoothness(sets, CONFIG, seed=12)
+    pooled = concat_datasets([ds.in_space() for ds in sets])
+    assert got == measure_smoothness([pooled], CONFIG, seed=12)
+    assert got.L == reference_label_free_L(pooled, CONFIG, seed=12)
+
+
+@pytest.mark.parametrize("other, what", [
+    (synth_gaussian(4, 10, 2, 6.0, seed=1, id_base=100), "class count: 3 and 4"),
+    (synth_gaussian(3, 10, 5, 6.0, seed=1, id_base=100), "feature dimension: 2 and 5"),
+])
+def test_smoothness_refuses_sets_over_other_spaces(other, what):
+    ds = synth_gaussian(3, 10, 2, 6.0, seed=0)
+    with pytest.raises(ValueError, match=f"datasets disagree on the {what}"):
+        measure_smoothness([ds, other], CONFIG, seed=0)
 
 
 def test_smoothness_of_the_same_rows_ignores_their_labels():
@@ -170,8 +168,8 @@ def test_smoothness_of_the_same_rows_ignores_their_labels():
     # bit, as it is of each level of a grid over the same rows.
     ds = synth_gaussian(4, 15, 3, 6.0, seed=0)
     rolled = make_dataset(ds.features, np.roll(ds.observed_labels, 7), c=4, ids=ds.ids)
-    (a,) = measure_smoothness([ds], CONFIG, seed=0)
-    (b,) = measure_smoothness([rolled], CONFIG, seed=0)
+    a = measure_smoothness([ds], CONFIG, seed=0)
+    b = measure_smoothness([rolled], CONFIG, seed=0)
     assert a.L.hex() == b.L.hex()
     base = synth_gaussian(4, 60, 3, 4.0, seed=0)
     parts = partition_non_iid(base, 3, seed=0, strategy=ShuffleSplit())
@@ -388,7 +386,7 @@ def reference_round_constants(participants, trainer, seed, level, init_scale):
     train_sets = [ds.training_view().in_space() for ds in participants]
     models = [train_one(init, ds, trainer, derive_seed(seed, TRAIN, key, i))
               for i, ds in enumerate(train_sets)]
-    (smooth,) = measure_smoothness([concat_datasets(train_sets, name="pooled")], trainer,
+    smooth = measure_smoothness(train_sets, trainer,
                                    seed=seed)
     comps = measure_b_components(train_sets, models, init, trainer,
                                  seed=derive_seed(seed, MEASURE, key))
@@ -442,14 +440,14 @@ def test_round_constants_bytes_are_pinned():
 
 
 def test_round_grid_bytes_are_pinned(monkeypatch):
-    # Both levels in one grid: one probe, its passes shared by the two
-    # levels' pooled sets, which hold the same rows under other labels.
+    # Both levels in one grid: one probe, whose L the second level reuses,
+    # as its training sets hold the same rows under other labels.
     parts, trainer = _pinned_config()
     calls, probes = record_probes(monkeypatch)
     digest = hashlib.sha256()
     for got in measure_round_grid(parts, trainer, 21, (0.0, 0.3), init_scale=0.02):
         digest.update(round_constants_bytes(got))
-    assert calls == [2] and probes == [1]
+    assert calls == [1] and probes == [1]
     assert digest.hexdigest() == PINNED_ROUND_CONSTANTS_DIGEST
 
 
@@ -635,7 +633,7 @@ def test_real_run_slope_in_theorem_band():
     probe = TrainerConfig(local_epochs=1, batch_size=60,
                           lr_schedule=Diminishing(2.0 / lam, 1.0),
                           l2_lambda=lam)
-    (smooth,) = measure_smoothness([pooled], probe, seed=1)
+    smooth = measure_smoothness([pooled], probe, seed=1)
     alpha = max(8.0 * smooth.L / smooth.mu, 1.0)
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),

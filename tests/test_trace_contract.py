@@ -165,8 +165,9 @@ def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path, extra):
 
 def test_rounds_workload_spans_fire_in_a_traced_child(tmp_path):
     # The same check for `rounds_grid`: its optima must still go through
-    # `rounds.solve_optimum`, its one smoothness probe for both noise levels
-    # through `rounds.measure_smoothness`, and `loss`/`gradient` through
+    # `rounds.solve_optimum`, its one smoothness probe through
+    # `rounds.measure_smoothness` (the second noise level, over the same
+    # rows, reuses the first one's L), and `loss`/`gradient` through
     # `rounds`' own bindings, or the benchmark marks the workload's outputs
     # incorrect.
     small = {"participants": 3, "data.classes": 3, "data.dim": 2, "data.per_class": 40,
@@ -175,6 +176,7 @@ def test_rounds_workload_spans_fire_in_a_traced_child(tmp_path):
     silent = sorted(span for span in workloads.WORKLOADS["rounds_grid"].expected
                     if not layers.get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
+    assert layers["rounds.measure_smoothness.calls"] == 1
     assert replayed
 
 
