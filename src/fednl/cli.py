@@ -1,8 +1,9 @@
 """Command-line harness: synth, inject, estimate, run, rounds, report.
 
 Exit codes: 0 on success, 2 for validation problems (bad flags, bad config,
-malformed input files, refusing to overwrite), 3 for runtime failures
-(diverged training, failed measurements, allocation faults).
+malformed input files, data that does not fit the config, refusing to
+overwrite), 3 for runtime failures (diverged training, failed measurements,
+allocation faults).
 """
 
 import argparse
@@ -16,7 +17,7 @@ from .config import (ConfigError, ExperimentConfig, build_datasets,
                      build_federation_config, build_trainer_config, load_config,
                      parse_flip_rules)
 from .data import ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
-from .engine import record_to_dict, run_fedavg, run_fednl
+from .engine import record_to_dict, run_fedavg, run_fednl, server_test_rows
 from .estimator import estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
 from .metrics import format_snapshot
@@ -146,18 +147,37 @@ def _write_run_dir(run_dir: Path, config: ExperimentConfig, run) -> None:
         (run_dir / "metrics.final").write_text("no server test split; no final metrics\n")
 
 
+def _check_server(config: ExperimentConfig, participant, server) -> None:
+    """Refuse a server whose class or feature space is not the participants',
+    or whose test split leaves influence weighting nothing to score.
+
+    Checked here, not in `build_datasets`: `fednl rounds` reads no server.
+    """
+    synth = config["server.source"] == "synth"
+    errors = []
+    if server.class_count != participant.class_count:
+        errors.append(f"{'data.classes' if synth else 'server.path'}: the server holds "
+                      f"{server.class_count} classes, the participants {participant.class_count}")
+    if server.d != participant.d:
+        errors.append(f"{'data.dim' if synth else 'server.path'}: the server holds "
+                      f"{server.d} features, the participants {participant.d}")
+    fraction = config["server.test_fraction"]
+    if (config["algorithm"] == "fednl" and config["pipeline.weighting"] == "fednl"
+            and server_test_rows(server.n, fraction) == 0):
+        errors.append(f"server.test_fraction: {fraction:g} of {server.n} server rows rounds to "
+                      "an empty test split; influence weighting needs a non-empty one")
+    if errors:
+        raise ConfigError(errors)
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
     run_dir = _resolve_output(config["output"], args.out)
     _require_fresh(run_dir, args.force)
 
     participants, server = build_datasets(config)
-    # Checked here, not in `build_datasets`: `fednl rounds` reads no server.
-    c = participants[0].class_count
-    if server is not None and server.class_count != c:
-        key = "data.classes" if config["server.source"] == "synth" else "server.path"
-        raise ConfigError([f"{key}: the server holds {server.class_count} classes, "
-                           f"the participants {c}"])
+    if server is not None:
+        _check_server(config, participants[0], server)
     fed = build_federation_config(config)
     if config["algorithm"] == "fednl":
         run = run_fednl(fed, participants, server)

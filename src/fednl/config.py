@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._rng import INJECT, SYNTH, derive_seed
-from .data import (Dataset, LabelSkew, ShuffleSplit, load_dataset, partition_non_iid,
-                   synth_gaussian)
+from .data import (Dataset, LabelSkew, PartitionError, ShuffleSplit, load_dataset,
+                   partition_non_iid, synth_gaussian)
 from .engine import FederationConfig
 from .noise import TransitionMatrix, asymmetric_matrix, inject_noise, symmetric_matrix, with_out_of_space
 from .trainer import Constant, Diminishing, TrainerConfig
@@ -265,11 +265,6 @@ def _cross_validate(values: dict) -> list[str]:
     if (values["algorithm"] == "fednl" and values["pipeline.weighting"] == "fednl"
             and values["server.source"] == "none"):
         errors.append("pipeline.weighting = fednl needs a server dataset; set server.source")
-    if values["data.source"] == "synth":
-        rows = values["data.classes"] * values["data.per_class"]
-        if values["participants"] > rows:
-            errors.append(f"participants = {values['participants']} exceeds the {rows} "
-                          "synthetic instances (data.classes x data.per_class)")
     for key in ("rounds_grid.q_o", "rounds_grid.local_epochs", "rounds_grid.noise"):
         if not values[key]:
             errors.append(f"{key} must list at least one value")
@@ -360,7 +355,11 @@ def build_datasets(config: ExperimentConfig) -> tuple[list[Dataset], Dataset | N
         strategy = ShuffleSplit()
     else:
         strategy = LabelSkew(k_major=config["partition.k_major"], skew=config["partition.skew"])
-    parts = partition_non_iid(base, config["participants"], seed, strategy)
+    try:
+        parts = partition_non_iid(base, config["participants"], seed, strategy)
+    except PartitionError as e:
+        # Only a data file can be empty; otherwise it holds too few rows.
+        raise ConfigError([f"{'participants' if base.n else 'data.path'}: {e}"]) from e
 
     matrix = build_transition_matrix(config)
     if matrix is not None:

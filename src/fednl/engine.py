@@ -15,20 +15,13 @@ from ._rng import ESTIMATE, EXCHANGE, SERVER_INIT, SERVER_SPLIT, TRAIN, derive_r
 from .contribution import (GAMMA_MIN, ContributionWeights, contributions, effective_sizes,
                            influence, size_weights)
 from .data import Dataset
-from .estimator import (MIN_FOLD_ROWS, NoiseEstimate, estimate_noise, fold_rows, plan_folds,
-                        train_folds)
+from .estimator import MIN_FOLD_ROWS, NoiseEstimate, estimate_many, fold_chunks
 from .exchange import ExchangeTranscript, normalize_noise, reestimate_seed
 from .metrics import MetricsSnapshot, evaluate
 from .trainer import (DatasetStack, ModelParams, TrainerConfig, _member_losses, lr_at,
                       steps_per_round, train_local)
 
 logger = logging.getLogger(__name__)
-
-#: Fold-model training rows per chunk of `_prepare_fednl`. A chunk's fold
-#: models train in one stacked call, and its fold sets, estimates and
-#: exchanged sets exist together; this bound keeps them near one
-#: participant's worth. A participant over it forms a chunk alone.
-_ESTIMATE_ROWS = 1 << 11
 
 
 class AggregationError(ValueError):
@@ -137,9 +130,14 @@ def server_init(d: int, c: int, seed: int, scale: float = 0.01) -> ModelParams:
     return ModelParams(weights=weights, class_count=c)
 
 
+def server_test_rows(n: int, fraction: float) -> int:
+    """Rows of an n-row server dataset in its test split."""
+    return int(round(fraction * n))
+
+
 def _server_rows(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (transfer pool, test split) row positions of an n-row server dataset."""
-    n_test = int(round(fraction * n))
+    n_test = server_test_rows(n, fraction)
     order = derive_rng(seed, SERVER_SPLIT).permutation(n)
     return np.sort(order[n_test:]), np.sort(order[:n_test])
 
@@ -197,98 +195,71 @@ def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: 
     return models, losses, rates
 
 
-def _prepare_stacked(config: FederationConfig, chunk, pool) -> list:
-    """Procedures 1 and 2 for a chunk of (participant, view) pairs.
+def _prepare_stacked(config: FederationConfig, views, indices, pool) -> list:
+    """Procedures 1 and 2 for the participants ``indices`` of the training ``views``.
 
-    The chunk's fold plans are drawn and their models trained in one
-    stacked call, then each participant is scored and exchanged in turn,
-    then the exchanged sets' fold models are planned and trained in one
-    more. A set of 1 or 2 rows keeps its pre-exchange estimate. Returns one
+    Three stages, each over all of them: `estimate_many` of the views, each
+    exchange in index order, then `estimate_many` of the exchanged sets. A
+    set of 1 or 2 rows keeps its pre-exchange estimate. Returns one
     [training set, estimate, transcript] per participant. An error is
     labelled with the stage and participant at hand, which names the right
-    ones only for a chunk of one.
+    ones only for a single participant.
     """
     trainer, resplit = config.trainer, config.per_class_resplit
-    indices = [i for i, _ in chunk]
-    out, replans = [], []
+    views = [views[i] for i in indices]
     stage, i = "estimate", indices[0]
     try:
-        seeds = _participant_seeds(config, indices, ESTIMATE)
-        plans = plan_folds([view for _, view in chunk], seeds, resplit)
-        trained = train_folds(plans, trainer)
-        if config.run_procedure2:
-            exchange_seeds = _participant_seeds(config, indices, EXCHANGE)
-        for j, (i, view) in enumerate(chunk):
-            est = estimate_noise(view, trainer, seeds[j], resplit,
-                                 trained=(plans[j], trained[j]))
-            if not config.run_procedure2:
-                out.append([view.by_ids(est.noise_free_ids), est, None])
-                continue
-            stage = "exchange"
+        estimates = estimate_many(views, trainer, _participant_seeds(config, indices, ESTIMATE),
+                                  resplit)
+        if not config.run_procedure2:
+            return [[view.by_ids(est.noise_free_ids), est, None]
+                    for view, est in zip(views, estimates)]
+        stage, out, again = "exchange", [], []
+        exchange_seeds = _participant_seeds(config, indices, EXCHANGE)
+        for j, (i, view, est) in enumerate(zip(indices, views, estimates)):
             result = normalize_noise(view, est, pool, exchange_seeds[j],
                                      demand_cap=config.demand_cap)
             out.append([result.dataset, est, result.transcript])
-            stage = "re-estimate after exchange"
-            new = result.dataset
             # Every row is in-space, so the fold minimum is a row count. An
             # empty set has nothing to train on: its re-estimate fails.
-            if 0 < new.n < MIN_FOLD_ROWS:
+            if 0 < result.dataset.n < MIN_FOLD_ROWS:
                 logger.warning("%s: %d row(s) after the exchange cannot form three folds; "
-                               "keeping the pre-exchange estimate", view.name, new.n)
-                continue
-            replans.append((out[-1], exchange_seeds[j]))
-        if replans:
-            sets = [entry[0] for entry, _ in replans]
-            seeds = reestimate_seed(np.array([seed for _, seed in replans], dtype=np.uint64),
+                               "keeping the pre-exchange estimate", view.name, result.dataset.n)
+            else:
+                again.append(j)
+        if again:
+            stage, sets = "re-estimate after exchange", [out[j][0] for j in again]
+            seeds = reestimate_seed(np.array([exchange_seeds[j] for j in again], dtype=np.uint64),
                                     np.array([ds.class_count for ds in sets]))
-            plans = plan_folds(sets, seeds, resplit)
-            trained = train_folds(plans, trainer)
-            for (entry, _), seed, plan, models in zip(replans, seeds, plans, trained):
-                entry[1] = estimate_noise(entry[0], trainer, seed, resplit,
-                                          trained=(plan, models))
+            for j, est in zip(again, estimate_many(sets, trainer, seeds, resplit)):
+                out[j][1] = est
     except Exception as e:
         raise type(e)(f"participant {i}, {stage}: {e}") from e
     return out
 
 
-def _prepare_chunk(config: FederationConfig, chunk, pool) -> list:
-    """`_prepare_stacked` on a chunk, raising what a participant-by-participant pass would.
-
-    That error is the lowest-indexed failing participant's first failing
-    stage. A failing chunk of several participants is run again one
-    participant at a time to find it.
-    """
-    try:
-        return _prepare_stacked(config, chunk, pool) if chunk else []
-    except Exception:
-        if len(chunk) == 1:
-            raise
-        for item in chunk:
-            _prepare_stacked(config, [item], pool)
-        raise
-
-
 def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
     """Run the pre-loop pipeline; return training sets, betas, artifacts.
 
-    Participants go in chunks of at most `_ESTIMATE_ROWS` fold-model rows,
-    so Procedure 1 trains many participants' fold models per call. An error
-    names the participant and the stage it came from: the estimate, the
-    exchange, or the re-estimate after the exchange. It is the error a
-    participant-by-participant pass raises.
+    Participants go in `fold_chunks`, so Procedure 1 trains many
+    participants' fold models per call. An error names the participant and
+    the stage it came from: the estimate, the exchange, or the re-estimate
+    after the exchange. A failing chunk of several is run again one
+    participant at a time, so the error is the one a participant-by-participant
+    pass raises: the lowest-indexed failing participant's first failing stage.
     """
     views = [ds.training_view() for ds in participant_datasets]
     if not config.run_procedure1:
         return [view.in_space() for view in views], [0.0] * len(views), None, None
-    prepared, chunk, rows = [], [], 0
-    for i, view in enumerate(views):
-        size = fold_rows(view, config.per_class_resplit)
-        if chunk and rows + size > _ESTIMATE_ROWS:
-            prepared += _prepare_chunk(config, chunk, pool)
-            chunk, rows = [], 0
-        chunk.append((i, view))
-        rows += size
-    prepared += _prepare_chunk(config, chunk, pool)
+    prepared = []
+    for chunk in fold_chunks(views, config.per_class_resplit):
+        try:
+            prepared += _prepare_stacked(config, views, chunk, pool)
+        except Exception:
+            if len(chunk) > 1:
+                for i in chunk:
+                    _prepare_stacked(config, views, [i], pool)
+            raise
     train_sets = [entry[0] for entry in prepared]
     estimates = tuple(entry[1] for entry in prepared)
     transcripts = tuple(entry[2] for entry in prepared) if config.run_procedure2 else None

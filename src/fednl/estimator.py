@@ -14,12 +14,13 @@ rows in one pass, whichever split voted. Instance ids appear only in the
 returned estimate. True labels are stripped once, on entry, so no fold model
 ever sees them.
 
-An estimate has three steps: `plan_folds` builds the plan, `train_folds`
-trains its models and `estimate_noise` scores them. `plan_folds` and
-`train_folds` take many datasets: the first derives all their streams in two
-batches, the second trains all their fold models in one lockstep call, which
-is how the pipeline estimates many participants at once; `estimate_noise`
-alone runs all three steps for one dataset.
+An estimate has three steps: `plan_folds` builds the plan, `estimate_many`
+trains its models and `estimate_noise` scores them. `estimate_many` takes
+many datasets: their plans derive all their streams in two batches and all
+their fold models train in one lockstep call, which is how the pipeline
+estimates many participants at once; `fold_chunks` groups the participants
+into calls of bounded size. `estimate_noise` alone is `estimate_many` of one
+dataset.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,11 @@ from .trainer import DatasetStack, TrainerConfig, _augment, init_model, train_lo
 
 
 MIN_FOLD_ROWS = 3  # fewest in-space rows that can form the three folds
+
+#: Fold-model training rows per `fold_chunks` chunk. A chunk's fold models
+#: train in one call, and this bound keeps its fold sets, estimates and
+#: exchanged sets near one participant's worth.
+_ESTIMATE_ROWS = 1 << 11
 
 
 class EstimationError(ValueError):
@@ -116,6 +122,21 @@ def fold_rows(dataset: Dataset, per_class_resplit: bool = False) -> int:
     return int(sizes.sum()) * (int(np.count_nonzero(sizes)) if per_class_resplit else 1)
 
 
+def fold_chunks(datasets, per_class_resplit: bool = False) -> list[range]:
+    """Consecutive index ranges of ``datasets``, each as long as its `fold_rows`
+    stay within `_ESTIMATE_ROWS`; a dataset over the bound forms a range alone."""
+    chunks, start, rows = [], 0, 0
+    for i, dataset in enumerate(datasets):
+        size = fold_rows(dataset, per_class_resplit)
+        if i > start and rows + size > _ESTIMATE_ROWS:
+            chunks.append(range(start, i))
+            start, rows = i, 0
+        rows += size
+    if len(datasets) > start:
+        chunks.append(range(start, len(datasets)))
+    return chunks
+
+
 #: Row r of fold q is voted on by the two models trained on the other folds.
 _OTHER_FOLDS = np.array([[1, 2], [0, 2], [0, 1]])
 
@@ -169,22 +190,6 @@ def plan_folds(datasets, seeds, per_class_resplit: bool = False) -> list[FoldPla
     return plans
 
 
-def train_folds(plans: list[FoldPlan], trainer_config: TrainerConfig) -> list[tuple]:
-    """Train the fold models of every plan in one lockstep `train_local` call.
-
-    Returns one tuple per plan of its models, in plan order, each from a
-    fresh zero model. The datasets must share the feature and class space.
-    """
-    members, seeds = [], []
-    for plan in plans:
-        members.extend(plan.in_space.take(rows) for rows in plan.train_rows)
-        seeds.extend(plan.seeds)
-    first = plans[0].in_space
-    models = iter(train_local(init_model(first.d, first.class_count),
-                              DatasetStack(members, seeds), trainer_config))
-    return [tuple(islice(models, len(plan.seeds))) for plan in plans]
-
-
 def _score_class(dataset: Dataset, k: int, noise_free: np.ndarray) -> ClassEstimate:
     in_class = dataset.observed_labels == k
     size = int(np.count_nonzero(in_class))
@@ -214,14 +219,13 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     index, so skipping an empty class leaves the others' estimates unchanged.
 
     ``trained`` is a (plan, models) pair: the `plan_folds` of this dataset,
-    seed and flag, and its `train_folds` models. Given one, the estimate
-    scores those models and draws and trains nothing; the result is the same.
+    seed and flag, and its models as `estimate_many` trains them. Given one,
+    the estimate scores those models and draws and trains nothing; the
+    result is the same.
     """
     if trained is None:
-        plan = plan_folds([dataset], [seed], per_class_resplit)[0]
-        models = train_folds([plan], trainer_config)[0]
-    else:
-        plan, models = trained
+        return estimate_many([dataset], trainer_config, [seed], per_class_resplit)[0]
+    plan, models = trained
     in_space = plan.in_space
     # Every model's prediction of every row, ties to the lowest class as in
     # `predict`. One stacked product per three models keeps the largest
@@ -244,6 +248,28 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
         out_of_space_ids=tuple(dataset.out_of_space_ids().tolist()),
         trainings=len(plan.seeds),
     )
+
+
+def estimate_many(datasets, trainer_config: TrainerConfig, seeds,
+                  per_class_resplit: bool = False) -> list[NoiseEstimate]:
+    """`estimate_noise` of each dataset with its seed, every fold model of
+    them all trained in one lockstep `train_local` call.
+
+    The datasets must share the feature and class space. Each model starts
+    from a fresh zero model, so every estimate is the one `estimate_noise`
+    returns for its dataset alone.
+    """
+    plans = plan_folds(datasets, seeds, per_class_resplit)
+    first = plans[0].in_space
+    # The fold sets are built inside the call, so they are freed before scoring.
+    models = iter(train_local(
+        init_model(first.d, first.class_count),
+        DatasetStack([plan.in_space.take(rows) for plan in plans for rows in plan.train_rows],
+                     [seed for plan in plans for seed in plan.seeds]),
+        trainer_config))
+    return [estimate_noise(dataset, trainer_config, seed, per_class_resplit,
+                           trained=(plan, tuple(islice(models, len(plan.seeds)))))
+            for dataset, seed, plan in zip(datasets, seeds, plans)]
 
 
 def estimate_to_dict(estimate: NoiseEstimate) -> dict:

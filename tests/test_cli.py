@@ -338,6 +338,52 @@ def test_run_class_count_mismatch_is_validation_error(tmp_path, capsys, extra, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("data.source = file\ndata.path = {data}\n",
+     "data.dim: the server holds 2 features, the participants 5"),
+    ("data.source = file\ndata.path = {data}\nalgorithm = fedavg\n",
+     "data.dim: the server holds 2 features, the participants 5"),
+    ("server.source = file\nserver.path = {server}\n",
+     "server.path: the server holds 5 features, the participants 2"),
+    ("server.test_fraction = 0\n",
+     "server.test_fraction: 0 of 600 server rows rounds to an empty test split"),
+    ("server.per_class = 1\nserver.test_fraction = 0.1\n",
+     "server.test_fraction: 0.1 of 3 server rows rounds to an empty test split"),
+], ids=["synth_server", "fedavg", "server_file", "no_test_split", "test_split_rounds_to_0"])
+def test_run_server_mismatch_is_validation_error(tmp_path, capsys, extra, message):
+    # Each once failed with a runtime exit: in the exchange, in a matrix
+    # product of the evaluation, or in the engine's influence check.
+    paths = tmp_path / "five.csv", tmp_path / "server5.csv"
+    for seed, path in enumerate(paths, start=1):
+        save_dataset(synth_gaussian(3, 30, 5, 8.0, seed=seed, id_base=1000 * seed), path)
+    out = tmp_path / "out"
+    config = write_config(tmp_path, f"seed = 1\nparticipants = 3\nrounds = 2\noutput = {out}\n"
+                          + extra.format(data=paths[0], server=paths[1]))
+    assert run_cli("run", "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "rounds"])
+@pytest.mark.parametrize("rows, message", [
+    (120, "participants: cannot split 120 instances among 200 participants"),
+    (0, "data.path: cannot partition an empty dataset"),
+], ids=["too_few_rows", "header_only"])
+def test_partition_refusal_is_validation_error(tmp_path, capsys, command, rows, message):
+    data = tmp_path / "data.csv"
+    save_dataset(synth_gaussian(3, 40, 2, 8.0, seed=1), data)
+    if rows == 0:
+        data.write_text(data.read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "out"
+    config = write_config(tmp_path, f"seed = 1\nparticipants = 200\noutput = {out}\n"
+                          f"data.source = file\ndata.path = {data}\n")
+    assert run_cli(command, "--config", str(config)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "exp.cfg"]
+
+
 def test_rounds_on_four_class_file_ignores_data_classes(tmp_path, capsys):
     # `fednl rounds` injects its own channel over the file's classes and
     # reads no server, so data.classes = 3 does not stop it.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fednl.config import (
+    _SCHEMA,
     ConfigError,
     build_datasets,
     build_federation_config,
@@ -183,19 +184,32 @@ def test_build_trainer_config_diminishing_defaults_theta():
     assert trainer.lr_schedule.alpha == 50.0
 
 
+#: Every `pipeline.*` key, a value other than its default, and the
+#: FederationConfig field it sets to that value.
+PIPELINE_FLAGS = [
+    ("pipeline.procedure1", "false", "run_procedure1", False),
+    ("pipeline.procedure2", "false", "run_procedure2", False),
+    ("pipeline.weighting", "fedavg-size", "weighting", "fedavg-size"),
+    ("pipeline.freeze_epsilon", "true", "freeze_epsilon", True),
+    ("pipeline.literal_noise_adjustment", "true", "literal_noise_adjustment", True),
+    ("pipeline.matrix_norm_influence", "true", "matrix_norm_influence", True),
+    ("pipeline.demand_cap", "z", "demand_cap", "z"),
+    ("pipeline.per_class_resplit", "true", "per_class_resplit", True),
+    ("pipeline.init_scale", "0.5", "init_scale", 0.5),
+]
+
+
 def test_build_federation_config_mirrors_pipeline_flags():
-    text = (
-        "seed = 1\npipeline.procedure1 = false\npipeline.procedure2 = false\n"
-        "pipeline.weighting = fedavg-size\npipeline.matrix_norm_influence = true\n"
-        "rounds = 3\n"
-    )
+    assert ({key for key, *_ in PIPELINE_FLAGS}
+            == {key for key in _SCHEMA if key.startswith("pipeline.")})
+    text = "seed = 1\nrounds = 3\n" + "".join(f"{key} = {value}\n"
+                                             for key, value, *_ in PIPELINE_FLAGS)
     federation = build_federation_config(parse_config_text(text))
-    assert not federation.run_procedure1
-    assert not federation.run_procedure2
-    assert federation.weighting == "fedavg-size"
-    assert federation.matrix_norm_influence
+    default = build_federation_config(parse_config_text("seed = 1\n"))
     assert federation.rounds == 3
-    assert not build_federation_config(parse_config_text("seed = 1\n")).matrix_norm_influence
+    for key, _, field, value in PIPELINE_FLAGS:
+        assert getattr(federation, field) == value, key
+        assert getattr(default, field) != value, key
 
 
 def test_noisy_participants_all_and_list():

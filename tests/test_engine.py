@@ -34,6 +34,7 @@ from fednl import (
 )
 from fednl import engine, estimator
 from fednl._rng import ESTIMATE, EXCHANGE, TRAIN, derive_seed
+from fednl.contribution import GAMMA_MIN, effective_sizes, influence
 from fednl.data import OUT_OF_SPACE
 from fednl.engine import _prepare_fednl, _server_rows
 
@@ -248,6 +249,53 @@ def test_freeze_epsilon_holds_round_one_weights():
         assert record.epsilon == first
 
 
+def _noisy_parts(seed):
+    """Four participants with symmetric label noise of 0.1 to 0.4, and a server."""
+    parts = [inject_noise(ds, symmetric_matrix(3, 0.1 * (i + 1)), seed=seed + i)[0]
+             for i, ds in enumerate(make_parts(seed))]
+    return parts, synth_gaussian(3, 50, 2, 8.0, seed=seed + 100, id_base=10_000)
+
+
+@pytest.mark.parametrize("flag", ["literal_noise_adjustment", "matrix_norm_influence"])
+def test_influence_flags_reach_the_round_loop(flag):
+    # Round 1 trains the same models under either setting; its influence
+    # must be the one `influence` computes with the flag as configured.
+    # Without the exchange every participant keeps a positive noise ratio.
+    parts, server = _noisy_parts(12)
+    config = FederationConfig(n_participants=4, rounds=1, seed=12, run_procedure2=False,
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16))
+    test = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[1])
+    gammas = {}
+    for on in (False, True):
+        run = run_fednl(replace(config, **{flag: on}), parts, server)
+        literal = on and flag == "literal_noise_adjustment"
+        expected = influence(list(run.local_models),
+                             effective_sizes(run.training_sizes, run.betas,
+                                             literal_noise_adjustment=literal),
+                             run.global_model, test, [GAMMA_MIN] * 4,
+                             run.records[0].learning_rates, config.trainer,
+                             matrix_norm=on and flag == "matrix_norm_influence")
+        gammas[on] = run.records[0].gamma
+        assert gammas[on] == tuple(expected.gamma.tolist())
+    assert gammas[True] != gammas[False]
+
+
+def test_demand_cap_reaches_the_exchange():
+    parts, server = _noisy_parts(12)
+    config = FederationConfig(n_participants=4, rounds=1, seed=12, demand_cap="z",
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16))
+    pool = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[0])
+    run = run_fednl(config, parts, server)
+    for i, ds in enumerate(parts):
+        view = ds.training_view()
+        estimate = estimate_noise(view, config.trainer, derive_seed(12, ESTIMATE, i))
+        expected = normalize_noise(view, estimate, pool, derive_seed(12, EXCHANGE, i),
+                                   demand_cap="z").transcript
+        assert run.transcripts[i] == expected
+    assert run.transcripts != run_fednl(replace(config, demand_cap="size"), parts,
+                                        server).transcripts
+
+
 def test_participant_order_permutation_same_aggregate():
     parts = make_parts(10)
     trainer = TrainerConfig(local_epochs=2, batch_size=16)
@@ -317,7 +365,7 @@ WILD_TRAINER = TrainerConfig(local_epochs=25, batch_size=8, lr_schedule=Constant
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize("rows", [engine._ESTIMATE_ROWS, 3])
+@pytest.mark.parametrize("rows", [estimator._ESTIMATE_ROWS, 3])
 def test_reestimate_failure_precedes_later_estimate_failure(monkeypatch, rows):
     # Participant 0 fails only in its re-estimate (see the three-row case
     # above), participant 1 in its estimate. A budget of 3 rows puts them in
@@ -330,7 +378,7 @@ def test_reestimate_failure_precedes_later_estimate_failure(monkeypatch, rows):
     with pytest.raises(DivergenceError):
         estimate_noise(wild, trainer, derive_seed(13, ESTIMATE, 1))
     server = synth_gaussian(3, 50, 2, 8.0, seed=13, id_base=10_000)
-    monkeypatch.setattr(engine, "_ESTIMATE_ROWS", rows)
+    monkeypatch.setattr(estimator, "_ESTIMATE_ROWS", rows)
     stacks = _record_stacks(monkeypatch)
     config = FederationConfig(n_participants=2, rounds=1, seed=13, trainer=trainer)
     with pytest.raises(EstimationError) as raised:
@@ -387,7 +435,7 @@ def _mixed_participants():
 def test_chunked_procedure1_matches_one_participant_at_a_time(monkeypatch, resplit, procedure2):
     parts, server = _mixed_participants()
     budget = 150
-    monkeypatch.setattr(engine, "_ESTIMATE_ROWS", budget)
+    monkeypatch.setattr(estimator, "_ESTIMATE_ROWS", budget)
     stacks = _record_stacks(monkeypatch)
     trainer = TrainerConfig(local_epochs=3, batch_size=16)
     config = FederationConfig(n_participants=len(parts), rounds=1, seed=8, trainer=trainer,
