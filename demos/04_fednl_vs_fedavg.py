@@ -32,14 +32,12 @@ def main():
                             seed=700 + SEED, id_base=10_000)
 
     trainer = TrainerConfig(local_epochs=5, batch_size=32)
-    full = FederationConfig(n_participants=4, rounds=30, trainer=trainer,
-                            seed=SEED, weighting="fednl")
-    plain = FederationConfig(n_participants=4, rounds=30, trainer=trainer,
-                             seed=SEED, run_procedure1=False,
-                             run_procedure2=False, weighting="fedavg-size")
+    config = FederationConfig(rounds=30, trainer=trainer, seed=SEED, weighting="fednl")
 
-    aware = run_fednl(full, parts, server)
-    avg = run_fedavg(plain, parts, server)
+    aware = run_fednl(config, parts, server)
+    # The same config with FedAvg's fields: no estimation, no exchange,
+    # size weighting.
+    avg = run_fedavg(config, parts, server)
 
     print(f"estimated noise ratios: {[round(b, 3) for b in aware.betas]}")
     print(f"training sizes after exchange: {list(aware.training_sizes)}")

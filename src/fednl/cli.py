@@ -17,7 +17,7 @@ from .config import (ConfigError, ExperimentConfig, build_datasets,
                      build_federation_config, build_trainer_config, load_config,
                      parse_flip_rules)
 from .data import ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
-from .engine import record_to_dict, run_fedavg, run_fednl, server_test_rows
+from .engine import record_to_dict, run_fednl, server_test_rows
 from .estimator import estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
 from .metrics import format_snapshot
@@ -52,6 +52,13 @@ def _under_root(path_str: str) -> Path:
 def _resolve_output(configured: str, override: str | None) -> Path:
     """CLI --out beats the config; the env root relocates relative paths."""
     return _under_root(override if override else configured)
+
+
+def _seed(raw: str) -> int:
+    """A --seed value: a non-negative integer, as every derived stream needs."""
+    if not raw.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def cmd_synth(args) -> int:
@@ -147,7 +154,7 @@ def _write_run_dir(run_dir: Path, config: ExperimentConfig, run) -> None:
         (run_dir / "metrics.final").write_text("no server test split; no final metrics\n")
 
 
-def _check_server(config: ExperimentConfig, participant, server) -> None:
+def _check_server(config: ExperimentConfig, fed, participant, server) -> None:
     """Refuse a server whose class or feature space is not the participants',
     or whose test split leaves influence weighting nothing to score.
 
@@ -162,8 +169,7 @@ def _check_server(config: ExperimentConfig, participant, server) -> None:
         errors.append(f"{'data.dim' if synth else 'server.path'}: the server holds "
                       f"{server.d} features, the participants {participant.d}")
     fraction = config["server.test_fraction"]
-    if (config["algorithm"] == "fednl" and config["pipeline.weighting"] == "fednl"
-            and server_test_rows(server.n, fraction) == 0):
+    if fed.weighting == "fednl" and server_test_rows(server.n, fraction) == 0:
         errors.append(f"server.test_fraction: {fraction:g} of {server.n} server rows rounds to "
                       "an empty test split; influence weighting needs a non-empty one")
     if errors:
@@ -176,18 +182,15 @@ def cmd_run(args) -> int:
     _require_fresh(run_dir, args.force)
 
     participants, server = build_datasets(config)
-    if server is not None:
-        _check_server(config, participants[0], server)
     fed = build_federation_config(config)
-    if config["algorithm"] == "fednl":
-        run = run_fednl(fed, participants, server)
-    else:
-        run = run_fedavg(fed, participants, server)
+    if server is not None:
+        _check_server(config, fed, participants[0], server)
+    run = run_fednl(fed, participants, server)
 
     _write_run_dir(run_dir, config, run)
     last = run.records[-1]
     print(f"{config['algorithm']} run: {len(run.records)} rounds, "
-          f"{fed.n_participants} participants")
+          f"{len(participants)} participants")
     print(f"training sizes: {list(run.training_sizes)}")
     print(f"estimated noise ratios: {[round(b, 4) for b in run.betas]}")
     print(f"final weights: {[round(e, 4) for e in last.epsilon]}")
@@ -359,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--separation", type=float, default=8.0)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--id-base", type=int, default=0)
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="pass labels through a noise channel")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--beta", type=float, help="symmetric flip probability")
     p.add_argument("--pairs", help="asymmetric rules, e.g. 1>0:0.3,2>0:0.3")
     p.add_argument("--out-of-space", type=float, default=0.0,
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate per-class noise ratios on one dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--eta", type=float, default=0.1)

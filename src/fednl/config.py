@@ -4,7 +4,9 @@ Unknown keys are rejected and every problem is reported in one pass, because
 a silently ignored typo in an experiment config is worse than a crash. The
 same module turns a validated config into domain objects (datasets,
 transition matrix, trainer and federation configs) so the command-line layer
-stays thin.
+stays thin. `build_federation_config` alone turns keys into the run: key
+``pipeline.X`` sets `FederationConfig` field ``X``, and ``algorithm = fedavg``
+sets the `engine.FEDAVG` fields over them before they are validated.
 """
 
 import math
@@ -14,7 +16,7 @@ from pathlib import Path
 from ._rng import INJECT, SYNTH, derive_seed
 from .data import (Dataset, LabelSkew, PartitionError, ShuffleSplit, load_dataset,
                    partition_non_iid, synth_gaussian)
-from .engine import FederationConfig
+from .engine import FEDAVG, FederationConfig
 from .noise import TransitionMatrix, asymmetric_matrix, inject_noise, symmetric_matrix, with_out_of_space
 from .trainer import Constant, Diminishing, TrainerConfig
 
@@ -164,7 +166,7 @@ class ExperimentConfig:
         return self.values[key]
 
     def echo(self) -> str:
-        """Canonical re-serialization: every effective key, sorted."""
+        """Canonical re-serialization: every effective key, sorted, parsing to equal values."""
         lines = []
         for key in sorted(self.values):
             value = self.values[key]
@@ -174,9 +176,9 @@ class ExperimentConfig:
                 value = "true" if value else "false"
             elif isinstance(value, list):
                 if value and isinstance(value[0], tuple):
-                    value = ",".join(f"{s}>{d}:{m:g}" for s, d, m in value)
+                    value = ",".join(f"{s}>{d}:{m!r}" for s, d, m in value)
                 else:
-                    value = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+                    value = ",".join(map(repr, value))
             lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
 
@@ -255,20 +257,28 @@ def _cross_validate(values: dict) -> list[str]:
                 errors.append(f"noise.participants indices out of range: {bad}")
         except ValueError:
             errors.append("noise.participants must be 'all' or a comma-separated index list")
-    if (values["algorithm"] == "fednl" and values["pipeline.procedure2"]
-            and not values["pipeline.procedure1"]):
+    pipeline = _pipeline(values)
+    if pipeline["procedure2"] and not pipeline["procedure1"]:
         errors.append("pipeline.procedure2 normalizes Procedure 1's estimates; "
                       "set pipeline.procedure1 = true")
-    if (values["algorithm"] == "fednl" and values["pipeline.procedure2"]
-            and values["server.source"] == "none"):
+    if pipeline["procedure2"] and values["server.source"] == "none":
         errors.append("pipeline.procedure2 needs a server dataset; set server.source")
-    if (values["algorithm"] == "fednl" and values["pipeline.weighting"] == "fednl"
-            and values["server.source"] == "none"):
+    if pipeline["weighting"] == "fednl" and values["server.source"] == "none":
         errors.append("pipeline.weighting = fednl needs a server dataset; set server.source")
     for key in ("rounds_grid.q_o", "rounds_grid.local_epochs", "rounds_grid.noise"):
         if not values[key]:
             errors.append(f"{key} must list at least one value")
     return errors
+
+
+def _pipeline(values: dict) -> dict:
+    """The `FederationConfig` fields of the ``pipeline.*`` keys: key
+    ``pipeline.X`` sets field ``X``, then ``algorithm = fedavg`` sets `FEDAVG`."""
+    fields = {key.removeprefix("pipeline."): value for key, value in values.items()
+              if key.startswith("pipeline.")}
+    if values["algorithm"] == "fedavg":
+        fields.update(FEDAVG)
+    return fields
 
 
 def load_config(path) -> ExperimentConfig:
@@ -315,22 +325,11 @@ def build_trainer_config(config: ExperimentConfig) -> TrainerConfig:
 
 
 def build_federation_config(config: ExperimentConfig) -> FederationConfig:
-    return FederationConfig(
-        n_participants=config["participants"],
-        rounds=config["rounds"],
-        trainer=build_trainer_config(config),
-        seed=config["seed"],
-        run_procedure1=config["pipeline.procedure1"],
-        run_procedure2=config["pipeline.procedure2"],
-        weighting=config["pipeline.weighting"],
-        server_test_fraction=config["server.test_fraction"],
-        freeze_epsilon=config["pipeline.freeze_epsilon"],
-        literal_noise_adjustment=config["pipeline.literal_noise_adjustment"],
-        matrix_norm_influence=config["pipeline.matrix_norm_influence"],
-        demand_cap=config["pipeline.demand_cap"],
-        per_class_resplit=config["pipeline.per_class_resplit"],
-        init_scale=config["pipeline.init_scale"],
-    )
+    """The run a config describes; `_pipeline` sets its pipeline fields."""
+    return FederationConfig(rounds=config["rounds"], trainer=build_trainer_config(config),
+                            seed=config["seed"],
+                            server_test_fraction=config["server.test_fraction"],
+                            **_pipeline(config.values))
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[list[Dataset], Dataset | None]:

@@ -206,8 +206,9 @@ def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool 
     ``allow_out_of_space``, which stores it as OUT_OF_SPACE. Row order is
     preserved; ids are assigned as id_base, id_base+1, ..., and the dataset
     is named after the file stem.
-    Raises ParseError for malformed rows and SchemaError for label/space
-    violations, both naming the offending 1-based data row.
+    Raises ParseError for malformed rows (a non-finite feature among them)
+    and SchemaError for label/space violations, both naming the offending
+    1-based data row.
     """
     path = Path(path)
     if not path.exists():
@@ -234,6 +235,8 @@ def load_dataset(path, class_count: int | None = None, allow_out_of_space: bool 
                 feats.append([float(row[j]) for j in feat_idx])
             except ValueError:
                 raise ParseError(f"{path}: row {row_no} has a non-numeric feature") from None
+            if not all(map(math.isfinite, feats[-1])):
+                raise ParseError(f"{path}: row {row_no} has a non-finite feature")
             try:
                 obs.append(int(row[label_idx]))
                 if true_idx is not None:

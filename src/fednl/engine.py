@@ -2,8 +2,8 @@
 
 ``run_fednl`` runs the full pipeline: per-participant noise estimation,
 server-assisted normalization, then rounds aggregated with influence-based
-weights. FedAvg is the same loop with both procedures off and
-``fedavg-size`` weighting; ``run_fedavg`` is that call.
+weights. FedAvg is the same loop with the ``FEDAVG`` fields: both
+procedures off and ``fedavg-size`` weighting; ``run_fedavg`` is that call.
 """
 
 import logging
@@ -37,12 +37,11 @@ class FederationConfig:
     estimation and server normalization; both on is the full pipeline.
     """
 
-    n_participants: int
     rounds: int
     trainer: TrainerConfig
     seed: int
-    run_procedure1: bool = True
-    run_procedure2: bool = True
+    procedure1: bool = True
+    procedure2: bool = True
     weighting: str = "fednl"
     server_test_fraction: float = 0.2
     freeze_epsilon: bool = False
@@ -53,20 +52,22 @@ class FederationConfig:
     init_scale: float = 0.01
 
     def __post_init__(self):
-        if self.n_participants < 1:
-            raise ValueError("n_participants must be positive")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.weighting not in ("fednl", "fedavg-size"):
             raise ValueError(f"weighting must be 'fednl' or 'fedavg-size', got {self.weighting!r}")
         if self.demand_cap not in ("size", "z"):
             raise ValueError(f"demand_cap must be 'size' or 'z', got {self.demand_cap!r}")
-        if self.run_procedure2 and not self.run_procedure1:
-            raise ValueError("normalization needs estimates; enable run_procedure1")
+        if self.procedure2 and not self.procedure1:
+            raise ValueError("normalization needs estimates; enable procedure1")
         if not 0.0 <= self.server_test_fraction < 1.0:
             raise ValueError("server_test_fraction must lie in [0, 1)")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be non-negative")
+
+
+#: The fields FedAvg sets: no estimation, no exchange, size weighting.
+FEDAVG = {"procedure1": False, "procedure2": False, "weighting": "fedavg-size"}
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _prepare_stacked(config: FederationConfig, views, indices, pool) -> list:
     try:
         estimates = estimate_many(views, trainer, _participant_seeds(config, indices, ESTIMATE),
                                   resplit)
-        if not config.run_procedure2:
+        if not config.procedure2:
             return [[view.by_ids(est.noise_free_ids), est, None]
                     for view, est in zip(views, estimates)]
         stage, out, again = "exchange", [], []
@@ -249,7 +250,7 @@ def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
     pass raises: the lowest-indexed failing participant's first failing stage.
     """
     views = [ds.training_view() for ds in participant_datasets]
-    if not config.run_procedure1:
+    if not config.procedure1:
         return [view.in_space() for view in views], [0.0] * len(views), None, None
     prepared = []
     for chunk in fold_chunks(views, config.per_class_resplit):
@@ -262,7 +263,7 @@ def _prepare_fednl(config: FederationConfig, participant_datasets, pool):
             raise
     train_sets = [entry[0] for entry in prepared]
     estimates = tuple(entry[1] for entry in prepared)
-    transcripts = tuple(entry[2] for entry in prepared) if config.run_procedure2 else None
+    transcripts = tuple(entry[2] for entry in prepared) if config.procedure2 else None
     return train_sets, [est.beta_mean for est in estimates], estimates, transcripts
 
 
@@ -277,11 +278,11 @@ def run_fednl(config: FederationConfig, participant_datasets,
     against this round's own aggregate.
     """
     datasets = list(participant_datasets)
-    n = config.n_participants
-    if len(datasets) != n:
-        raise ValueError(f"config says {n} participants, got {len(datasets)} datasets")
+    n = len(datasets)
+    if not n:
+        raise ValueError("a run needs at least one participant dataset")
     _check_disjoint_ids(datasets, server_dataset)
-    needs_server = config.run_procedure2 or config.weighting == "fednl"
+    needs_server = config.procedure2 or config.weighting == "fednl"
     if needs_server and server_dataset is None:
         raise ValueError("this configuration needs a server dataset")
     pool = test = None
@@ -290,7 +291,7 @@ def run_fednl(config: FederationConfig, participant_datasets,
         pool_rows, test_rows = _server_rows(server_dataset.n, config.server_test_fraction,
                                             config.seed)
         test = server_dataset.take(test_rows, name=f"{server_dataset.name}/test")
-        if config.run_procedure2:
+        if config.procedure2:
             pool = server_dataset.take(pool_rows, name=f"{server_dataset.name}/pool")
         if config.weighting == "fednl" and test.n == 0:
             raise ValueError("influence weighting needs a non-empty server test split")
@@ -358,15 +359,12 @@ def run_fedavg(config: FederationConfig, participant_datasets,
                server_dataset: Dataset | None = None) -> RunReport:
     """Size-weighted baseline: run_fednl with no estimation, no exchange, no influence.
 
-    The procedure and weighting fields of ``config`` are overridden, and the
-    report carries the config actually run. The optional server dataset is
-    split exactly as in the full pipeline and used only for per-round
-    evaluation, so paired comparisons score both algorithms on the same
-    held-out split.
+    ``config``'s ``FEDAVG`` fields are overridden, and the report carries the
+    config actually run. The optional server dataset is split exactly as in
+    the full pipeline and used only for per-round evaluation, so paired
+    comparisons score both algorithms on the same held-out split.
     """
-    return run_fednl(replace(config, run_procedure1=False, run_procedure2=False,
-                             weighting="fedavg-size"),
-                     participant_datasets, server_dataset)
+    return run_fednl(replace(config, **FEDAVG), participant_datasets, server_dataset)
 
 
 def record_to_dict(record: RoundRecord) -> dict:

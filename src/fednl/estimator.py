@@ -14,13 +14,13 @@ rows in one pass, whichever split voted. Instance ids appear only in the
 returned estimate. True labels are stripped once, on entry, so no fold model
 ever sees them.
 
-An estimate has three steps: `plan_folds` builds the plan, `estimate_many`
+An estimate has three steps: `plan_folds` builds the plan, `_train_plans`
 trains its models and `estimate_noise` scores them. `estimate_many` takes
 many datasets: their plans derive all their streams in two batches and all
 their fold models train in one lockstep call, which is how the pipeline
 estimates many participants at once; `fold_chunks` groups the participants
-into calls of bounded size. `estimate_noise` alone is `estimate_many` of one
-dataset.
+into calls of bounded size. `estimate_noise` alone plans and trains one
+dataset the same way, so both return the same estimate.
 """
 
 from dataclasses import dataclass
@@ -219,12 +219,12 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     index, so skipping an empty class leaves the others' estimates unchanged.
 
     ``trained`` is a (plan, models) pair: the `plan_folds` of this dataset,
-    seed and flag, and its models as `estimate_many` trains them. Given one,
+    seed and flag, and its models as `_train_plans` trains them. Given one,
     the estimate scores those models and draws and trains nothing; the
     result is the same.
     """
     if trained is None:
-        return estimate_many([dataset], trainer_config, [seed], per_class_resplit)[0]
+        [trained] = _train_plans([dataset], trainer_config, [seed], per_class_resplit)
     plan, models = trained
     in_space = plan.in_space
     # Every model's prediction of every row, ties to the lowest class as in
@@ -250,14 +250,14 @@ def estimate_noise(dataset: Dataset, trainer_config: TrainerConfig, seed: int,
     )
 
 
-def estimate_many(datasets, trainer_config: TrainerConfig, seeds,
-                  per_class_resplit: bool = False) -> list[NoiseEstimate]:
-    """`estimate_noise` of each dataset with its seed, every fold model of
-    them all trained in one lockstep `train_local` call.
+def _train_plans(datasets, trainer_config: TrainerConfig, seeds,
+                 per_class_resplit: bool) -> list[tuple[FoldPlan, tuple]]:
+    """The (plan, models) pair of each dataset with its seed, every fold
+    model of them all trained in one lockstep `train_local` call.
 
     The datasets must share the feature and class space. Each model starts
-    from a fresh zero model, so every estimate is the one `estimate_noise`
-    returns for its dataset alone.
+    from a fresh zero model, so a dataset's models do not depend on the
+    others trained beside it.
     """
     plans = plan_folds(datasets, seeds, per_class_resplit)
     first = plans[0].in_space
@@ -267,9 +267,17 @@ def estimate_many(datasets, trainer_config: TrainerConfig, seeds,
         DatasetStack([plan.in_space.take(rows) for plan in plans for rows in plan.train_rows],
                      [seed for plan in plans for seed in plan.seeds]),
         trainer_config))
-    return [estimate_noise(dataset, trainer_config, seed, per_class_resplit,
-                           trained=(plan, tuple(islice(models, len(plan.seeds)))))
-            for dataset, seed, plan in zip(datasets, seeds, plans)]
+    return [(plan, tuple(islice(models, len(plan.seeds)))) for plan in plans]
+
+
+def estimate_many(datasets, trainer_config: TrainerConfig, seeds,
+                  per_class_resplit: bool = False) -> list[NoiseEstimate]:
+    """`estimate_noise` of each dataset with its seed, every fold model of
+    them all trained in one lockstep `train_local` call; each estimate is
+    the one `estimate_noise` returns for its dataset alone."""
+    trained = _train_plans(datasets, trainer_config, seeds, per_class_resplit)
+    return [estimate_noise(dataset, trainer_config, seed, per_class_resplit, trained=pair)
+            for dataset, seed, pair in zip(datasets, seeds, trained)]
 
 
 def estimate_to_dict(estimate: NoiseEstimate) -> dict:

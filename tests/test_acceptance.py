@@ -56,9 +56,9 @@ def test_disabled_pipeline_reduces_to_fedavg(tmp_path):
     trainer = TrainerConfig(local_epochs=2, batch_size=16,
                             lr_schedule=Constant(0.1))
     for rounds in range(1, 11):
-        config = FederationConfig(n_participants=4, rounds=rounds,
+        config = FederationConfig(rounds=rounds,
                                   trainer=trainer, seed=5,
-                                  run_procedure1=False, run_procedure2=False,
+                                  procedure1=False, procedure2=False,
                                   weighting="fedavg-size")
         reduced = run_fednl(config, parts)
         plain = run_fedavg(config, parts)
@@ -173,7 +173,7 @@ def test_contribution_weights_properties_and_trend():
         server = synth_gaussian(3, 200, 2, 8.0, seed=900 + seed, id_base=10_000)
         trainer = TrainerConfig(local_epochs=5, batch_size=32,
                                 lr_schedule=Constant(0.1))
-        config = FederationConfig(n_participants=4, rounds=5, trainer=trainer,
+        config = FederationConfig(rounds=5, trainer=trainer,
                                   seed=seed, weighting="fednl")
         report = run_fednl(config, parts, server)
         round3 = report.records[2]
@@ -196,11 +196,11 @@ def test_noise_aware_run_matches_or_beats_fedavg():
         server = synth_gaussian(3, 400, 2, 4.0, seed=700 + seed, id_base=10_000)
         trainer = TrainerConfig(local_epochs=5, batch_size=32,
                                 lr_schedule=Constant(0.1))
-        full = FederationConfig(n_participants=4, rounds=50, trainer=trainer,
+        full = FederationConfig(rounds=50, trainer=trainer,
                                 seed=seed, weighting="fednl")
-        plain = FederationConfig(n_participants=4, rounds=50, trainer=trainer,
-                                 seed=seed, run_procedure1=False,
-                                 run_procedure2=False, weighting="fedavg-size")
+        plain = FederationConfig(rounds=50, trainer=trainer,
+                                 seed=seed, procedure1=False,
+                                 procedure2=False, weighting="fedavg-size")
         acc_full = run_fednl(full, parts, server).final_metrics.accuracy
         acc_plain = run_fedavg(plain, parts, server).final_metrics.accuracy
         wins += acc_full >= acc_plain
@@ -306,9 +306,9 @@ def test_convergence_rate_slope():
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),
                             l2_lambda=lam)
-    config = FederationConfig(n_participants=4, rounds=200, trainer=trainer,
-                              seed=1, run_procedure1=False,
-                              run_procedure2=False, weighting="fedavg-size")
+    config = FederationConfig(rounds=200, trainer=trainer,
+                              seed=1, procedure1=False,
+                              procedure2=False, weighting="fedavg-size")
     report = run_fedavg(config, parts)
     optimum = solve_optimum(pooled, trainer).loss
     slope = verify_rate(report, optimum)

@@ -280,6 +280,24 @@ def test_run_fedavg_equals_disabled_pipeline(tmp_path):
         (tmp_path / "fedavg" / "rounds.ndrecords").read_bytes()
 
 
+@pytest.mark.parametrize("extra", [
+    "pipeline.procedure1 = false\n",
+    "pipeline.procedure1 = false\npipeline.procedure2 = true\npipeline.weighting = fednl\n",
+], ids=["procedure1_off", "every_key_against"])
+def test_run_fedavg_sets_its_fields_over_the_pipeline_keys(tmp_path, capsys, extra):
+    # `algorithm = fedavg` sets both procedures off and size weighting
+    # whatever the pipeline keys say; procedure1 = false alone once left
+    # procedure2 on and exited 3.
+    runs = {}
+    for name, keys in (("alone", ""), ("keyed", extra)):
+        config = write_config(tmp_path, BASE_RUN + f"algorithm = fedavg\n"
+                              f"output = {tmp_path / name}\n" + keys, f"{name}.cfg")
+        assert run_cli("run", "--config", str(config)) == EXIT_OK
+        runs[name] = (tmp_path / name / "rounds.ndrecords").read_bytes()
+    assert runs["keyed"] == runs["alone"]
+    assert capsys.readouterr().err == ""
+
+
 def test_run_invalid_config_lists_field(tmp_path, capsys):
     config = write_config(tmp_path, "seed = 1\nnoise.beta = 1.2\n")
     assert run_cli("run", "--config", str(config)) == EXIT_VALIDATION
@@ -363,6 +381,47 @@ def test_run_server_mismatch_is_validation_error(tmp_path, capsys, extra, messag
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["inject", "estimate", "run"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_feature_is_validation_error(tmp_path, capsys, command, value):
+    # Each once loaded: `estimate` and `run` then failed at the first SGD
+    # step with a runtime exit, and `inject` wrote the value through.
+    data = tmp_path / "data.csv"
+    save_dataset(synth_gaussian(3, 20, 2, 8.0, seed=1), data)
+    lines = data.read_text().splitlines(keepends=True)
+    row = lines[5].split(",")
+    lines[5] = ",".join([value] + row[1:])
+    data.write_text("".join(lines))
+    out = tmp_path / "out"
+    config = write_config(tmp_path, f"seed = 1\nparticipants = 2\nrounds = 2\noutput = {out}\n"
+                                    f"data.source = file\ndata.path = {data}\n")
+    argv = {"inject": ["--data", str(data), "--out", str(out), "--seed", "1", "--beta", "0.2"],
+            "estimate": ["--data", str(data), "--seed", "1", "--json", str(out)],
+            "run": ["--config", str(config)]}[command]
+    assert run_cli(command, *argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{data}: row 5 has a non-finite feature" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "exp.cfg"]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("synth", ["--out", "{out}"]),
+    ("inject", ["--data", "{data}", "--out", "{out}", "--beta", "0.2"]),
+    ("estimate", ["--data", "{data}", "--json", "{out}"]),
+], ids=["synth", "inject", "estimate"])
+def test_negative_seed_is_validation_error(tmp_path, capsys, command, argv):
+    data = tmp_path / "data.csv"
+    save_dataset(synth_gaussian(3, 20, 2, 8.0, seed=1), data)
+    out = tmp_path / "out"
+    argv = [arg.format(data=data, out=out) for arg in argv]
+    assert run_cli(command, *argv, "--seed", "-1") == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed: expected a non-negative integer, got '-1'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 @pytest.mark.parametrize("command", ["run", "rounds"])

@@ -15,6 +15,7 @@ from fednl.config import (
     parse_config_text,
     parse_flip_rules,
 )
+from fednl.engine import FEDAVG
 
 
 MINIMAL = "seed = 7\n"
@@ -137,14 +138,18 @@ def test_flip_rule_parsing():
 
 
 def test_echo_roundtrip():
+    # List floats and flip masses print every digit, as scalar floats do.
     text = (
-        "seed = 9\nalgorithm = fedavg\nnoise.kind = symmetric\nnoise.beta = 0.3\n"
+        "seed = 9\nalgorithm = fedavg\nnoise.kind = asymmetric\nnoise.beta = 0.3\n"
+        "noise.pairs = 0>1:0.1234567\nrounds_grid.q_o = 0.00123456789, 0.5\n"
         "trainer.eta = 0.05\nrounds = 12\n"
     )
     config = parse_config_text(text)
     echoed = parse_config_text(config.echo())
     assert echoed.values == config.values
     assert echoed.echo() == config.echo()
+    assert echoed["noise.pairs"] == [(0, 1, 0.1234567)]
+    assert echoed["rounds_grid.q_o"] == [0.00123456789, 0.5]
 
 
 def test_load_config_reads_file(tmp_path):
@@ -184,18 +189,18 @@ def test_build_trainer_config_diminishing_defaults_theta():
     assert trainer.lr_schedule.alpha == 50.0
 
 
-#: Every `pipeline.*` key, a value other than its default, and the
-#: FederationConfig field it sets to that value.
+#: Every `pipeline.X` key, a value other than its default, and the value
+#: FederationConfig field X then holds.
 PIPELINE_FLAGS = [
-    ("pipeline.procedure1", "false", "run_procedure1", False),
-    ("pipeline.procedure2", "false", "run_procedure2", False),
-    ("pipeline.weighting", "fedavg-size", "weighting", "fedavg-size"),
-    ("pipeline.freeze_epsilon", "true", "freeze_epsilon", True),
-    ("pipeline.literal_noise_adjustment", "true", "literal_noise_adjustment", True),
-    ("pipeline.matrix_norm_influence", "true", "matrix_norm_influence", True),
-    ("pipeline.demand_cap", "z", "demand_cap", "z"),
-    ("pipeline.per_class_resplit", "true", "per_class_resplit", True),
-    ("pipeline.init_scale", "0.5", "init_scale", 0.5),
+    ("pipeline.procedure1", "false", False),
+    ("pipeline.procedure2", "false", False),
+    ("pipeline.weighting", "fedavg-size", "fedavg-size"),
+    ("pipeline.freeze_epsilon", "true", True),
+    ("pipeline.literal_noise_adjustment", "true", True),
+    ("pipeline.matrix_norm_influence", "true", True),
+    ("pipeline.demand_cap", "z", "z"),
+    ("pipeline.per_class_resplit", "true", True),
+    ("pipeline.init_scale", "0.5", 0.5),
 ]
 
 
@@ -203,13 +208,26 @@ def test_build_federation_config_mirrors_pipeline_flags():
     assert ({key for key, *_ in PIPELINE_FLAGS}
             == {key for key in _SCHEMA if key.startswith("pipeline.")})
     text = "seed = 1\nrounds = 3\n" + "".join(f"{key} = {value}\n"
-                                             for key, value, *_ in PIPELINE_FLAGS)
+                                             for key, value, _ in PIPELINE_FLAGS)
     federation = build_federation_config(parse_config_text(text))
     default = build_federation_config(parse_config_text("seed = 1\n"))
     assert federation.rounds == 3
-    for key, _, field, value in PIPELINE_FLAGS:
+    for key, _, value in PIPELINE_FLAGS:
+        field = key.removeprefix("pipeline.")
         assert getattr(federation, field) == value, key
         assert getattr(default, field) != value, key
+
+
+@pytest.mark.parametrize("extra", [
+    "", "pipeline.procedure1 = false\n", "server.source = none\n",
+    "pipeline.weighting = fednl\npipeline.procedure2 = true\n"])
+def test_fedavg_preset_is_set_before_the_fields_are_checked(extra):
+    # `algorithm = fedavg` is a preset of three pipeline fields, set before
+    # FederationConfig checks them: a user's procedure1 = false alone would
+    # otherwise leave procedure2 on without estimates.
+    federation = build_federation_config(
+        parse_config_text("seed = 1\nalgorithm = fedavg\n" + extra))
+    assert {field: getattr(federation, field) for field in FEDAVG} == FEDAVG
 
 
 def test_noisy_participants_all_and_list():

@@ -296,7 +296,6 @@ def test_noisy_participant_ends_with_smallest_weight():
         parts = [parts[0], parts[1], noisy]
         server = synth_gaussian(3, 200, 2, 8.0, seed=500 + seed, id_base=10_000)
         config = FederationConfig(
-            n_participants=3,
             rounds=5,
             trainer=TrainerConfig(local_epochs=5, batch_size=32),
             seed=seed,

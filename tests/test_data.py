@@ -69,6 +69,16 @@ def test_non_numeric_feature_is_parse_error(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_feature_is_parse_error(tmp_path, value):
+    # `float` reads each of these, and one such feature turns every loss
+    # that touches its row non-finite.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,{value},2\n")
+    with pytest.raises(ParseError, match=r"bad\.csv: row 3 has a non-finite feature"):
+        load_dataset(path)
+
+
 def test_wrong_arity_is_parse_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,1\n")

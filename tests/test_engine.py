@@ -36,7 +36,7 @@ from fednl import engine, estimator
 from fednl._rng import ESTIMATE, EXCHANGE, TRAIN, derive_seed
 from fednl.contribution import GAMMA_MIN, effective_sizes, influence
 from fednl.data import OUT_OF_SPACE
-from fednl.engine import _prepare_fednl, _server_rows
+from fednl.engine import FEDAVG, _prepare_fednl, _server_rows
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -114,9 +114,9 @@ def test_pool_is_taken_only_for_procedure2(monkeypatch, procedure2):
         return out
 
     monkeypatch.setattr(Dataset, "take", recording_take)
-    config = FederationConfig(n_participants=4, rounds=1, seed=5,
+    config = FederationConfig(rounds=1, seed=5,
                               trainer=TrainerConfig(local_epochs=1),
-                              run_procedure2=procedure2)
+                              procedure2=procedure2)
     run_fednl(config, parts, server)
     assert taken[f"{server.name}/test"][0] == test.ids.tolist()
     assert taken.get(f"{server.name}/pool") == ([pool.ids.tolist()] if procedure2 else None)
@@ -128,8 +128,8 @@ def test_single_participant_equals_local_training():
     parts = make_parts(3, n_parts=1)
     trainer = TrainerConfig(local_epochs=4, batch_size=16)
     config = FederationConfig(
-        n_participants=1, rounds=3, trainer=trainer, seed=3,
-        run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        rounds=3, trainer=trainer, seed=3,
+        procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     run = run_fednl(config, parts)
     nonfed = server_init(parts[0].d, parts[0].class_count, 3, 0.01)
@@ -147,12 +147,12 @@ def test_fedavg_reduction_is_bitwise():
     parts = make_parts(4)
     trainer = TrainerConfig(local_epochs=3, batch_size=16)
     fednl_config = FederationConfig(
-        n_participants=4, rounds=5, trainer=trainer, seed=4,
-        run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        rounds=5, trainer=trainer, seed=4,
+        procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     # Default flags (both procedures, influence weighting) and no server
     # dataset: run_fedavg must override all three or run_fednl rejects it.
-    fedavg_config = FederationConfig(n_participants=4, rounds=5, trainer=trainer, seed=4)
+    fedavg_config = FederationConfig(rounds=5, trainer=trainer, seed=4)
     a = run_fednl(fednl_config, parts)
     b = run_fedavg(fedavg_config, parts)
     assert b.config == fednl_config
@@ -171,9 +171,9 @@ def test_fedavg_size_weights_every_round():
     a = base.take(order[:10], name="small")
     b = base.take(order[10:], name="large")
     config = FederationConfig(
-        n_participants=2, rounds=4,
+        rounds=4,
         trainer=TrainerConfig(local_epochs=2, batch_size=8),
-        seed=5, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        seed=5, procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     run = run_fedavg(config, [a, b])
     for record in run.records:
@@ -183,12 +183,12 @@ def test_fedavg_size_weights_every_round():
 def test_fedavg_loss_trend_mostly_decreasing():
     parts = make_parts(6, per_class=60, sep=6.0)
     config = FederationConfig(
-        n_participants=4, rounds=50,
+        rounds=50,
         trainer=TrainerConfig(
             local_epochs=2, batch_size=32,
             lr_schedule=Constant(0.02),
         ),
-        seed=6, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        seed=6, procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     run = run_fedavg(config, parts)
     losses = [r.global_loss for r in run.records]
@@ -202,7 +202,7 @@ def test_round_records_bookkeeping():
     parts = make_parts(7)
     server = synth_gaussian(3, 50, 2, 8.0, seed=700, id_base=10_000)
     config = FederationConfig(
-        n_participants=4, rounds=4,
+        rounds=4,
         trainer=TrainerConfig(local_epochs=3, batch_size=16),
         seed=7, weighting="fednl",
     )
@@ -223,12 +223,12 @@ def test_round_records_bookkeeping():
 def test_diminishing_rates_decrease_across_rounds():
     parts = make_parts(8)
     config = FederationConfig(
-        n_participants=4, rounds=5,
+        rounds=5,
         trainer=TrainerConfig(
             local_epochs=2, batch_size=16,
             lr_schedule=Diminishing(theta=10.0, alpha=50.0),
         ),
-        seed=8, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        seed=8, procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     run = run_fedavg(config, parts)
     first_rates = [r.learning_rates[0] for r in run.records]
@@ -239,7 +239,7 @@ def test_freeze_epsilon_holds_round_one_weights():
     parts = make_parts(9)
     server = synth_gaussian(3, 50, 2, 8.0, seed=900, id_base=10_000)
     config = FederationConfig(
-        n_participants=4, rounds=5,
+        rounds=5,
         trainer=TrainerConfig(local_epochs=2, batch_size=16),
         seed=9, weighting="fednl", freeze_epsilon=True,
     )
@@ -262,7 +262,7 @@ def test_influence_flags_reach_the_round_loop(flag):
     # must be the one `influence` computes with the flag as configured.
     # Without the exchange every participant keeps a positive noise ratio.
     parts, server = _noisy_parts(12)
-    config = FederationConfig(n_participants=4, rounds=1, seed=12, run_procedure2=False,
+    config = FederationConfig(rounds=1, seed=12, procedure2=False,
                               trainer=TrainerConfig(local_epochs=2, batch_size=16))
     test = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[1])
     gammas = {}
@@ -282,7 +282,7 @@ def test_influence_flags_reach_the_round_loop(flag):
 
 def test_demand_cap_reaches_the_exchange():
     parts, server = _noisy_parts(12)
-    config = FederationConfig(n_participants=4, rounds=1, seed=12, demand_cap="z",
+    config = FederationConfig(rounds=1, seed=12, demand_cap="z",
                               trainer=TrainerConfig(local_epochs=2, batch_size=16))
     pool = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[0])
     run = run_fednl(config, parts, server)
@@ -312,9 +312,9 @@ def test_participant_order_permutation_same_aggregate():
 def test_procedure2_requires_server():
     parts = make_parts(11)
     config = FederationConfig(
-        n_participants=4, rounds=2,
+        rounds=2,
         trainer=TrainerConfig(local_epochs=2, batch_size=16),
-        seed=11, run_procedure1=True, run_procedure2=True, weighting="fednl",
+        seed=11, procedure1=True, procedure2=True, weighting="fednl",
     )
     with pytest.raises(ValueError):
         run_fednl(config, parts)
@@ -336,7 +336,7 @@ def test_prepare_errors_name_participant_and_stage(labels, server_classes, error
     features = [[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]][:len(labels)]
     small = make_dataset(features, labels, c=3, ids=[5000 + j for j in range(len(labels))])
     server = synth_gaussian(server_classes, 50, 2, 8.0, seed=13, id_base=10_000)
-    config = FederationConfig(n_participants=2, rounds=1, seed=13,
+    config = FederationConfig(rounds=1, seed=13,
                               trainer=TrainerConfig(local_epochs=2, batch_size=16))
     with pytest.raises(error) as caught:
         run_fednl(config, parts + [small], server)
@@ -380,7 +380,7 @@ def test_reestimate_failure_precedes_later_estimate_failure(monkeypatch, rows):
     server = synth_gaussian(3, 50, 2, 8.0, seed=13, id_base=10_000)
     monkeypatch.setattr(estimator, "_ESTIMATE_ROWS", rows)
     stacks = _record_stacks(monkeypatch)
-    config = FederationConfig(n_participants=2, rounds=1, seed=13, trainer=trainer)
+    config = FederationConfig(rounds=1, seed=13, trainer=trainer)
     with pytest.raises(EstimationError) as raised:
         run_fednl(config, [small, wild], server)
     assert str(raised.value) == ("participant 0, re-estimate after exchange: "
@@ -404,7 +404,7 @@ def test_fold_divergence_names_lowest_participant(monkeypatch):
     assert step[1] < step[0]
     server = synth_gaussian(3, 50, 2, 8.0, seed=35, id_base=10_000)
     stacks = _record_stacks(monkeypatch)
-    config = FederationConfig(n_participants=2, rounds=1, seed=35, trainer=WILD_TRAINER)
+    config = FederationConfig(rounds=1, seed=35, trainer=WILD_TRAINER)
     with pytest.raises(DivergenceError) as raised:
         run_fednl(config, [calm, wild], server)
     assert str(raised.value) == f"participant 0, estimate: {alone[0]}"
@@ -438,8 +438,8 @@ def test_chunked_procedure1_matches_one_participant_at_a_time(monkeypatch, respl
     monkeypatch.setattr(estimator, "_ESTIMATE_ROWS", budget)
     stacks = _record_stacks(monkeypatch)
     trainer = TrainerConfig(local_epochs=3, batch_size=16)
-    config = FederationConfig(n_participants=len(parts), rounds=1, seed=8, trainer=trainer,
-                              run_procedure2=procedure2, per_class_resplit=resplit)
+    config = FederationConfig(rounds=1, seed=8, trainer=trainer,
+                              procedure2=procedure2, per_class_resplit=resplit)
     pool = server.take(_server_rows(server.n, config.server_test_fraction, config.seed)[0])
     train_sets, betas, estimates, _ = _prepare_fednl(config, parts, pool)
     chunked = list(stacks)
@@ -477,8 +477,8 @@ def test_divergence_names_lowest_participant_not_first_in_lockstep():
                         ids=calm.ids + 1000)
     trainer = TrainerConfig(local_epochs=5, batch_size=8, lr_schedule=Constant(1e6),
                             l2_lambda=0.01)
-    config = FederationConfig(n_participants=2, rounds=2, trainer=trainer, seed=35,
-                              run_procedure1=False, run_procedure2=False,
+    config = FederationConfig(rounds=2, trainer=trainer, seed=35,
+                              procedure1=False, procedure2=False,
                               weighting="fedavg-size")
     broadcast = server_init(2, 3, 35, config.init_scale)
     alone = {}
@@ -494,23 +494,33 @@ def test_divergence_names_lowest_participant_not_first_in_lockstep():
     assert str(raised.value) == f"round 1, participant 0: {alone[0]}"
 
 
-@pytest.mark.parametrize("run_procedure2", [True, False])
-def test_bad_demand_cap_rejected_on_construction(run_procedure2):
+@pytest.mark.parametrize("procedure2", [True, False])
+def test_bad_demand_cap_rejected_on_construction(procedure2):
     # Rejected before any fold model trains, and also where no exchange runs.
     with pytest.raises(ValueError, match="demand_cap must be 'size' or 'z', got 'bogus'"):
-        FederationConfig(n_participants=2, rounds=1, trainer=TrainerConfig(), seed=1,
-                         run_procedure2=run_procedure2, demand_cap="bogus")
+        FederationConfig(rounds=1, trainer=TrainerConfig(), seed=1,
+                         procedure2=procedure2, demand_cap="bogus")
 
 
 def test_duplicate_ids_rejected():
     base = synth_gaussian(2, 10, 2, 6.0, seed=12)
     config = FederationConfig(
-        n_participants=2, rounds=2,
+        rounds=2,
         trainer=TrainerConfig(local_epochs=1, batch_size=8),
-        seed=12, run_procedure1=False, run_procedure2=False, weighting="fedavg-size",
+        seed=12, procedure1=False, procedure2=False, weighting="fedavg-size",
     )
     with pytest.raises(ValueError):
         run_fedavg(config, [base, base])
+
+
+def test_run_takes_its_participants_from_the_datasets():
+    trainer = TrainerConfig(local_epochs=1, batch_size=8)
+    config = FederationConfig(rounds=1, trainer=trainer, seed=12, **FEDAVG)
+    with pytest.raises(ValueError, match="a run needs at least one participant dataset"):
+        run_fednl(config, [])
+    parts = partition_non_iid(synth_gaussian(2, 12, 2, 6.0, seed=12), 3, seed=12,
+                              strategy=ShuffleSplit())
+    assert len(run_fednl(config, parts).records[0].epsilon) == 3
 
 
 def test_shared_ids_name_the_first_dataset_that_repeats_one():

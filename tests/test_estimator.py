@@ -19,6 +19,7 @@ from fednl import (
     symmetric_matrix,
     synth_gaussian,
 )
+from fednl import estimator
 from fednl._rng import ESTIMATE, FOLDS, derive_rng, derive_seed
 from fednl.estimator import fold_rows, plan_folds
 
@@ -189,6 +190,27 @@ def test_estimation_deterministic():
     for ca, cb in zip(a.per_class, b.per_class):
         assert ca.noise_free_ids == cb.noise_free_ids
         assert ca.removed_ids == cb.removed_ids
+
+
+def test_estimate_noise_scores_in_the_call_it_was_made(monkeypatch):
+    # A direct call plans, trains and scores itself. Through the module's
+    # `estimate_noise` binding it would be recorded twice by a tracer that
+    # wraps that binding, and count every row twice.
+    real = estimator.estimate_noise
+    reentries = []
+
+    def counting(*args, **kwargs):
+        reentries.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "estimate_noise", counting)
+    ds = synth_gaussian(3, 20, 2, 8.0, seed=9)
+    alone = [real(ds, ESTIMATE_CONFIG, 9, per_class_resplit=r) for r in (False, True)]
+    assert reentries == []
+    # `estimate_many` scores each dataset through the binding, to the same estimate.
+    assert [estimator.estimate_many([ds], ESTIMATE_CONFIG, [9], r)[0]
+            for r in (False, True)] == alone
+    assert len(reentries) == 2
 
 
 def test_per_class_resplit_variant_runs():

@@ -582,8 +582,8 @@ def _fabricated_run(gaps, epochs_per_round=1):
     trainer = TrainerConfig(local_epochs=epochs_per_round, batch_size=8,
                             lr_schedule=Diminishing(theta=2.0, alpha=10.0),
                             l2_lambda=0.01)
-    config = FederationConfig(n_participants=1, rounds=len(gaps), trainer=trainer,
-                              seed=0, run_procedure1=False, run_procedure2=False,
+    config = FederationConfig(rounds=len(gaps), trainer=trainer,
+                              seed=0, procedure1=False, procedure2=False,
                               weighting="fedavg-size")
     model = server_init(1, 2, seed=0)
     return RunReport(
@@ -638,8 +638,8 @@ def test_real_run_slope_in_theorem_band():
     trainer = TrainerConfig(local_epochs=1, batch_size=60,
                             lr_schedule=Diminishing(2.0 / lam, alpha),
                             l2_lambda=lam)
-    config = FederationConfig(n_participants=4, rounds=200, trainer=trainer,
-                              seed=1, run_procedure1=False, run_procedure2=False,
+    config = FederationConfig(rounds=200, trainer=trainer,
+                              seed=1, procedure1=False, procedure2=False,
                               weighting="fedavg-size")
     run = run_fedavg(config, parts)
     opt = solve_optimum(pooled, trainer)

@@ -103,7 +103,7 @@ def test_train_local_observer_reads_every_program_call(monkeypatch):
     parts = partition_non_iid(base, 3, seed=41, strategy=ShuffleSplit())
     server = synth_gaussian(3, 30, 2, 6.0, seed=42, id_base=10_000)
     trainer = TrainerConfig(local_epochs=2, batch_size=16)
-    run_fednl(FederationConfig(n_participants=3, rounds=2, trainer=trainer, seed=41),
+    run_fednl(FederationConfig(rounds=2, trainer=trainer, seed=41),
               parts, server)
     measure_round_constants(parts, trainer, 41, noise_level=0.2)
     # One call per round, one per Procedure 1 stage (estimate, re-estimate)
@@ -160,6 +160,20 @@ def test_fednl_workload_spans_fire_in_a_traced_child(tmp_path, extra):
     layers, replayed = _run_child_twice(tmp_path, "fednl_wide", "run", small)
     silent = sorted(span for span in expected if not layers.get(f"{span}.calls"))
     assert not silent, f"spans that recorded no calls: {silent}"
+    assert replayed
+
+
+def test_fedavg_workload_spans_fire_in_a_traced_child(tmp_path):
+    # The same check for `fedavg_deep`: `fednl run` under `algorithm = fedavg`
+    # makes one `run_fednl` call, so the round loop records one `engine.run`
+    # span, not a `run_fedavg` span around a nested `run_fednl` one.
+    small = {"participants": 3, "rounds": 2, "data.classes": 3, "data.dim": 2,
+             "data.per_class": 40, "server.per_class": 20, "noise.participants": "0"}
+    layers, replayed = _run_child_twice(tmp_path, "fedavg_deep", "run", small)
+    silent = sorted(span for span in workloads.WORKLOADS["fedavg_deep"].expected
+                    if not layers.get(f"{span}.calls"))
+    assert not silent, f"spans that recorded no calls: {silent}"
+    assert layers["engine.run.calls"] == 1
     assert replayed
 
 
