@@ -18,7 +18,7 @@ from .config import (ConfigError, ExperimentConfig, build_datasets,
                      parse_flip_rules)
 from .data import ParseError, SchemaError, load_dataset, save_dataset, synth_gaussian
 from .engine import record_to_dict, run_fednl, server_test_rows
-from .estimator import estimate_noise, estimate_to_dict, format_estimate
+from .estimator import EstimationError, estimate_noise, estimate_to_dict, format_estimate
 from .exchange import transcript_to_dict
 from .metrics import format_snapshot
 from .noise import asymmetric_matrix, inject_noise, save_matrix, symmetric_matrix, with_out_of_space
@@ -65,9 +65,8 @@ def cmd_synth(args) -> int:
     out = _under_root(args.out)
     _require_fresh(out, args.force)
     try:
-        dataset = synth_gaussian(args.classes, args.per_class, args.dim,
-                                 args.separation, args.seed,
-                                 name=out.stem, id_base=args.id_base)
+        dataset = synth_gaussian(args.classes, args.per_class, args.dim, args.separation,
+                                 args.seed, name=out.stem)
     except ValueError as e:
         raise ConfigError([str(e)]) from e
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -119,8 +118,11 @@ def cmd_estimate(args) -> int:
                                 lr_schedule=Constant(args.eta), l2_lambda=args.l2)
     except ValueError as e:
         raise ConfigError([str(e)]) from e
-    estimate = estimate_noise(dataset, trainer, args.seed,
-                              per_class_resplit=args.per_class_resplit)
+    try:
+        estimate = estimate_noise(dataset, trainer, args.seed,
+                                  per_class_resplit=args.per_class_resplit)
+    except EstimationError as e:
+        raise ConfigError([f"{args.data}: {e}"]) from e
     print(format_estimate(estimate))
     if args.json:
         json_out = _under_root(args.json)
@@ -364,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=8.0)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--id-base", type=int, default=0)
     p.add_argument("--force", action="store_true", help="overwrite an existing file")
     p.set_defaults(func=cmd_synth)
 

@@ -43,7 +43,7 @@ from .data import Dataset, concat_datasets
 from .engine import RunReport, server_init
 from .noise import inject_noise, symmetric_matrix
 from .trainer import (_STEP_BLOCK, DatasetStack, DivergenceError, ModelParams, TrainerConfig,
-                      _augment, _label_free_gradient, _pack, _stacked_objective, _xent,
+                      _augment, _label_free_gradient, _layout, _pack, _stacked_objective, _xent,
                       gradient, loss, train_local)
 
 logger = logging.getLogger(__name__)
@@ -397,9 +397,10 @@ def _b_moments(datasets, models, trainer_config: TrainerConfig,
             rows = chunk.reshape(-1)
             k = len(chunk)
             bgrads = np.empty((k,) + model.weights.shape)
-            _xent(np.broadcast_to(model.weights, bgrads.shape),
-                  [_augment(ds.features[rows]).reshape(*chunk.shape, -1)],
-                  np.empty((rows.size, ds.class_count)), ds.observed_labels[rows], lam, bgrads)
+            layout = _layout([_augment(ds.features[rows]).reshape(*chunk.shape, -1)],
+                             np.empty((rows.size, ds.class_count)))
+            _xent(np.broadcast_to(model.weights, bgrads.shape), layout, ds.observed_labels[rows],
+                  lam, bgrads)
             for dev, size in zip(add(((bgrads - full) ** 2).reshape(k, -1), axis=-1).tolist(),
                                  add((bgrads ** 2).reshape(k, -1), axis=-1).tolist()):
                 worst = max(worst, dev)

@@ -32,24 +32,31 @@ Padding the short batches with zero rows to one row count would make a
 tick one run, but it changes the products' bits whenever the row count is
 not a multiple of 4 (OpenBLAS's row-remainder kernels; 468 of 3000 random
 shapes), so batches are packed, not padded. The per-step interpreter cost
-is paid once per tick instead of once per model. One model is a stack of
-one, on the same loop, and every model's weights and divergence step are
-bitwise those of training it alone.
+is paid once per tick instead of once per model. Where a tick's rows and
+logits go in the call's buffers (`_tick_layout`) is worked out once per
+call for each signature of batch row counts, so a stack of equal members
+builds two: its full batches and its short last ones. One model is a
+stack of one, on the same loop, and every model's weights and divergence
+step are bitwise those of training it alone.
 
-`_log_softmax` reduces along each row or over the c class columns, by row
-count: numpy reduces along a short last axis with one inner loop per row,
-which over thousands of rows costs more than the arithmetic, so from
-`_COLUMN_ROWS_PER_CLASS` rows per class the row max and the exp-sum run as
-a few calls per class column instead, the sum in numpy's own pairwise
-order. Both forms give the same bits. The products keep their layout,
-``x @ w`` into an (n, c) array and ``x.T @ probs``: a class-major product
-would hand over the columns contiguous, but BLAS sums it in another
-order, and the bits change.
+`_log_softmax` reduces over the c classes of a class-major (c, n) array:
+numpy reduces along a short last axis with one inner loop per row, which
+costs more than the arithmetic, while over the class rows of a contiguous
+array the max and the exp-sum take a few calls, the sum in numpy's own
+pairwise order, so the bits are those of a reduction along each row.
+`_xent` copies its (n, c) logits into a class-major buffer a block of at
+most `_LOSS_BLOCK` logits at a time (one block for an SGD tick or a loss
+block; several for a full batch, which a whole copy would add to peak
+memory), and copies the probabilities back for the gradient product. The
+products keep their layout, ``x @ w`` into an (n, c) array and
+``x.T @ probs``: a class-major product would hand over the columns
+contiguous, but BLAS sums it in another order, and the bits change.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,146 +163,175 @@ def _require_trainable(dataset: Dataset) -> None:
         raise ValueError("dataset has out-of-space labels; drop them before training")
 
 
-#: Rows per class from which `_log_softmax` reduces over the class columns.
-#: The row form pays an inner loop per row, the column form a few calls per
-#: class column. Inside `_losses` and `gradient` on a 2-vCPU VM the two
-#: break even near 40 rows per class at c = 10 (234 x 10: columns 21%
-#: slower; 500 x 10: 3-13% faster) and below 25 at c = 3. The constant is
-#: the c = 10 point, so no shape measured takes columns where they are slower.
-_COLUMN_ROWS_PER_CLASS = 40
+#: Logits scored per batched matmul in `_losses`, and per block of rows of
+#: `_xent`'s class-major log-softmax. Blocks of 2**13 float64 (64 KiB) keep
+#: each temporary small enough that scoring many models at once leaves peak
+#: memory where scoring them one by one does, and a full batch's class-major
+#: copy at one block. (On a 2-vCPU VM, copying `rounds_grid`'s full L-BFGS
+#: batches whole raised its peak RSS by 0.45 MB.)
+_LOSS_BLOCK = 1 << 13
+
+#: Batch logits per tick of a lockstep SGD step, and logits per block
+#: of `_member_losses`. Half a loss block: a tick holds its gathered batches,
+#: and every model of the stack holds a random stream and an epoch order, all
+#: while the tick's temporaries exist; the round's local losses are scored
+#: while the round's models and training sets exist. (On a 2-vCPU VM, full
+#: loss blocks there raised `fednl_wide`'s peak RSS by 0.15 MB over scoring
+#: one participant at a time, half blocks by 0.03 MB; medians of 9 runs.)
+_STEP_BLOCK = 1 << 12
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax along the last axis, written over ``logits`` and returned.
+def _log_softmax(values: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the classes ``values[k]`` of a (c, n) array, written over it.
 
-    Every caller passes a product it owns, so working in place only saves
-    the two temporaries of its size; the arithmetic is the same. The
-    reductions run along each row (`_log_softmax_rows`) or over the class
-    columns (`_log_softmax_columns`), whichever is faster at this row
-    count; both give the same bits.
+    numpy reduces along a short last axis with one inner loop per row, but
+    over the first axis of a contiguous array in a few calls: the max in
+    one reduction (exact in any order), the exp-sum in `_exp_class_sum`, in
+    numpy's own order, so every value is bitwise a log-softmax along the
+    rows of the (n, c) array. ``spare``, an array of the shape of
+    ``values`` free to overwrite, takes the exps. Returns ``values``.
     """
-    c = logits.shape[-1]
-    if logits.size >= _COLUMN_ROWS_PER_CLASS * c * c:
-        return _log_softmax_columns(logits)
-    return _log_softmax_rows(logits)
+    values -= np.maximum.reduce(values, axis=0)
+    values -= np.log(_exp_class_sum(values, spare))
+    return values
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """`_log_softmax` with numpy's reductions along the last axis."""
-    # The ufunc reductions that `.max` and `.sum` dispatch to, called
-    # directly: the same arithmetic without the wrappers' per-call cost.
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
-    return logits
-
-
-def _log_softmax_columns(logits: np.ndarray) -> np.ndarray:
-    """`_log_softmax_rows`, bitwise, reduced over the class columns ``logits[..., k]``.
-
-    numpy reduces along the last axis with one inner loop per row, so over
-    thousands of rows of c classes the two reductions cost far more than
-    their arithmetic. Here the row max is c-1 `np.maximum` calls over the
-    columns (max is exact in any order) and the exp-sum is `_exp_class_sum`,
-    in the order `np.add.reduce` adds each row.
-    """
-    c = logits.shape[-1]
-    top = np.maximum(logits[..., 0], logits[..., -1])
-    for k in range(1, c - 1):
-        np.maximum(top, logits[..., k], out=top)
-    logits -= top[..., None]
-    total = _exp_class_sum(logits)
-    logits -= np.log(total, out=total)[..., None]
-    return logits
-
-
-def _exp_class_sum(values: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of the exp of each column ``values[..., k]``.
+def _exp_class_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the first axis of the exp of each class row ``values[k]``.
 
     The terms are added in the order of numpy's ``pairwise_sum`` for one
-    contiguous row, so the sum is bitwise ``np.add.reduce(np.exp(values),
-    axis=-1)``: left to right below 8 terms; up to 128, eight interleaved
-    partial sums joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    rest in order; above 128, the sums of two halves split at a multiple of
-    8. (numpy also adds the result to +0.0, which only turns a sum of -0.0
-    terms into +0.0; exp gives no -0.0.) That order is numpy's internals as
-    checked on numpy 2.4.6; `test_exp_class_sum_bitwise_equals_row_reduction`
-    guards it. One term is taken at a time and added in place, so up to 128
-    terms hold at most nine vectors of the row count at once.
+    contiguous row, so the sum is bitwise what ``np.add.reduce(axis=-1)``
+    gives over the contiguous (n, c) exps: left to right below 8 terms; up
+    to 128, eight interleaved partial sums joined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above 128,
+    the sums of two halves split at a multiple of 8. (numpy also adds the
+    result to +0.0, which only turns a sum of -0.0 terms into +0.0; exp
+    gives no -0.0.) That order is numpy's internals as checked on numpy
+    2.4.6; `test_exp_class_sum_bitwise_equals_row_reduction` guards it. The
+    exps are taken in one call, into ``out`` when given, and summed in
+    place.
     """
-    c = values.shape[-1]
+    c = len(values)
     if c > 128:
         half = c // 2 - c // 2 % 8
-        total = _exp_class_sum(values[..., :half])
-        total += _exp_class_sum(values[..., half:])
+        total = _exp_class_sum(values[:half], None if out is None else out[:half])
+        total += _exp_class_sum(values[half:], None if out is None else out[half:])
         return total
-    if c < 8:
-        total = np.exp(values[..., 0])
-        for k in range(1, c):
-            total += np.exp(values[..., k])
-        return total
-    r = [np.exp(values[..., k]) for k in range(8)]
-    tail = c - c % 8
+    r = np.exp(values, out=out)
+    tail = 1 if c < 8 else c - c % 8
     for k in range(8, tail):
-        r[k % 8] += np.exp(values[..., k])
-    r[0] += r[1]
-    r[2] += r[3]
-    r[0] += r[2]
-    r[4] += r[5]
-    r[6] += r[7]
-    r[4] += r[6]
-    r[0] += r[4]
+        r[k % 8] += r[k]
+    if c >= 8:
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[a] += r[b]
     for k in range(tail, c):
-        r[0] += np.exp(values[..., k])
+        r[0] += r[k]
     return r[0]
 
 
-def _xent(w: np.ndarray, runs: list, logits: np.ndarray, labels: np.ndarray, lam: float,
+def _class_major_blocks(logits: np.ndarray, major: np.ndarray) -> list:
+    """The blocks of rows of the (n, c) ``logits`` that one class-major copy holds at a time.
+
+    Each block of at most ``len(major) // c`` rows is (its rows, as a slice;
+    its (m, c) logits; their (c, m) copy, in the leading part of the flat
+    buffer ``major``; the same memory as the logits, viewed (c, m)).
+    """
+    n, c = logits.shape
+    per = len(major) // c
+    out = []
+    for a in range(0, n, per):
+        block = logits[a:a + per]
+        shape = (c, len(block))
+        out.append((slice(a, a + per), block, major[:block.size].reshape(shape),
+                    block.reshape(shape)))
+    return out
+
+
+class _Layout(NamedTuple):
+    """Where the runs of one `_xent` call put their logits; see `_layout`."""
+
+    runs: list  # (block, its logits, its models' slots, its rows) of each run
+    rows: np.ndarray  # each model's row count, as floats
+    logits: np.ndarray  # (n, c): the runs' logits, packed in order
+    base: np.ndarray  # 0, 1, ... for the rows of a block of the class-major copy
+    blocks: list  # `_class_major_blocks` of the logits
+
+
+def _layout(runs: list, logits: np.ndarray, base: np.ndarray | None = None,
+            spare: np.ndarray | None = None) -> _Layout:
+    """The `_Layout` of ``runs``, their logits packed into the leading rows of ``logits``.
+
+    ``runs`` covers the models of a weight stack in order: each is a
+    (k, m, d+1) block of augmented rows for the next k models, m rows each,
+    either their own rows or one (m, d+1) block they share, broadcast. The
+    class-major copy takes blocks of at most `_LOSS_BLOCK` logits. ``base``
+    is a range of at least a block's rows, and ``spare`` a flat buffer of
+    at least a block's logits; each is made when omitted. A layout built on
+    given buffers holds only views of them, so it serves every call on them.
+    """
+    c = logits.shape[1]
+    parts, counts = [], []
+    start = slot = 0
+    for x in runs:
+        k, m = x.shape[0], x.shape[1]
+        stop = start + k * m
+        parts.append((x, logits[start:stop].reshape(k, m, c), slice(slot, slot + k),
+                      slice(start, stop)))
+        counts += [m] * k
+        start, slot = stop, slot + k
+    per = max(1, min(start, _LOSS_BLOCK // c))
+    base = np.arange(per) if base is None else base[:per]
+    major = np.empty(per * c) if spare is None else spare[:per * c]
+    return _Layout(parts, np.array(counts, dtype=float), logits[:start], base,
+                   _class_major_blocks(logits[:start], major))
+
+
+def _xent(w: np.ndarray, layout: _Layout, labels: np.ndarray, lam: float,
           grads: np.ndarray | None = None) -> np.ndarray:
     """`loss` of every model in a (g, d+1, c) weight stack, and its `gradient` into ``grads``.
 
-    ``runs`` covers the models in stack order: each is a (k, m, d+1) block
-    of augmented rows for the next k models, m rows each, either their own
-    rows or one (m, d+1) block they share, broadcast. The runs' logits are
-    packed in order into ``logits``, (n, c) for their n rows, whose labels
-    are ``labels`` (n,). Each run takes one stacked product each way and
-    one NLL reduction; the log-softmax, label gather, exp and
-    subtract-at-labels run once over all rows. Each model's terms are
+    ``layout`` places the models' rows and logits (`_layout`); ``labels``
+    (n,) are the rows' labels. Each run takes one stacked product each way
+    and one NLL reduction. The log-softmax, label gather, exp and
+    subtract-at-labels run on the layout's class-major copy of the logits,
+    a block of rows at a time (one block for a tick or a loss block), each
+    block copied back for the gradient product. Each model's terms are
     reduced on their own along the last axis, as a single model's are, so
     its returned loss and its ``grads`` slice are bitwise what it gets
     alone.
     """
-    g, c = w.shape[0], w.shape[2]
-    parts = []  # (first row, block, logits, slots) of each run
-    rows = np.empty(g)  # each model's row count
-    start = slot = 0
-    for x in runs:
-        k, m = x.shape[0], x.shape[1]
-        slots = slice(slot, slot + k)
-        out = logits[start:start + k * m].reshape(k, m, c)
+    g = w.shape[0]
+    logits = layout.logits
+    for x, out, slots, _ in layout.runs:
         np.matmul(x, w[slots], out=out)
-        parts.append((start, x, out, slots))
-        rows[slots] = m
-        start += k * m
-        slot += k
-    flat = _log_softmax(logits).reshape(-1)
-    # Each row's flat label index, made once the log-softmax has freed its
-    # temporaries.
-    picked = np.arange(0, flat.size, c)
-    picked += labels
-    nll = flat[picked]
+    nll = np.empty(len(logits))
+    for rows, block, values, spare in layout.blocks:
+        np.copyto(values, block.T)
+        # The block's logits are free until they are copied back, so they
+        # take the exps.
+        _log_softmax(values, spare)
+        # Each row's flat label index in the copy; all are in range, so
+        # mode="clip" only skips the buffered bounds check.
+        picked = labels[rows] * len(block)
+        picked += layout.base[:len(block)]
+        flat = values.reshape(-1)
+        flat.take(picked, out=nll[rows], mode="clip")
+        if grads is not None:
+            np.exp(flat, out=flat)
+            flat[picked] -= 1.0
+            np.copyto(block, values.T)
     sums = np.empty(g)
     add = np.add.reduce
-    for start, x, _, slots in parts:
-        k, m = x.shape[0], x.shape[1]
-        add(nll[start:start + k * m].reshape(k, m), axis=-1, out=sums[slots])
-    sums /= rows
-    losses = -sums + 0.5 * lam * add((w ** 2).reshape(g, -1), axis=-1)
+    for _, out, slots, rows in layout.runs:
+        add(nll[rows].reshape(out.shape[:2]), axis=-1, out=sums[slots])
+    sums /= layout.rows
+    losses = add((w ** 2).reshape(g, -1), axis=-1)
+    losses *= 0.5 * lam
+    losses -= sums
     if grads is not None:
-        np.exp(logits, out=logits)
-        flat[picked] -= 1.0
-        for _, x, probs, slots in parts:
+        for x, probs, slots, _ in layout.runs:
             np.matmul(x.transpose(0, 2, 1), probs, out=grads[slots])
-        grads /= rows[:, None, None]
+        grads /= layout.rows[:, None, None]
         grads += lam * w
     return losses
 
@@ -307,11 +343,14 @@ def _label_free_gradient(w: np.ndarray, x: np.ndarray, probs: np.ndarray,
     ``x`` holds the n augmented rows and ``probs`` is an (n, c) buffer. The
     label term, -x' Y / n for the one-hot labels Y, does not depend on w,
     so the difference of two weights' values is that of their gradients,
-    whatever the labels.
+    whatever the labels. The softmax runs on the class-major blocks of
+    `_xent`'s layout.
     """
     np.matmul(x, w, out=probs)
-    _log_softmax(probs)
-    np.exp(probs, out=probs)
+    for _, block, values, spare in _layout([x[None]], probs).blocks:
+        np.copyto(values, block.T)
+        np.exp(_log_softmax(values, spare), out=values)
+        np.copyto(block, values.T)
     g = x.T @ probs
     g /= len(x)
     g += lam * w
@@ -332,21 +371,6 @@ def _pack(members: list) -> tuple[np.ndarray, list[int], np.ndarray]:
     return x, bounds, np.concatenate([ds.observed_labels for ds in members])
 
 
-#: Logits scored per batched matmul in `_losses`. Blocks of 2**13 float64
-#: (64 KiB) keep each temporary small enough that scoring many models at once
-#: leaves peak memory where scoring them one by one does.
-_LOSS_BLOCK = 1 << 13
-
-#: Batch logits per tick of a lockstep SGD step, and logits per block
-#: of `_member_losses`. Half a loss block: a tick holds its gathered batches,
-#: and every model of the stack holds a random stream and an epoch order, all
-#: while the tick's temporaries exist; the round's local losses are scored
-#: while the round's models and training sets exist. (On a 2-vCPU VM, full
-#: loss blocks there raised `fednl_wide`'s peak RSS by 0.15 MB over scoring
-#: one participant at a time, half blocks by 0.03 MB; medians of 9 runs.)
-_STEP_BLOCK = 1 << 12
-
-
 def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
             l2_lambda: float) -> list[float]:
     """`loss` of every model in an (m, d+1, c) weight stack on augmented features x.
@@ -362,8 +386,8 @@ def _losses(stack: np.ndarray, x: np.ndarray, labels: np.ndarray,
     for start in range(0, len(stack), per_block):
         block = stack[start:start + per_block]
         rows = len(block) * n
-        out += _xent(block, [np.broadcast_to(x, (len(block),) + x.shape)], logits[:rows],
-                     labels[:rows], l2_lambda).tolist()
+        layout = _layout([np.broadcast_to(x, (len(block),) + x.shape)], logits[:rows])
+        out += _xent(block, layout, labels[:rows], l2_lambda).tolist()
     return out
 
 
@@ -385,7 +409,8 @@ def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float
             stop += 1
         x, bounds, labels = _pack(members[start:stop])
         runs = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
-        out += _xent(stack[start:stop], runs, np.empty((rows, c)), labels, l2_lambda).tolist()
+        out += _xent(stack[start:stop], _layout(runs, np.empty((rows, c))), labels,
+                     l2_lambda).tolist()
         start = stop
     return out
 
@@ -420,18 +445,18 @@ def _stacked_objective(members, l2_lambda: float):
     x, bounds, all_labels = _pack(members)
     blocks = [x[None, a:b] for a, b in zip(bounds, bounds[1:])]
     buf = np.empty((bounds[-1], c))
+    every = _layout(blocks, buf)
 
     def evaluate(w: np.ndarray, which) -> tuple[np.ndarray, np.ndarray]:
         m = len(which)
         if m == len(blocks):
-            runs, labels = blocks, all_labels
+            layout, labels = every, all_labels
         else:
             which = np.asarray(which).tolist()
-            runs = [blocks[j] for j in which]
+            layout = _layout([blocks[j] for j in which], buf)
             labels = np.concatenate([all_labels[bounds[j]:bounds[j + 1]] for j in which])
         grads = np.empty((m, d + 1, c))
-        values = _xent(w.reshape(m, d + 1, c), runs, buf[:len(labels)], labels, l2_lambda,
-                       grads)
+        values = _xent(w.reshape(m, d + 1, c), layout, labels, l2_lambda, grads)
         return values, grads.reshape(m, -1)
 
     return evaluate
@@ -472,47 +497,67 @@ class DatasetStack:
         return sum(ds.n for ds in self.members)
 
 
-def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list,
-              xbuf: np.ndarray, ybuf: np.ndarray, lam: float, rates) -> np.ndarray:
-    """One SGD step of the models in ``tick``, each on its own batch.
+class _Tick(NamedTuple):
+    """Where one tick of a `train_local` call goes in the call's buffers; see `_tick_layout`."""
 
-    ``tick`` lists (member, batch rows) pairs, those of one row count
-    adjacent and in member order, and ``rates`` has their rates in that
-    order. Their weights, rows of the (k, d+1, c) stack, are stepped in
-    place. The batches are packed in that order into the leading rows of
-    the (rows, d+1) and (rows,) buffers, a slot of rows per model; the last
-    column of ``xbuf`` holds the bias 1. Each run of one row count is one
-    run of `_xent`, which scores all slots at once; the update runs once
-    over all of them. Returns the batch losses, taken before the step, in
-    slot order.
+    gathered: np.ndarray  # the batches' features, packed
+    features: np.ndarray  # the feature columns of the tick's rows of the row buffer
+    labels: np.ndarray  # the tick's labels
+    xent: _Layout
+
+
+def _tick_layout(sizes: tuple, c: int, xbuf: np.ndarray, ybuf: np.ndarray,
+                 scratch: np.ndarray, base: np.ndarray) -> _Tick:
+    """The `_Tick` of a tick on batches of ``sizes`` rows, in slot order.
+
+    The batches are packed in slot order into the leading rows of the
+    (rows, d+1) and (rows,) buffers ``xbuf`` and ``ybuf``, a slot of rows
+    per model; the last column of ``xbuf`` holds the bias 1. ``scratch``
+    holds the gathered features, then the logits and the class-major copy
+    after them: a contiguous gather is three times faster than one into the
+    buffer's strided feature columns. Each run of one row count is one
+    `_xent` run. Every array the tick holds is a view of these buffers,
+    which every tick of the call shares.
     """
-    d1, c = xbuf.shape[1], weights.shape[2]
-    sizes = [len(rows) for _, rows in tick]
+    d1 = xbuf.shape[1]
     r = sum(sizes)
-    # The gathered features, then the logits: a contiguous gather is three
-    # times faster than one into the buffer's strided feature columns.
-    scratch = np.empty(r * max(d1 - 1, c))
-    gathered = scratch[:r * (d1 - 1)].reshape(r, d1 - 1)
-    start = 0
-    # Rows are in range, so mode="clip" only skips the buffered bounds check.
-    for (j, rows), m in zip(tick, sizes):
-        features[j].take(rows, axis=0, out=gathered[start:start + m], mode="clip")
-        labels[j].take(rows, out=ybuf[start:start + m], mode="clip")
-        start += m
-    xbuf[:r, :-1] = gathered
     runs = []  # a (k, m, d+1) block of each run of k equal row counts m
     start = 0
     for m, run in groupby(sizes):
         k = len(list(run))
         runs.append(xbuf[start:start + k * m].reshape(k, m, d1))
         start += k * m
+    xent = _layout(runs, scratch[:r * c].reshape(r, c), base, scratch[r * c:])
+    return _Tick(scratch[:r * (d1 - 1)].reshape(r, d1 - 1), xbuf[:r, :-1], ybuf[:r], xent)
+
+
+def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list, layout: _Tick,
+              lam: float, rates) -> np.ndarray:
+    """One SGD step of the models in ``tick``, each on its own batch.
+
+    ``tick`` lists (member, batch rows) pairs, those of one row count
+    adjacent and in member order, ``layout`` is the `_Tick` of their row
+    counts, and ``rates`` has their rates in that order. Their weights,
+    rows of the (k, d+1, c) stack, are stepped in place. One `_xent` call
+    scores every slot at once, and the update runs once over all of them.
+    Returns the batch losses, taken before the step, in slot order.
+    """
+    gathered, ybuf = layout.gathered, layout.labels
+    start = 0
+    # Rows are in range, so mode="clip" only skips the buffered bounds check.
+    for j, rows in tick:
+        stop = start + len(rows)
+        features[j].take(rows, axis=0, out=gathered[start:stop], mode="clip")
+        labels[j].take(rows, out=ybuf[start:stop], mode="clip")
+        start = stop
+    np.copyto(layout.features, gathered)
     members = [j for j, _ in tick]
     g, first = len(members), members[0]
     # The slots are a slice of the stack when the members are consecutive.
     contiguous = members == list(range(first, first + g))
     w = weights[first:first + g] if contiguous else weights[members]
     grad = np.empty_like(w)
-    batch_loss = _xent(w, runs, scratch[:r * c].reshape(r, c), ybuf[:r], lam, grad)
+    batch_loss = _xent(w, layout.xent, ybuf, lam, grad)
     w -= rates * grad
     if not contiguous:
         weights[members] = w
@@ -566,9 +611,13 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     # Models per tick: as in `_losses`, so no temporary outgrows the
     # single-model ones by much however many models the stack holds.
     per_tick = max(1, _STEP_BLOCK // (b_max * c))
-    xbuf = np.empty((min(live, per_tick) * b_max, d1))
+    cap = min(live, per_tick) * b_max
+    xbuf = np.empty((cap, d1))
     xbuf[:, -1] = 1.0
-    ybuf = np.empty(min(live, per_tick) * b_max, dtype=np.int64)
+    ybuf = np.empty(cap, dtype=np.int64)
+    scratch = np.empty(cap * max(d1 - 1, 2 * c))
+    base = np.arange(cap)
+    layouts = {}  # the `_Tick` of each signature of row counts
     for s in range(max(ends, default=0)):
         groups: dict[int, list] = {}
         for j in range(live):
@@ -590,7 +639,11 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
             else:
                 rates = np.array([lr_at(schedule, bases[j] + s + 1)
                                   for j, _ in tick])[:, None, None]
-            batch_loss = _sgd_tick(weights, tick, features, labels, xbuf, ybuf, lam, rates)
+            counts = tuple([len(rows) for _, rows in tick])
+            layout = layouts.get(counts)
+            if layout is None:
+                layout = layouts[counts] = _tick_layout(counts, c, xbuf, ybuf, scratch, base)
+            batch_loss = _sgd_tick(weights, tick, features, labels, layout, lam, rates)
             if math.isfinite(np.add.reduce(batch_loss)):
                 continue
             # Slots follow row counts, not members: take the lowest failing member.

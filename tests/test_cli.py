@@ -328,7 +328,7 @@ def _four_class_files(tmp_path):
     paths = tmp_path / "four.csv", tmp_path / "server4.csv"
     for seed, path in enumerate(paths, start=1):
         assert run_cli("synth", "--classes", "4", "--per-class", "30", "--seed", str(seed),
-                       "--out", str(path), "--id-base", str(1000 * seed)) == EXIT_OK
+                       "--out", str(path)) == EXIT_OK
     return paths
 
 
@@ -405,6 +405,28 @@ def test_non_finite_feature_is_validation_error(tmp_path, capsys, command, value
     assert captured.out == ""
     assert f"{data}: row 5 has a non-finite feature" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "exp.cfg"]
+
+
+def test_too_few_rows_to_estimate_is_validation_error(tmp_path, capsys):
+    # Two in-space rows cannot form three folds. The input is at fault, not
+    # the run, so the exit is a validation one (it was a runtime exit).
+    data = tmp_path / "data.csv"
+    data.write_text("f0,label\n1.0,0\n2.0,1\n")
+    out = tmp_path / "estimate.json"
+    assert run_cli("estimate", "--data", str(data), "--seed", "0",
+                   "--json", str(out)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{data}: need at least 3 in-space instances to form folds, got 2" in captured.err
+    assert not out.exists()
+
+
+def test_synth_has_no_id_base_flag(tmp_path, capsys):
+    # The saved file holds no ids, so the flag changed no byte it wrote.
+    out = tmp_path / "data.csv"
+    assert run_cli("synth", "--seed", "1", "--out", str(out), "--id-base", "5") == EXIT_VALIDATION
+    assert "--id-base" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, argv", [

@@ -27,8 +27,8 @@ from fednl import (
 from fednl import ModelParams, trainer
 from fednl._rng import TRAIN, derive_rng
 from fednl.rounds import _row_dot
-from fednl.trainer import (_augment, _exp_class_sum, _log_softmax, _log_softmax_columns,
-                           _log_softmax_rows, _member_losses, _stacked_objective, _xent)
+from fednl.trainer import (_LOSS_BLOCK, _augment, _exp_class_sum, _label_free_gradient, _layout,
+                           _log_softmax, _member_losses, _stacked_objective, _xent)
 
 from conftest import make_dataset, reference_loss, train_one
 
@@ -162,20 +162,18 @@ def test_objective_rejects_untrainable_dataset():
         _stacked_objective([make_dataset([[0.0, 1.0]], [-1], c=3)], 0.0)
 
 
-def _mixed_runs():
-    """Weights, runs, labels and datasets of nine models in one `_xent` call.
+def _mixed_runs(shared_rows=130, own_runs=((2, 17), (1, 1), (3, 40))):
+    """Weights, runs, labels and datasets of the models of one `_xent` call, c = 4.
 
-    Three models share a 130-row block (broadcast), then runs of 2 models on
-    17 own rows each, 1 on 1 row and 3 on 40 rows each. With c = 4 the
-    call's 545 rows take the column log-softmax, each model alone the row
-    form.
+    Three models share a block of ``shared_rows`` rows (broadcast), then
+    each (k, m) of ``own_runs`` is a run of k models on m own rows each.
     """
     rng = np.random.default_rng(25)
-    shared = synth_gaussian(4, 33, 3, 3.0, seed=25).take(np.arange(130))
-    own = _stack_members([17, 17, 1, 40, 40, 40], 4, 3, seed=26)
-    counts = [2, 1, 3]
+    shared = synth_gaussian(4, -(-shared_rows // 4), 3, 3.0, seed=25).take(np.arange(shared_rows))
+    own = _stack_members([m for k, m in own_runs for _ in range(k)], 4, 3, seed=26)
+    counts = [k for k, _ in own_runs]
     weights = rng.normal(scale=0.8, size=(3 + len(own), 4, 4))
-    runs = [np.broadcast_to(_augment(shared.features), (3, 130, 4))]
+    runs = [np.broadcast_to(_augment(shared.features), (3, shared_rows, 4))]
     labels = [np.tile(shared.observed_labels, 3)]
     start = 0
     for k in counts:
@@ -191,14 +189,29 @@ def test_xent_mixed_runs_bitwise_equal_each_model_alone(lam):
     weights, runs, labels, members = _mixed_runs()
     n = labels.size
     grads = np.empty_like(weights)
-    losses = _xent(weights, runs, np.empty((n, 4)), labels, lam, grads)
+    losses = _xent(weights, _layout(runs, np.empty((n, 4))), labels, lam, grads)
     assert n == 545 and losses.shape == (9,)
     for w, ds, value, grad in zip(weights, members, losses, grads):
         assert value == reference_loss(w, ds, lam)
         assert grad.tobytes() == gradient(ModelParams(w, 4), ds, lam).tobytes()
 
 
-# ---------------------------------------------------------------- column log-softmax
+@pytest.mark.parametrize("last", [0, 1])
+def test_xent_at_the_loss_block_bitwise_equals_each_model_alone(last):
+    # 2048 rows of c = 4 are one loss block of logits, the class-major copy
+    # of one block; one row more takes a second block of that one row. Each
+    # model alone fits one block.
+    weights, runs, labels, members = _mixed_runs(300, ((2, 400), (1, 1), (1, 347 + last)))
+    n = labels.size
+    assert n * 4 == _LOSS_BLOCK + 4 * last
+    grads = np.empty_like(weights)
+    losses = _xent(weights, _layout(runs, np.empty((n, 4))), labels, 0.02, grads)
+    for w, ds, value, grad in zip(weights, members, losses, grads):
+        assert value == reference_loss(w, ds, 0.02)
+        assert grad.tobytes() == gradient(ModelParams(w, 4), ds, 0.02).tobytes()
+
+
+# ---------------------------------------------------------------- class-major log-softmax
 
 def test_exp_class_sum_bitwise_equals_row_reduction():
     # numpy's pairwise order changes at 8 and 128 terms and splits halves
@@ -209,9 +222,10 @@ def test_exp_class_sum_bitwise_equals_row_reduction():
         for shape in ((5, c), (2, 3, c)):
             values = rng.standard_normal(shape) * 50.0
             want = np.add.reduce(np.exp(values), axis=-1)
-            got = _exp_class_sum(values)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (c, shape)
+            major = np.moveaxis(values, -1, 0)
+            for got in (_exp_class_sum(major), _exp_class_sum(major, np.empty(major.shape))):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (c, shape)
 
 
 def test_solver_row_dot_bitwise_equals_one_dot_per_row():
@@ -245,22 +259,46 @@ def _log_softmax_cases():
     yield extreme
 
 
+def _row_log_softmax(logits):
+    """The log-softmax along each row, written out in numpy."""
+    top = np.max(logits, axis=-1, keepdims=True)
+    return logits - top - np.log(np.sum(np.exp(logits - top), axis=-1, keepdims=True))
+
+
 def test_column_log_softmax_bitwise_equals_row_form():
+    # The class-major form, with and without a spare buffer for the exps,
+    # against the log-softmax along each row.
     for logits in _log_softmax_cases():
-        want = _log_softmax_rows(logits.copy())
-        got = logits.copy()
-        assert _log_softmax_columns(got) is got
-        assert got.tobytes() == want.tobytes(), logits.shape
+        want = _row_log_softmax(logits)
+        for spare in (None, np.empty(np.moveaxis(logits, -1, 0).shape)):
+            major = np.moveaxis(logits, -1, 0).copy()
+            assert _log_softmax(major, spare) is major
+            assert np.moveaxis(major, 0, -1).tobytes() == want.tobytes(), logits.shape
 
 
-def test_log_softmax_takes_columns_from_forty_rows_per_class(monkeypatch):
-    chosen = []
-    monkeypatch.setattr(trainer, "_log_softmax_rows", lambda a: chosen.append("rows") or a)
-    monkeypatch.setattr(trainer, "_log_softmax_columns", lambda a: chosen.append("cols") or a)
-    for shape in ((399, 10), (400, 10), (3, 133, 10), (4, 100, 10), (119, 3), (120, 3),
-                  (39, 1), (40, 1)):
-        _log_softmax(np.zeros(shape))
-    assert chosen == ["rows", "cols", "rows", "cols", "rows", "cols", "rows", "cols"]
+def test_log_softmax_runs_a_loss_block_of_rows_at_a_time(monkeypatch):
+    # `_xent` and `_label_free_gradient` copy their logits class-major in
+    # blocks of at most `_LOSS_BLOCK` logits, the last block holding what
+    # is left; the blocked gradient is bitwise the one-pass form.
+    shapes = []
+    real = trainer._log_softmax
+    monkeypatch.setattr(trainer, "_log_softmax", lambda values, *rest:
+                        shapes.append(values.shape) or real(values, *rest))
+    rng = np.random.default_rng(34)
+    for n, c in ((819, 10), (820, 10), (2048, 4), (4097, 4), (8192, 1), (8193, 1)):
+        x = _augment(rng.normal(size=(n, 2)))
+        _xent(rng.normal(size=(1, 3, c)), _layout([x[None]], np.empty((n, c))),
+              rng.integers(0, c, size=n), 0.0)
+    assert shapes == [(10, 819), (10, 819), (10, 1), (4, 2048), (4, 2048), (4, 2048), (4, 1),
+                      (1, 8192), (1, 8192), (1, 1)]
+    shapes.clear()
+    x, w = _augment(rng.normal(size=(2731, 2))), rng.normal(size=(3, 3))
+    got = _label_free_gradient(w, x, np.empty((2731, 3)), 0.01)
+    assert shapes == [(3, 2730), (3, 1)]
+    want = x.T @ np.exp(_row_log_softmax(x @ w))
+    want /= len(x)
+    want += 0.01 * w
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- gradient
@@ -465,6 +503,54 @@ def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases
         assert model.weights.tobytes() == ref_weights.tobytes()
 
 
+def _record_layouts(monkeypatch):
+    """The row-count signature of every tick layout built from here on."""
+    built = []
+    real = trainer._tick_layout
+
+    def recording(sizes, *args):
+        built.append(sizes)
+        return real(sizes, *args)
+
+    monkeypatch.setattr(trainer, "_tick_layout", recording)
+    return built
+
+
+def test_train_local_builds_each_tick_layout_once(monkeypatch):
+    # Ten members of 50 rows with batch 16: every step is one tick, of
+    # 16-row batches three times an epoch and 2-row batches once.
+    members = _stack_members([50] * 10, 3, 2, seed=40)
+    config = TrainerConfig(local_epochs=3, batch_size=16)
+    built = _record_layouts(monkeypatch)
+    train_local(init_model(2, 3), DatasetStack(members, list(range(10))), config)
+    assert built == [(16,) * 10, (2,) * 10]
+
+
+@pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
+def test_reused_tick_layouts_train_each_model_as_alone(monkeypatch, schedule):
+    # Batch 256 with c = 8 puts two models in a tick. Members of 300, 520
+    # and 40 rows end their epochs, and their training, at different steps,
+    # so the ticks change members and row counts, and a layout serves
+    # ticks of different members.
+    sizes = [300, 300, 300, 520, 40, 300]
+    members = _stack_members(sizes, 8, 3, seed=41)
+    config = TrainerConfig(local_epochs=3, batch_size=256, lr_schedule=schedule,
+                           l2_lambda=0.01)
+    seeds, bases = [300 + j for j in range(6)], [5 * j for j in range(6)]
+    start = server_init(3, 8, 41, 0.3)
+    built = _record_layouts(monkeypatch)
+    ticks = _record_ticks(monkeypatch)
+    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    assert len(set(built)) == len(built) < len(ticks)
+    served = {}  # the member sets each layout served
+    for js, rows, _ in ticks:
+        served.setdefault(tuple(rows), set()).add(tuple(js))
+    assert max(len(sets) for sets in served.values()) > 1
+    for ds, seed, base, model in zip(members, seeds, bases, models):
+        alone = train_one(start, ds, config, seed, base)
+        assert model.weights.tobytes() == alone.weights.tobytes()
+
+
 def test_dataset_stack_validation():
     ds = synth_gaussian(3, 5, 2, 4.0, seed=33)
     with pytest.raises(ValueError, match="at least one member"):
@@ -571,8 +657,8 @@ def test_member_losses_bitwise_equal_single_model_losses(monkeypatch, lam):
     expected = [reference_loss(w, ds, lam) for w, ds in zip(weights, members)]
     blocks = []
     real = trainer._log_softmax
-    monkeypatch.setattr(trainer, "_log_softmax", lambda logits: blocks.append(logits.shape[-2])
-                        or real(logits))
+    monkeypatch.setattr(trainer, "_log_softmax", lambda values, *rest:
+                        blocks.append(values.shape[-1]) or real(values, *rest))
     assert _member_losses(weights, members, lam) == expected
     assert blocks == [1252, 1200, 1500, 9, 1364]
 
