@@ -3,8 +3,8 @@
 `perfbench/spans.py` wraps functions by module and name, and
 `perfbench/workloads.py` lists the spans each workload must record. A rename
 in `fednl`, or a call that stops going through a traced name, would only
-show up as a failed benchmark run; these checks make it fail here. One
-workload's output is pinned too, so a change to the bytes the benchmark
+show up as a failed benchmark run; these checks make it fail here. Three
+workloads' outputs are pinned too, so a change to the bytes the benchmark
 checks fails here first. The perfbench files are read and run as they are,
 never edited.
 """
@@ -206,3 +206,25 @@ def test_rounds_grid_workload_output_is_pinned(tmp_path, capsys):
     assert cli.main(["rounds", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ROUNDS_GRID_SEED4
+
+
+#: `child.run_checksum` of each `fednl run` workload's run directory at config
+#: seed 0: the checksums `perfbench/run.py --seed 0` prints. Both run c = 10,
+#: d = 20; `fednl_deep`'s training sets differ in size after Procedures 1
+#: and 2, so its lockstep ticks mix many batch row counts.
+PINNED_RUN_SEED0 = {
+    "fednl_deep": "3512d5bf4155cc8bff48238ba602dbea0c939025fc5925e393732265e6500550",
+    "fedavg_deep": "5dae056528184972a62bf30f63e1f8cce775220f109de9e6b33efe23be57fcea",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUN_SEED0))
+def test_run_workload_artifacts_are_pinned(monkeypatch, tmp_path, capsys, name):
+    monkeypatch.setitem(sys.modules, "spans", spans)  # child.py imports it by that name
+    child = _load("child")
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(workloads.WORKLOADS[name].config_text(0))
+    run_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert child.run_checksum(run_dir) == PINNED_RUN_SEED0[name]
