@@ -170,22 +170,25 @@ def _check_disjoint_ids(participant_datasets, server_dataset) -> None:
             "give each source its own id_base")
 
 
-def _train_all(broadcast: ModelParams, train_sets, config: FederationConfig, t: int,
+def _train_all(broadcast: ModelParams, stack: DatasetStack, config: FederationConfig, t: int,
                step_bases: list[int]) -> tuple[list[ModelParams], list[float], list[float]]:
     """One round of local training, all participants in one lockstep call.
 
-    Returns the models, each one's regularized loss on its own training set
-    and the rates of their first steps. The losses are scored in one
-    `_member_losses` pass, many participants' logits to a block, each value
-    bitwise that participant's `loss`. Advances step_bases in place. An
-    error names the round and the lowest-indexed failing participant, as
-    training them in turn would.
+    ``stack`` holds the training sets for the whole run, so its tick plan
+    is built in round 1 and serves every later round. Returns the models,
+    each one's regularized loss on its own training set and the rates of
+    their first steps. The losses are scored in one `_member_losses` pass,
+    many participants' logits to a block, each value bitwise that
+    participant's `loss`. Advances step_bases in place. An error names the
+    round and the lowest-indexed failing participant, as training them in
+    turn would.
     """
     trainer = config.trainer
+    train_sets = stack.members
     seeds = _participant_seeds(config, range(len(train_sets)), TRAIN, t)
     rates = [lr_at(trainer.lr_schedule, base + 1) for base in step_bases]
     try:
-        models = train_local(broadcast, DatasetStack(train_sets, seeds, step_bases), trainer)
+        models = train_local(broadcast, stack, trainer, seeds, step_bases)
     except Exception as e:
         if not hasattr(e, "member"):
             raise
@@ -313,9 +316,9 @@ def run_fednl(config: FederationConfig, participant_datasets,
     snapshot = None
     local_models: list[ModelParams] = []
     step_bases = [0] * n
+    stack = DatasetStack(train_sets)
     for t in range(1, config.rounds + 1):
-        local_models, local_losses, rates = _train_all(broadcast, train_sets, config, t,
-                                                       step_bases)
+        local_models, local_losses, rates = _train_all(broadcast, stack, config, t, step_bases)
         agg = aggregate(local_models, eps)
         global_loss = float(np.dot(eps.epsilon, local_losses))
         if test is not None and test.n:

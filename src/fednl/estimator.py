@@ -261,12 +261,12 @@ def _train_plans(datasets, trainer_config: TrainerConfig, seeds,
     """
     plans = plan_folds(datasets, seeds, per_class_resplit)
     first = plans[0].in_space
-    # The fold sets are built inside the call, so they are freed before scoring.
+    # The fold sets, and the stack's tick plan, are built inside the call, so
+    # they are freed before scoring.
     models = iter(train_local(
         init_model(first.d, first.class_count),
-        DatasetStack([plan.in_space.take(rows) for plan in plans for rows in plan.train_rows],
-                     [seed for plan in plans for seed in plan.seeds]),
-        trainer_config))
+        DatasetStack([plan.in_space.take(rows) for plan in plans for rows in plan.train_rows]),
+        trainer_config, [seed for plan in plans for seed in plan.seeds]))
     return [(plan, tuple(islice(models, len(plan.seeds)))) for plan in plans]
 
 

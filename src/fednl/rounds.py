@@ -547,7 +547,7 @@ def _measure_level(participants, trainer_config: TrainerConfig, seed: int, level
                         .training_view() for i, ds in enumerate(participants)]
     train_sets = [ds.training_view().in_space() for ds in participants]
     seeds = [derive_seed(seed, TRAIN, key, i) for i in range(len(train_sets))]
-    models = train_local(init, DatasetStack(train_sets, seeds), trainer_config)
+    models = train_local(init, DatasetStack(train_sets), trainer_config, seeds)
     features = [ds.features for ds in train_sets]
     for earlier, smooth in probed:
         if all(a is b or np.array_equal(a, b) for a, b in zip(earlier, features)):

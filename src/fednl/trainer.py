@@ -32,12 +32,16 @@ Padding the short batches with zero rows to one row count would make a
 tick one run, but it changes the products' bits whenever the row count is
 not a multiple of 4 (OpenBLAS's row-remainder kernels; 468 of 3000 random
 shapes), so batches are packed, not padded. The per-step interpreter cost
-is paid once per tick instead of once per model. Where a tick's rows and
-logits go in the call's buffers (`_tick_layout`) is worked out once per
-call for each signature of batch row counts, so a stack of equal members
-builds two: its full batches and its short last ones. One model is a
-stack of one, on the same loop, and every model's weights and divergence
-step are bitwise those of training it alone.
+is paid once per tick instead of once per model. Which members each tick
+holds, and where its rows and logits go in a set of buffers
+(`_tick_layout`), depends only on the members' row counts, the batch size,
+the epoch count and c. So it is planned once (`_TickPlan`), with one
+layout per signature of batch row counts (a stack of equal members has
+two: its full batches and its short last ones), and the stack owns the
+plan: the round loop keeps one stack for the run, and every round after
+the first only draws permutations, gathers, scores and steps. One model
+is a stack of one, on the same loop, and every model's weights and
+divergence step are bitwise those of training it alone.
 
 `_log_softmax` reduces over the c classes of a class-major (c, n) array:
 numpy reduces along a short last axis with one inner loop per row, which
@@ -54,7 +58,7 @@ contiguous, but BLAS sums it in another order, and the bits change.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import NamedTuple
 
@@ -129,7 +133,7 @@ class TrainerConfig:
     ``local_epochs`` full passes of mini-batch SGD with per-epoch
     reshuffling; ``batch_size`` is clipped to the dataset size. One shared
     config drives every trainer in a run; seeds and step bases come with
-    each `DatasetStack`.
+    each `train_local` call.
     """
 
     local_epochs: int = 5
@@ -469,36 +473,38 @@ def predict(model: ModelParams, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DatasetStack:
-    """Training sets of the k models one `train_local` call trains in lockstep.
+    """Training sets of the k models a `train_local` call trains in lockstep.
 
-    Member j draws its batches from the TRAIN stream of ``seeds[j]``, and its
-    step i runs at the rate of global step ``step_bases[j] + i`` (all 0 when
-    omitted). ``n`` is the row count over all members.
+    ``n`` is the row count over all members. The stack owns the tick plans
+    of its calls (`_TickPlan`), one per batch size, epoch count and class
+    count, each built on the first call under them and freed with the
+    stack. A caller that trains the same members again, as the round loop
+    does every round, keeps one stack and plans once.
     """
 
     members: tuple[Dataset, ...]
-    seeds: tuple[int, ...]
-    step_bases: tuple[int, ...] | None = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        members, seeds = tuple(self.members), tuple(self.seeds)
-        bases = (0,) * len(members) if self.step_bases is None else tuple(self.step_bases)
+        members = tuple(self.members)
         if not members:
             raise ValueError("a dataset stack needs at least one member")
-        if len(seeds) != len(members) or len(bases) != len(members):
-            raise ValueError(f"{len(members)} members need as many seeds and step bases, "
-                             f"got {len(seeds)} and {len(bases)}")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "step_bases", bases)
 
     @property
     def n(self) -> int:
         return sum(ds.n for ds in self.members)
 
+    def _plan(self, config: TrainerConfig, c: int) -> "_TickPlan":
+        key = (config.batch_size, config.local_epochs, c)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _TickPlan(self.members, *key)
+        return plan
+
 
 class _Tick(NamedTuple):
-    """Where one tick of a `train_local` call goes in the call's buffers; see `_tick_layout`."""
+    """Where one tick of a `_TickPlan` goes in the plan's buffers; see `_tick_layout`."""
 
     gathered: np.ndarray  # the batches' features, packed
     features: np.ndarray  # the feature columns of the tick's rows of the row buffer
@@ -517,7 +523,7 @@ def _tick_layout(sizes: tuple, c: int, xbuf: np.ndarray, ybuf: np.ndarray,
     after them: a contiguous gather is three times faster than one into the
     buffer's strided feature columns. Each run of one row count is one
     `_xent` run. Every array the tick holds is a view of these buffers,
-    which every tick of the call shares.
+    which every tick of a plan shares.
     """
     d1 = xbuf.shape[1]
     r = sum(sizes)
@@ -531,49 +537,110 @@ def _tick_layout(sizes: tuple, c: int, xbuf: np.ndarray, ybuf: np.ndarray,
     return _Tick(scratch[:r * (d1 - 1)].reshape(r, d1 - 1), xbuf[:r, :-1], ybuf[:r], xent)
 
 
-def _sgd_tick(weights: np.ndarray, tick: list, features: list, labels: list, layout: _Tick,
-              lam: float, rates) -> np.ndarray:
-    """One SGD step of the models in ``tick``, each on its own batch.
+class _TickPlan:
+    """The lockstep schedule of `train_local` over some datasets, with its buffers.
 
-    ``tick`` lists (member, batch rows) pairs, those of one row count
-    adjacent and in member order, ``layout`` is the `_Tick` of their row
-    counts, and ``rates`` has their rates in that order. Their weights,
-    rows of the (k, d+1, c) stack, are stepped in place. One `_xent` call
-    scores every slot at once, and the update runs once over all of them.
-    Returns the batch losses, taken before the step, in slot order.
+    ``steps[s]`` is step s's (members that start an epoch there, ticks).
+    A tick is (its members in slot order; their rows of the weight stack, a
+    slice when they are consecutive, else a list; the `_Tick` of their
+    batch row counts). A step's batches of one row count are adjacent, in
+    member order, and cut into ticks of up to `_STEP_BLOCK` batch logits.
+    Only row counts decide a plan, so it serves calls of any seeds, step
+    bases, start weights, rate and L2 term. Equal ticks are one object,
+    and each signature of row counts has one `_Tick` (``layouts``); all of
+    them share the buffers.
     """
+
+    def __init__(self, datasets, batch_size: int, local_epochs: int, c: int):
+        sizes = [ds.n for ds in datasets]
+        self.c = c
+        self.batch = [min(batch_size, n) for n in sizes]
+        self.per_epoch = [-(-n // b) for n, b in zip(sizes, self.batch)]
+        ends = [local_epochs * p for p in self.per_epoch]
+        b_max = max(self.batch)
+        # Models per tick: as in `_losses`, so no temporary outgrows the
+        # single-model ones by much however many models the stack holds.
+        per_tick = max(1, _STEP_BLOCK // (b_max * c))
+        cap = min(len(sizes), per_tick) * b_max
+        d1 = datasets[0].d + 1
+        xbuf = np.empty((cap, d1))
+        xbuf[:, -1] = 1.0
+        self.buffers = (xbuf, np.empty(cap, dtype=np.int64),
+                        np.empty(cap * max(d1 - 1, 2 * c)), np.arange(cap))
+        self.layouts = {}
+        ticks = {}  # each tick by its members and row counts
+        self.steps = []
+        for s in range(max(ends)):
+            starting, groups = [], {}
+            for j, b in enumerate(self.batch):
+                if s < ends[j]:
+                    q = s % self.per_epoch[j]
+                    if q == 0:
+                        starting.append(j)
+                    groups.setdefault(min(b, sizes[j] - q * b), []).append(j)
+            due = [(j, m) for m, js in groups.items() for j in js]
+            step = []
+            for a in range(0, len(due), per_tick):
+                members, counts = zip(*due[a:a + per_tick])
+                tick = ticks.get((members, counts))
+                if tick is None:
+                    tick = ticks[members, counts] = self.tick(list(members), counts)
+                step.append(tick)
+            self.steps.append((starting, step))
+
+    def tick(self, members: list, counts: tuple) -> tuple:
+        """The tick of ``members`` (slot order) on batches of ``counts`` rows."""
+        layout = self.layouts.get(counts)
+        if layout is None:
+            layout = self.layouts[counts] = _tick_layout(counts, self.c, *self.buffers)
+        first, g = members[0], len(members)
+        contiguous = members == list(range(first, first + g))
+        return members, slice(first, first + g) if contiguous else members, layout
+
+
+def _sgd_tick(weights: np.ndarray, tick: tuple, batches: list, features: list, labels: list,
+              lam: float, rates) -> np.ndarray:
+    """One SGD step of the models of a `_TickPlan` tick, each on its own batch.
+
+    ``batches`` holds the batch rows of the tick's members, in slot order,
+    and ``rates`` their rates in that order. Their weights, rows of the
+    (k, d+1, c) stack, are stepped in place. One `_xent` call scores every
+    slot at once, and the update runs once over all of them. Returns the
+    batch losses, taken before the step, in slot order.
+    """
+    members, rows_of, layout = tick
     gathered, ybuf = layout.gathered, layout.labels
     start = 0
     # Rows are in range, so mode="clip" only skips the buffered bounds check.
-    for j, rows in tick:
+    for j, rows in zip(members, batches):
         stop = start + len(rows)
         features[j].take(rows, axis=0, out=gathered[start:stop], mode="clip")
         labels[j].take(rows, out=ybuf[start:stop], mode="clip")
         start = stop
     np.copyto(layout.features, gathered)
-    members = [j for j, _ in tick]
-    g, first = len(members), members[0]
-    # The slots are a slice of the stack when the members are consecutive.
-    contiguous = members == list(range(first, first + g))
-    w = weights[first:first + g] if contiguous else weights[members]
+    w = weights[rows_of]
     grad = np.empty_like(w)
     batch_loss = _xent(w, layout.xent, ybuf, lam, grad)
-    w -= rates * grad
-    if not contiguous:
+    grad *= rates
+    w -= grad
+    if rows_of is members:
         weights[members] = w
     return batch_loss
 
 
-def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
+def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig, seeds,
+                step_bases=None):
     """Train one model per member of ``stack`` from the given weights, in lockstep.
 
     Each model runs ``local_epochs`` passes of mini-batch SGD over its
-    member. Each epoch draws a fresh permutation from the member's TRAIN
-    stream and walks it in contiguous batches (the last batch may be short).
-    Step i of member j runs at the schedule's rate for global step
-    ``step_bases[j] + i``, and every step applies the full-strength L2 term.
-    Each step runs in ticks of up to `_STEP_BLOCK` batch logits' worth of
-    members, grouped by batch row count (see the module docstring).
+    member. Each epoch draws a fresh permutation from the TRAIN stream of
+    member j's seed ``seeds[j]`` and walks it in contiguous batches (the
+    last batch may be short). Step i of member j runs at the schedule's
+    rate for global step ``step_bases[j] + i`` (all bases 0 when omitted),
+    and every step applies the full-strength L2 term. Each step runs in
+    ticks of up to `_STEP_BLOCK` batch logits' worth of members, grouped by
+    batch row count, as the stack's `_TickPlan` for this config lays them
+    out: built on the stack's first call, reused by every later one.
     Returns the list of trained models; each is bitwise what a stack of that
     member alone gives.
 
@@ -581,8 +648,15 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
     global step. When members fail, the error is the lowest-indexed one's,
     with its index as ``member``, even when a higher one fails in an earlier
     slot of the same tick: members above it are dropped, and the ones below
-    it are trained to the end first.
+    it are trained to the end first. A member that cannot train at all
+    (empty, out-of-space labels, another feature count) fails the same way
+    before any step; the ones below it are then planned for this call alone.
     """
+    k = len(stack.members)
+    bases = (0,) * k if step_bases is None else tuple(step_bases)
+    if len(seeds) != k or len(bases) != k:
+        raise ValueError(f"{k} members need as many seeds and step bases, "
+                         f"got {len(seeds)} and {len(bases)}")
     c, d1 = model.class_count, model.weights.shape[0]
     failure = None  # (member, error) of the lowest-indexed member known to fail
     for j, ds in enumerate(stack.members):
@@ -593,69 +667,53 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig):
         except ValueError as e:
             failure = (j, e)
             break
-    live = len(stack.members) if failure is None else failure[0]
-    members = stack.members[:live]
-    features = [ds.features for ds in members]
-    labels = [ds.observed_labels for ds in members]
-    sizes = [ds.n for ds in members]
-    batch = [min(config.batch_size, n) for n in sizes]
-    per_epoch = [-(-n // b) for n, b in zip(sizes, batch)]
-    ends = [config.local_epochs * p for p in per_epoch]
-    rngs = derive_rngs(stack.seeds[:live], TRAIN)
-    bases = stack.step_bases[:live]
-    orders = [None] * live
-    lam = config.l2_lambda
-    schedule = config.lr_schedule
-    weights = np.repeat(model.weights[None], live, axis=0)
-    b_max = max(batch, default=1)
-    # Models per tick: as in `_losses`, so no temporary outgrows the
-    # single-model ones by much however many models the stack holds.
-    per_tick = max(1, _STEP_BLOCK // (b_max * c))
-    cap = min(live, per_tick) * b_max
-    xbuf = np.empty((cap, d1))
-    xbuf[:, -1] = 1.0
-    ybuf = np.empty(cap, dtype=np.int64)
-    scratch = np.empty(cap * max(d1 - 1, 2 * c))
-    base = np.arange(cap)
-    layouts = {}  # the `_Tick` of each signature of row counts
-    for s in range(max(ends, default=0)):
-        groups: dict[int, list] = {}
-        for j in range(live):
-            if s >= ends[j]:
-                continue
-            q = s % per_epoch[j]
-            if q == 0:
+    live = planned = k if failure is None else failure[0]
+    if live:
+        sets = stack.members[:live]
+        plan = (stack._plan(config, c) if live == k
+                else _TickPlan(sets, config.batch_size, config.local_epochs, c))
+        features = [ds.features for ds in sets]
+        labels = [ds.observed_labels for ds in sets]
+        sizes = [ds.n for ds in sets]
+        batch, per_epoch = plan.batch, plan.per_epoch
+        rngs = derive_rngs(seeds[:live], TRAIN)
+        orders = [None] * live
+        lam = config.l2_lambda
+        schedule = config.lr_schedule
+        weights = np.repeat(model.weights[None], live, axis=0)
+        for s, (starting, ticks) in enumerate(plan.steps):
+            for j in starting:
                 orders[j] = rngs[j].permutation(sizes[j])
-            rows = orders[j][q * batch[j]:(q + 1) * batch[j]]
-            groups.setdefault(len(rows), []).append((j, rows))
-        # The step's batches, those of one row count adjacent, cut into ticks.
-        due = [entry for entries in groups.values() for entry in entries]
-        for start in range(0, len(due), per_tick):
-            tick = [entry for entry in due[start:start + per_tick] if entry[0] < live]
-            if not tick:
-                continue
-            if isinstance(schedule, Constant):
-                rates = schedule.eta
-            else:
-                rates = np.array([lr_at(schedule, bases[j] + s + 1)
-                                  for j, _ in tick])[:, None, None]
-            counts = tuple([len(rows) for _, rows in tick])
-            layout = layouts.get(counts)
-            if layout is None:
-                layout = layouts[counts] = _tick_layout(counts, c, xbuf, ybuf, scratch, base)
-            batch_loss = _sgd_tick(weights, tick, features, labels, layout, lam, rates)
-            if math.isfinite(np.add.reduce(batch_loss)):
-                continue
-            # Slots follow row counts, not members: take the lowest failing member.
-            j = min((tick[k][0] for k in np.flatnonzero(~np.isfinite(batch_loss))),
-                    default=live)
-            if j < live:
-                failure = (j, DivergenceError(
-                    f"loss went non-finite at global step {bases[j] + s + 1}; "
-                    "lower the learning rate"))
-                live = j
-        if live == 0:
-            break
+            for tick in ticks:
+                members = tick[0]
+                if live < planned:  # a divergence dropped the members from `live` on
+                    members = [j for j in members if j < live]
+                    if not members:
+                        continue
+                batches = []
+                for j in members:
+                    q = s % per_epoch[j] * batch[j]
+                    batches.append(orders[j][q:q + batch[j]])
+                if members is not tick[0]:
+                    tick = plan.tick(members, tuple([len(rows) for rows in batches]))
+                if isinstance(schedule, Constant):
+                    rates = schedule.eta
+                else:
+                    rates = np.array([lr_at(schedule, bases[j] + s + 1)
+                                      for j in members])[:, None, None]
+                batch_loss = _sgd_tick(weights, tick, batches, features, labels, lam, rates)
+                if math.isfinite(np.add.reduce(batch_loss)):
+                    continue
+                # Slots follow row counts, not members: take the lowest failing member.
+                j = min((members[slot] for slot in np.flatnonzero(~np.isfinite(batch_loss))),
+                        default=live)
+                if j < live:
+                    failure = (j, DivergenceError(
+                        f"loss went non-finite at global step {bases[j] + s + 1}; "
+                        "lower the learning rate"))
+                    live = j
+            if live == 0:
+                break
     if failure is not None:
         member, error = failure
         error.member = member

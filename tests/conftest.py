@@ -29,7 +29,7 @@ def make_dataset(features, labels, c, ids=None, true_labels=None, name="fixture"
 
 def train_one(model, dataset, config, seed, step_base=0):
     """`train_local` on a stack of one: the trained model."""
-    return train_local(model, DatasetStack([dataset], [seed], [step_base]), config)[0]
+    return train_local(model, DatasetStack([dataset]), config, [seed], [step_base])[0]
 
 def reference_loss(weights, dataset, l2_lambda):
     """Regularized mean cross-entropy of one weight matrix, written out step by step."""

@@ -489,6 +489,18 @@ def test_run_divergence_is_runtime_error(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_run_empty_training_set_is_runtime_error(tmp_path, capsys):
+    # At config seed 1 every row of participant 1 turns out-of-space, and
+    # with Procedure 1 off nothing else fails first: round 1 names it.
+    config = write_config(tmp_path, BASE_RUN.replace("seed = 11", "seed = 1") + (
+        f"output = {tmp_path / 'empty'}\nnoise.kind = symmetric\nnoise.beta = 0.2\n"
+        "noise.out_of_space = 0.999\nnoise.participants = 1\n"
+        "pipeline.procedure1 = false\npipeline.procedure2 = false\n"
+    ))
+    assert run_cli("run", "--config", str(config)) == EXIT_RUNTIME
+    assert "error: round 1, participant 1: dataset is empty" in capsys.readouterr().err
+
+
 def test_run_out_flag_and_env_root(tmp_path, monkeypatch):
     config = write_config(tmp_path, BASE_RUN + "output = nested/run\n")
     monkeypatch.setenv("FEDNL_OUTPUT_ROOT", str(tmp_path / "root"))

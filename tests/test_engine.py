@@ -1,5 +1,6 @@
 """Federation round loop, aggregation, and the size-weighted baseline."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from fednl import (
     synth_gaussian,
     train_local,
 )
-from fednl import engine, estimator
+from fednl import engine, estimator, trainer
 from fednl._rng import ESTIMATE, EXCHANGE, TRAIN, derive_seed
 from fednl.contribution import GAMMA_MIN, effective_sizes, influence
 from fednl.data import OUT_OF_SPACE
@@ -300,7 +301,7 @@ def test_participant_order_permutation_same_aggregate():
     parts = make_parts(10)
     trainer = TrainerConfig(local_epochs=2, batch_size=16)
     broadcast = server_init(2, 3, seed=10)
-    models = train_local(broadcast, DatasetStack(parts, [10] * len(parts)), trainer)
+    models = train_local(broadcast, DatasetStack(parts), trainer, [10] * len(parts))
     eps = np.array([0.1, 0.2, 0.3, 0.4])
     perm = [2, 0, 3, 1]
     a = aggregate(models, ContributionWeights(eps))
@@ -344,14 +345,65 @@ def test_prepare_errors_name_participant_and_stage(labels, server_classes, error
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("small, extra", [
+    # One row per class: Procedure 1 keeps none of them, and Procedure 2 is
+    # off, so nothing refills the set.
+    ([0, 1, 2], {"procedure2": False}),
+    # No in-space row, and no Procedure 1 to drop any.
+    ([OUT_OF_SPACE] * 3, {"procedure1": False, "procedure2": False}),
+], ids=["procedure1_keeps_none", "no_in_space_rows"])
+def test_empty_round_training_set_names_round_and_participant(small, extra):
+    parts = make_parts(13, n_parts=1)
+    small = make_dataset([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]], small, c=3,
+                         ids=[5000, 5001, 5002])
+    server = synth_gaussian(3, 50, 2, 8.0, seed=13, id_base=10_000)
+    config = FederationConfig(rounds=2, seed=13,
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16), **extra)
+    with pytest.raises(ValueError) as caught:
+        run_fednl(config, parts + [small], server)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "round 1, participant 1: dataset is empty"
+
+
+def test_round_loop_plans_once_and_frees_the_plan(monkeypatch):
+    # Procedure 1 leaves training sets of unequal sizes. The run's one stack
+    # plans its ticks in round 1, so three rounds build the layouts one does;
+    # Procedure 1's one-shot stacks build theirs the same in both. No plan
+    # outlives the run.
+    parts = make_parts(14)
+    parts[0] = inject_noise(parts[0], symmetric_matrix(3, 0.4), 14)[0]
+    server = synth_gaussian(3, 50, 2, 8.0, seed=14, id_base=10_000)
+    built, plans = [], []
+    layout = trainer._tick_layout
+    monkeypatch.setattr(trainer, "_tick_layout",
+                        lambda sizes, *rest: built.append(sizes) or layout(sizes, *rest))
+
+    class Recorded(trainer._TickPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(trainer, "_TickPlan", Recorded)
+    counts = {}
+    for rounds in (1, 3):
+        del built[:], plans[:]
+        config = FederationConfig(rounds=rounds, seed=14,
+                                  trainer=TrainerConfig(local_epochs=2, batch_size=16))
+        report = run_fednl(config, parts, server)
+        counts[rounds] = len(built), len(plans)
+        assert plans and all(ref() is None for ref in plans)
+    assert len(set(report.training_sizes)) > 1
+    assert counts[1] == counts[3]
+
+
 def _record_stacks(monkeypatch):
     """Member id arrays of every Procedure 1 `train_local` stack, in call order."""
     stacks = []
     train = estimator.train_local
 
-    def recording(model, stack, config):
+    def recording(model, stack, *rest):
         stacks.append([ds.ids for ds in stack.members])
-        return train(model, stack, config)
+        return train(model, stack, *rest)
 
     monkeypatch.setattr(estimator, "train_local", recording)
     return stacks

@@ -496,7 +496,7 @@ def test_stacked_train_local_matches_sequential_reference(schedule, sizes, bases
                            l2_lambda=0.01)
     seeds = [1000 + j for j in range(len(members))]
     start = server_init(4, c, 31, 0.3)
-    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    models = train_local(start, DatasetStack(members), config, seeds, bases)
     assert len(models) == len(members)
     for ds, seed, base, model in zip(members, seeds, bases, models):
         ref_weights = reference_train_local(start, ds, config, seed, base)
@@ -518,12 +518,69 @@ def _record_layouts(monkeypatch):
 
 def test_train_local_builds_each_tick_layout_once(monkeypatch):
     # Ten members of 50 rows with batch 16: every step is one tick, of
-    # 16-row batches three times an epoch and 2-row batches once.
+    # 16-row batches three times an epoch and 2-row batches once. The stack
+    # keeps its plan, so a second call on it, with other seeds and step
+    # bases, builds none.
     members = _stack_members([50] * 10, 3, 2, seed=40)
     config = TrainerConfig(local_epochs=3, batch_size=16)
+    stack = DatasetStack(members)
     built = _record_layouts(monkeypatch)
-    train_local(init_model(2, 3), DatasetStack(members, list(range(10))), config)
+    train_local(init_model(2, 3), stack, config, list(range(10)))
     assert built == [(16,) * 10, (2,) * 10]
+    train_local(init_model(2, 3), stack, config, list(range(10, 20)), list(range(0, 50, 5)))
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
+def test_calls_on_one_stack_train_as_fresh_stacks(monkeypatch, schedule):
+    # Members of unequal size give many signatures of row counts. The second
+    # call reuses the first call's plan; the third, at another batch size,
+    # builds a second plan beside it; the fourth reuses the first again.
+    # Each call's models are bitwise a fresh stack's.
+    members = _stack_members([50, 19, 5, 24, 33, 50], 5, 4, seed=42)
+    config = TrainerConfig(local_epochs=3, batch_size=8, lr_schedule=schedule, l2_lambda=0.01)
+    start = server_init(4, 5, 42, 0.3)
+    stack = DatasetStack(members)
+    calls = [(config, list(range(100, 106)), None),
+             (replace(config, l2_lambda=0.1), list(range(200, 206)), list(range(0, 54, 9))),
+             (replace(config, batch_size=16), list(range(300, 306)), [3] * 6),
+             (config, list(range(400, 406)), list(range(50, 44, -1)))]
+    built = _record_layouts(monkeypatch)
+    counts = []
+    for cfg, seeds, bases in calls:
+        models = train_local(start, stack, cfg, seeds, bases)
+        counts.append(len(built))
+        fresh = train_local(start, DatasetStack(members), cfg, seeds, bases)
+        assert [m.weights.tobytes() for m in models] == [m.weights.tobytes() for m in fresh]
+        del built[counts[-1]:]
+    assert counts[0] > 2 and counts[1] == counts[0] < counts[2] == counts[3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_plan_survives_a_diverged_call(monkeypatch):
+    # Members of 30, 27 and 25 rows take 4 batches of 8 an epoch, so every
+    # planned tick holds all three. At theta = 1e30 member 1 (step base 0)
+    # diverges, while members 0 and 2 run at rates near 1e-10. Member 2 is
+    # dropped and member 0 trains on alone, in ticks the plan did not hold.
+    # A later call on the same stack still trains bitwise as a fresh stack
+    # does.
+    calm = synth_gaussian(3, 20, 2, 4.0, seed=43)
+    members = [calm.take(np.arange(30)), calm.take(np.arange(30, 57)), calm.take(np.arange(25))]
+    config = TrainerConfig(local_epochs=4, batch_size=8,
+                           lr_schedule=Diminishing(theta=1e30, alpha=1.0), l2_lambda=0.01)
+    start = server_init(2, 3, 43, 0.3)
+    stack = DatasetStack(members)
+    built = _record_layouts(monkeypatch)
+    with pytest.raises(DivergenceError) as raised:
+        train_local(start, stack, config, [0, 1, 2], [10 ** 40, 0, 10 ** 40])
+    assert raised.value.member == 1
+    assert {len(sizes) for sizes in built} == {1, 3}
+    before = len(built)
+    calm_config = replace(config, lr_schedule=Constant(0.05))
+    models = train_local(start, stack, calm_config, [5, 6, 7], [1, 2, 3])
+    assert len(built) == before
+    fresh = train_local(start, DatasetStack(members), calm_config, [5, 6, 7], [1, 2, 3])
+    assert [m.weights.tobytes() for m in models] == [m.weights.tobytes() for m in fresh]
 
 
 @pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
@@ -540,7 +597,7 @@ def test_reused_tick_layouts_train_each_model_as_alone(monkeypatch, schedule):
     start = server_init(3, 8, 41, 0.3)
     built = _record_layouts(monkeypatch)
     ticks = _record_ticks(monkeypatch)
-    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    models = train_local(start, DatasetStack(members), config, seeds, bases)
     assert len(set(built)) == len(built) < len(ticks)
     served = {}  # the member sets each layout served
     for js, rows, _ in ticks:
@@ -554,13 +611,17 @@ def test_reused_tick_layouts_train_each_model_as_alone(monkeypatch, schedule):
 def test_dataset_stack_validation():
     ds = synth_gaussian(3, 5, 2, 4.0, seed=33)
     with pytest.raises(ValueError, match="at least one member"):
-        DatasetStack([], [])
+        DatasetStack([])
+    start, config = init_model(2, 3), TrainerConfig(local_epochs=1)
     with pytest.raises(ValueError, match="as many seeds"):
-        DatasetStack([ds, ds], [1])
+        train_local(start, DatasetStack([ds, ds]), config, [1])
     with pytest.raises(ValueError, match="as many seeds"):
-        DatasetStack([ds], [1], [0, 0])
-    assert DatasetStack([ds, ds], [1, 2]).step_bases == (0, 0)
-    assert DatasetStack([ds, ds], [1, 2]).n == 2 * ds.n
+        train_local(start, DatasetStack([ds]), config, [1], [0, 0])
+    config = replace(config, lr_schedule=Diminishing(theta=2.0, alpha=9.0))
+    omitted = train_local(start, DatasetStack([ds, ds]), config, [1, 2])
+    zeros = train_local(start, DatasetStack([ds, ds]), config, [1, 2], [0, 0])
+    assert [m.weights.tobytes() for m in omitted] == [m.weights.tobytes() for m in zeros]
+    assert DatasetStack([ds, ds]).n == 2 * ds.n
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -581,13 +642,13 @@ def test_stack_reports_lowest_failing_member():
     assert steps["wild"] < steps["calm"]
     # Member 1 diverges first in lockstep order; member 0 still decides.
     with pytest.raises(DivergenceError) as raised:
-        train_local(start, DatasetStack([calm, wild, empty], [0, 0, 0]), config)
+        train_local(start, DatasetStack([calm, wild, empty]), config, [0, 0, 0])
     assert str(raised.value) == errors["calm"]
     assert raised.value.member == 0
     # A member that cannot train at all fails after the ones below it finish.
     with pytest.raises(ValueError, match="dataset is empty") as raised:
-        train_local(start, DatasetStack([calm.take(np.arange(8)), empty, wild], [0, 0, 0]),
-                    replace(config, lr_schedule=Constant(0.1)))
+        train_local(start, DatasetStack([calm.take(np.arange(8)), empty, wild]),
+                    replace(config, lr_schedule=Constant(0.1)), [0, 0, 0])
     assert raised.value.member == 1
 
 
@@ -596,9 +657,9 @@ def _record_ticks(monkeypatch):
     ticks = []
     real = trainer._sgd_tick
 
-    def recording(weights, tick, *args):
-        batch_loss = real(weights, tick, *args)
-        ticks.append(([j for j, _ in tick], [len(rows) for _, rows in tick], batch_loss.copy()))
+    def recording(weights, tick, batches, *args):
+        batch_loss = real(weights, tick, batches, *args)
+        ticks.append((list(tick[0]), [len(rows) for rows in batches], batch_loss.copy()))
         return batch_loss
 
     monkeypatch.setattr(trainer, "_sgd_tick", recording)
@@ -617,7 +678,7 @@ def test_fused_ticks_of_mixed_row_counts_match_sequential_reference(monkeypatch,
     seeds = [500 + j for j in range(40)]
     start = server_init(3, 8, 37, 0.3)
     ticks = _record_ticks(monkeypatch)
-    models = train_local(start, DatasetStack(members, seeds, bases), config)
+    models = train_local(start, DatasetStack(members), config, seeds, bases)
     assert max(len(tick) for tick, _, _ in ticks) == 32
     assert max(len(set(rows)) for _, rows, _ in ticks) >= 3
     for ds, seed, base, model in zip(members, seeds, bases, models):
@@ -635,10 +696,10 @@ def test_tick_divergence_names_lowest_member_not_first_slot(monkeypatch):
     wild = make_dataset(calm.features * 1e200, calm.observed_labels, c=2)
     config = TrainerConfig(local_epochs=3, batch_size=8,
                            lr_schedule=Diminishing(theta=1.0, alpha=1.0), l2_lambda=0.01)
-    stack = DatasetStack([calm, wild.take(np.arange(5)), wild], [0, 1, 2], [10 ** 9, 3, 40])
+    stack = DatasetStack([calm, wild.take(np.arange(5)), wild])
     ticks = _record_ticks(monkeypatch)
     with pytest.raises(DivergenceError, match="global step 5;") as raised:
-        train_local(init_model(2, 2), stack, config)
+        train_local(init_model(2, 2), stack, config, [0, 1, 2], [10 ** 9, 3, 40])
     assert raised.value.member == 1
     failing = [(tick, rows, np.flatnonzero(~np.isfinite(batch_loss)).tolist())
                for tick, rows, batch_loss in ticks if not np.isfinite(batch_loss).all()]
