@@ -41,7 +41,8 @@ two: its full batches and its short last ones), and the stack owns the
 plan: the round loop keeps one stack for the run, and every round after
 the first only draws permutations, gathers, scores and steps. One model
 is a stack of one, on the same loop, and every model's weights and
-divergence step are bitwise those of training it alone.
+divergence step are bitwise those of training it alone. Every trainable
+member runs the plan to the end, diverged or not, so no failure re-plans.
 
 `_log_softmax` reduces over the c classes of a class-major (c, n) array:
 numpy reduces along a short last axis with one inner loop per row, which
@@ -165,6 +166,16 @@ def _require_trainable(dataset: Dataset) -> None:
         raise ValueError("dataset is empty")
     if (dataset.observed_labels == OUT_OF_SPACE).any():
         raise ValueError("dataset has out-of-space labels; drop them before training")
+
+
+def _require_fits(model: ModelParams, dataset: Dataset) -> None:
+    """`_require_trainable`, and the model's feature and class counts on ``dataset``."""
+    _require_trainable(dataset)
+    if dataset.d != model.d:
+        raise ValueError(f"model expects {model.d} features, dataset has {dataset.d}")
+    if dataset.class_count != model.class_count:
+        raise ValueError(f"model expects {model.class_count} classes, "
+                         f"dataset has {dataset.class_count}")
 
 
 #: Logits scored per batched matmul in `_losses`, and per block of rows of
@@ -421,7 +432,7 @@ def _member_losses(weights: list, members: list, l2_lambda: float) -> list[float
 
 def loss(model: ModelParams, dataset: Dataset, l2_lambda: float = 0.0) -> float:
     """Mean cross-entropy over the dataset plus (l2_lambda/2) ||W||^2."""
-    _require_trainable(dataset)
+    _require_fits(model, dataset)
     return _losses(model.weights[None], _augment(dataset.features), dataset.observed_labels,
                    l2_lambda)[0]
 
@@ -477,9 +488,11 @@ class DatasetStack:
 
     ``n`` is the row count over all members. The stack owns the tick plans
     of its calls (`_TickPlan`), one per batch size, epoch count and class
-    count, each built on the first call under them and freed with the
-    stack. A caller that trains the same members again, as the round loop
-    does every round, keeps one stack and plans once.
+    count, each of the members below the first that cannot train (once
+    member 0 fits the model, the members alone decide those), built on the
+    first call under them and freed with the stack. A caller that trains
+    the same members again, as the round loop does every round, keeps one
+    stack and plans once.
     """
 
     members: tuple[Dataset, ...]
@@ -495,11 +508,11 @@ class DatasetStack:
     def n(self) -> int:
         return sum(ds.n for ds in self.members)
 
-    def _plan(self, config: TrainerConfig, c: int) -> "_TickPlan":
+    def _plan(self, config: TrainerConfig, c: int, live: int) -> "_TickPlan":
         key = (config.batch_size, config.local_epochs, c)
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _TickPlan(self.members, *key)
+            plan = self._plans[key] = _TickPlan(self.members[:live], *key)
         return plan
 
 
@@ -547,13 +560,12 @@ class _TickPlan:
     member order, and cut into ticks of up to `_STEP_BLOCK` batch logits.
     Only row counts decide a plan, so it serves calls of any seeds, step
     bases, start weights, rate and L2 term. Equal ticks are one object,
-    and each signature of row counts has one `_Tick` (``layouts``); all of
-    them share the buffers.
+    and each signature of row counts has one `_Tick`; all of them share
+    the buffers. A plan is complete when built: no call edits it.
     """
 
     def __init__(self, datasets, batch_size: int, local_epochs: int, c: int):
         sizes = [ds.n for ds in datasets]
-        self.c = c
         self.batch = [min(batch_size, n) for n in sizes]
         self.per_epoch = [-(-n // b) for n, b in zip(sizes, self.batch)]
         ends = [local_epochs * p for p in self.per_epoch]
@@ -565,9 +577,9 @@ class _TickPlan:
         d1 = datasets[0].d + 1
         xbuf = np.empty((cap, d1))
         xbuf[:, -1] = 1.0
-        self.buffers = (xbuf, np.empty(cap, dtype=np.int64),
-                        np.empty(cap * max(d1 - 1, 2 * c)), np.arange(cap))
-        self.layouts = {}
+        buffers = (xbuf, np.empty(cap, dtype=np.int64),
+                   np.empty(cap * max(d1 - 1, 2 * c)), np.arange(cap))
+        layouts = {}  # the `_Tick` of each signature of row counts
         ticks = {}  # each tick by its members and row counts
         self.steps = []
         for s in range(max(ends)):
@@ -584,18 +596,16 @@ class _TickPlan:
                 members, counts = zip(*due[a:a + per_tick])
                 tick = ticks.get((members, counts))
                 if tick is None:
-                    tick = ticks[members, counts] = self.tick(list(members), counts)
+                    layout = layouts.get(counts)
+                    if layout is None:
+                        layout = layouts[counts] = _tick_layout(counts, c, *buffers)
+                    first, g = members[0], len(members)
+                    slots = list(members)
+                    contiguous = slots == list(range(first, first + g))
+                    tick = ticks[members, counts] = (
+                        slots, slice(first, first + g) if contiguous else slots, layout)
                 step.append(tick)
             self.steps.append((starting, step))
-
-    def tick(self, members: list, counts: tuple) -> tuple:
-        """The tick of ``members`` (slot order) on batches of ``counts`` rows."""
-        layout = self.layouts.get(counts)
-        if layout is None:
-            layout = self.layouts[counts] = _tick_layout(counts, self.c, *self.buffers)
-        first, g = members[0], len(members)
-        contiguous = members == list(range(first, first + g))
-        return members, slice(first, first + g) if contiguous else members, layout
 
 
 def _sgd_tick(weights: np.ndarray, tick: tuple, batches: list, features: list, labels: list,
@@ -640,38 +650,36 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig, 
     and every step applies the full-strength L2 term. Each step runs in
     ticks of up to `_STEP_BLOCK` batch logits' worth of members, grouped by
     batch row count, as the stack's `_TickPlan` for this config lays them
-    out: built on the stack's first call, reused by every later one.
-    Returns the list of trained models; each is bitwise what a stack of that
-    member alone gives.
+    out: built on the stack's first call, the whole schedule of every call.
+    Returns the list of trained models; each is bitwise what a stack of
+    that member alone gives.
 
     Raises DivergenceError at the first non-finite batch loss, naming the
     global step. When members fail, the error is the lowest-indexed one's,
-    with its index as ``member``, even when a higher one fails in an earlier
-    slot of the same tick: members above it are dropped, and the ones below
-    it are trained to the end first. A member that cannot train at all
-    (empty, out-of-space labels, another feature count) fails the same way
-    before any step; the ones below it are then planned for this call alone.
+    with its index as ``member``, as if the members were trained in turn:
+    a diverged member keeps its planned slots to the end, and the call
+    stops early only once member 0 has diverged. A member that cannot
+    train at all (empty, out-of-space labels, another feature or class
+    count than the model) fails the same way before any step.
     """
     k = len(stack.members)
     bases = (0,) * k if step_bases is None else tuple(step_bases)
     if len(seeds) != k or len(bases) != k:
         raise ValueError(f"{k} members need as many seeds and step bases, "
                          f"got {len(seeds)} and {len(bases)}")
-    c, d1 = model.class_count, model.weights.shape[0]
+    c = model.class_count
     failure = None  # (member, error) of the lowest-indexed member known to fail
     for j, ds in enumerate(stack.members):
         try:
-            _require_trainable(ds)
-            if ds.d + 1 != d1:
-                raise ValueError(f"model expects {d1 - 1} features, dataset has {ds.d}")
+            _require_fits(model, ds)
         except ValueError as e:
             failure = (j, e)
             break
-    live = planned = k if failure is None else failure[0]
+    live = k if failure is None else failure[0]
+    diverged = {}  # each diverged member's first non-finite global step
     if live:
         sets = stack.members[:live]
-        plan = (stack._plan(config, c) if live == k
-                else _TickPlan(sets, config.batch_size, config.local_epochs, c))
+        plan = stack._plan(config, c, live)
         features = [ds.features for ds in sets]
         labels = [ds.observed_labels for ds in sets]
         sizes = [ds.n for ds in sets]
@@ -686,16 +694,10 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig, 
                 orders[j] = rngs[j].permutation(sizes[j])
             for tick in ticks:
                 members = tick[0]
-                if live < planned:  # a divergence dropped the members from `live` on
-                    members = [j for j in members if j < live]
-                    if not members:
-                        continue
                 batches = []
                 for j in members:
                     q = s % per_epoch[j] * batch[j]
                     batches.append(orders[j][q:q + batch[j]])
-                if members is not tick[0]:
-                    tick = plan.tick(members, tuple([len(rows) for rows in batches]))
                 if isinstance(schedule, Constant):
                     rates = schedule.eta
                 else:
@@ -704,16 +706,14 @@ def train_local(model: ModelParams, stack: DatasetStack, config: TrainerConfig, 
                 batch_loss = _sgd_tick(weights, tick, batches, features, labels, lam, rates)
                 if math.isfinite(np.add.reduce(batch_loss)):
                     continue
-                # Slots follow row counts, not members: take the lowest failing member.
-                j = min((members[slot] for slot in np.flatnonzero(~np.isfinite(batch_loss))),
-                        default=live)
-                if j < live:
-                    failure = (j, DivergenceError(
-                        f"loss went non-finite at global step {bases[j] + s + 1}; "
-                        "lower the learning rate"))
-                    live = j
-            if live == 0:
+                for slot in np.flatnonzero(~np.isfinite(batch_loss)).tolist():
+                    diverged.setdefault(members[slot], bases[members[slot]] + s + 1)
+            if 0 in diverged:
                 break
+    if diverged:
+        j = min(diverged)
+        failure = (j, DivergenceError(
+            f"loss went non-finite at global step {diverged[j]}; lower the learning rate"))
     if failure is not None:
         member, error = failure
         error.member = member

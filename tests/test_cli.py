@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fednl
-from fednl import MeasurementError, cli, rounds, save_dataset, synth_gaussian
+from fednl import (MeasurementError, asymmetric_matrix, cli, inject_noise, load_dataset, rounds,
+                   save_dataset, synth_gaussian)
 from fednl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 from conftest import (make_dataset, record_probes, reference_stacked_objective,
@@ -181,6 +182,26 @@ def test_inject_requires_exactly_one_channel(tmp_path):
                    "--beta", "0.2", "--pairs", "0>1:0.1") == EXIT_VALIDATION
 
 
+def test_inject_pairs_writes_the_asymmetric_channel(tmp_path, capsys):
+    data, out = tmp_path / "d.csv", tmp_path / "n.csv"
+    assert run_cli("synth", "--classes", "3", "--per-class", "40", "--seed", "9",
+                   "--out", str(data)) == EXIT_OK
+    assert run_cli("inject", "--data", str(data), "--out", str(out), "--seed", "9",
+                   "--pairs", "0>1:0.3") == EXIT_OK
+    clean = load_dataset(data)
+    noisy = inject_noise(clean, asymmetric_matrix(3, [(0, 1, 0.3)]), 9)[0]
+    assert (noisy.observed_labels != clean.observed_labels).any()
+    expected = tmp_path / "expected.csv"
+    save_dataset(noisy, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+    refused = tmp_path / "refused.csv"
+    assert run_cli("inject", "--data", str(data), "--out", str(refused), "--seed", "9",
+                   "--pairs", "0>0:0.3") == EXIT_VALIDATION
+    assert "flip rule for class 0 targets itself" in capsys.readouterr().err
+    assert not refused.exists()
+
+
 def test_inject_missing_input_file(tmp_path):
     code = run_cli("inject", "--data", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "n.csv"), "--seed", "1", "--beta", "0.1")
@@ -202,6 +223,29 @@ def test_run_writes_directory(tmp_path, capsys):
     assert "final" in capsys.readouterr().out
     parsed = [json.loads(line) for line in records]
     assert [r["t"] for r in parsed] == [1, 2, 3]
+
+
+def test_run_label_skew_partition(tmp_path):
+    config = write_config(tmp_path, BASE_RUN + "partition.strategy = label-skew\n"
+                          f"output = {tmp_path / 'skew'}\n")
+    assert run_cli("run", "--config", str(config)) == EXIT_OK
+    assert "partition.strategy = label-skew" in (tmp_path / "skew" / "config.echo").read_text()
+
+
+def test_run_without_server_has_no_final_metrics(tmp_path, capsys):
+    text = BASE_RUN.replace("server.source = synth\nserver.per_class = 20\n",
+                            "server.source = none\n")
+    config = write_config(tmp_path, text + f"algorithm = fedavg\noutput = {tmp_path / 'bare'}\n")
+    assert run_cli("run", "--config", str(config)) == EXIT_OK
+    run_dir = tmp_path / "bare"
+    assert (run_dir / "metrics.final").read_text() == "no server test split; no final metrics\n"
+    capsys.readouterr()
+    assert run_cli("report", "--run", str(run_dir)) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["t", "loss"])
+    rounds_rows = [line.split() for line in lines[header + 1:header + 4]]
+    assert [row[0] for row in rounds_rows] == ["1", "2", "3"]
+    assert all(row[2:4] == ["-", "-"] for row in rounds_rows)
 
 
 def test_run_rerun_identical_records(tmp_path):

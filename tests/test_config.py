@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fednl import LabelSkew, ShuffleSplit, partition_non_iid, synth_gaussian
 from fednl.config import (
     _SCHEMA,
     ConfigError,
@@ -262,3 +263,20 @@ def test_build_datasets_without_server():
     parts, server = build_datasets(parse_config_text(text))
     assert len(parts) == 2
     assert server is None
+
+
+def test_build_datasets_label_skew_is_partition_non_iid():
+    text = ("seed = 8\nparticipants = 3\ndata.classes = 3\ndata.per_class = 30\n"
+            "partition.strategy = label-skew\npartition.k_major = 2\npartition.skew = 0.6\n")
+    config = parse_config_text(text)
+    parts, _ = build_datasets(config)
+    base = synth_gaussian(3, 30, config["data.dim"], config["data.separation"], seed=8,
+                          name="participants")
+
+    def arrays(ds):
+        return ds.name, ds.features.tobytes(), ds.observed_labels.tobytes(), ds.ids.tobytes()
+
+    expected = partition_non_iid(base, 3, 8, LabelSkew(k_major=2, skew=0.6))
+    assert [arrays(ds) for ds in parts] == [arrays(ds) for ds in expected]
+    shuffled = partition_non_iid(base, 3, 8, ShuffleSplit())
+    assert [arrays(ds) for ds in parts] != [arrays(ds) for ds in shuffled]

@@ -24,6 +24,25 @@ from fednl.estimator import plan_folds
 from conftest import make_dataset, train_one
 
 
+# ---------------------------------------------------------------- constructor
+
+@pytest.mark.parametrize("change, message", [
+    ({"features": np.zeros(3)}, "features must be 2-D"),
+    ({"observed_labels": [0, 1]}, "must agree in length"),
+    ({"class_count": 0}, "class_count must be positive"),
+    ({"observed_labels": [0, 1, 3]}, r"observed labels must lie in \[0, class_count\)"),
+    ({"true_labels": [0, 1]}, "true_labels must match dataset length"),
+    ({"true_labels": [0, 1, 3]}, r"true labels must lie in \[0, class_count\)"),
+], ids=["features_1d", "lengths", "class_count", "observed_range", "true_length",
+        "true_range"])
+def test_dataset_constructor_refusals(change, message):
+    fields = {"features": np.zeros((3, 2)), "observed_labels": [0, 1, 2], "ids": [0, 1, 2],
+              "class_count": 3, "true_labels": [0, 1, 2]}
+    assert Dataset(**fields).n == 3
+    with pytest.raises(ValueError, match=message):
+        Dataset(**{**fields, **change})
+
+
 # ---------------------------------------------------------------- load/save
 
 def test_load_three_rows(tmp_path):

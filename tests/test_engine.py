@@ -365,6 +365,28 @@ def test_empty_round_training_set_names_round_and_participant(small, extra):
     assert str(caught.value) == "round 1, participant 1: dataset is empty"
 
 
+def test_class_count_mismatch_names_round_and_participant():
+    # The broadcast model takes participant 0's 2 classes; participant 1's
+    # label-2 rows have no logit in it.
+    two = synth_gaussian(2, 20, 2, 8.0, seed=15)
+    three = synth_gaussian(3, 20, 2, 8.0, seed=16, id_base=1000)
+    config = FederationConfig(rounds=2, seed=15, **FEDAVG,
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16))
+    with pytest.raises(ValueError) as caught:
+        run_fednl(config, [two, three])
+    assert str(caught.value) == "round 1, participant 1: model expects 2 classes, dataset has 3"
+
+
+def test_influence_weighting_refuses_an_empty_server_test_split():
+    # `fednl run` refuses this configuration before the library sees it.
+    server = synth_gaussian(3, 10, 2, 8.0, seed=17, id_base=10_000)
+    config = FederationConfig(rounds=1, seed=17, server_test_fraction=0.0,
+                              trainer=TrainerConfig(local_epochs=2, batch_size=16))
+    with pytest.raises(ValueError) as caught:
+        run_fednl(config, make_parts(17), server)
+    assert str(caught.value) == "influence weighting needs a non-empty server test split"
+
+
 def test_round_loop_plans_once_and_frees_the_plan(monkeypatch):
     # Procedure 1 leaves training sets of unequal sizes. The run's one stack
     # plans its ticks in round 1, so three rounds build the layouts one does;

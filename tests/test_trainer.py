@@ -120,6 +120,17 @@ def test_loss_rejects_empty_dataset():
         loss(init_model(2, 3), empty)
 
 
+def test_loss_rejects_class_count_mismatch():
+    # A zero 2-class model on a 3-class set would read the label-2 rows at
+    # another row's logits.
+    three = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 2], c=3)
+    with pytest.raises(ValueError, match="model expects 2 classes, dataset has 3"):
+        loss(init_model(2, 2), three)
+    two = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1], c=2)
+    with pytest.raises(ValueError, match="model expects 3 classes, dataset has 2"):
+        loss(init_model(2, 3), two)
+
+
 # ---------------------------------------------------------------- buffered objective
 
 def _objective_cases():
@@ -560,10 +571,10 @@ def test_calls_on_one_stack_train_as_fresh_stacks(monkeypatch, schedule):
 def test_plan_survives_a_diverged_call(monkeypatch):
     # Members of 30, 27 and 25 rows take 4 batches of 8 an epoch, so every
     # planned tick holds all three. At theta = 1e30 member 1 (step base 0)
-    # diverges, while members 0 and 2 run at rates near 1e-10. Member 2 is
-    # dropped and member 0 trains on alone, in ticks the plan did not hold.
-    # A later call on the same stack still trains bitwise as a fresh stack
-    # does.
+    # diverges, while members 0 and 2 run at rates near 1e-10. Member 1
+    # trains on to the end in its planned slots, so the call builds only the
+    # plan's layouts, and a second diverged call builds none. A later call
+    # on the same stack still trains bitwise as a fresh stack does.
     calm = synth_gaussian(3, 20, 2, 4.0, seed=43)
     members = [calm.take(np.arange(30)), calm.take(np.arange(30, 57)), calm.take(np.arange(25))]
     config = TrainerConfig(local_epochs=4, batch_size=8,
@@ -574,13 +585,18 @@ def test_plan_survives_a_diverged_call(monkeypatch):
     with pytest.raises(DivergenceError) as raised:
         train_local(start, stack, config, [0, 1, 2], [10 ** 40, 0, 10 ** 40])
     assert raised.value.member == 1
-    assert {len(sizes) for sizes in built} == {1, 3}
+    assert {len(sizes) for sizes in built} == {3}
     before = len(built)
+    with pytest.raises(DivergenceError) as again:
+        train_local(start, stack, config, [0, 1, 2], [10 ** 40, 0, 10 ** 40])
+    assert (str(again.value), again.value.member) == (str(raised.value), 1)
+    assert len(built) == before
     calm_config = replace(config, lr_schedule=Constant(0.05))
     models = train_local(start, stack, calm_config, [5, 6, 7], [1, 2, 3])
     assert len(built) == before
     fresh = train_local(start, DatasetStack(members), calm_config, [5, 6, 7], [1, 2, 3])
     assert [m.weights.tobytes() for m in models] == [m.weights.tobytes() for m in fresh]
+    assert built[before:] == built[:before]
 
 
 @pytest.mark.parametrize("schedule", [Constant(0.1), Diminishing(theta=2.0, alpha=9.0)])
@@ -625,7 +641,7 @@ def test_dataset_stack_validation():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_stack_reports_lowest_failing_member():
+def test_stack_reports_lowest_failing_member(monkeypatch):
     config = TrainerConfig(local_epochs=5, batch_size=8, lr_schedule=Constant(1e6),
                            l2_lambda=0.01)
     calm = synth_gaussian(3, 30, 2, 4.0, seed=34)
@@ -650,6 +666,28 @@ def test_stack_reports_lowest_failing_member():
         train_local(start, DatasetStack([calm.take(np.arange(8)), empty, wild]),
                     replace(config, lr_schedule=Constant(0.1)), [0, 0, 0])
     assert raised.value.member == 1
+    # Each refusal: the members below the refused one run every step, and a
+    # second call on the stack builds no layout.
+    short = calm.take(np.arange(8))
+    wide = make_dataset(np.hstack([calm.features, calm.features]), calm.observed_labels, c=3)
+    four, two = (make_dataset(calm.features, calm.observed_labels % c, c=c) for c in (4, 2))
+    built, ticks = _record_layouts(monkeypatch), _record_ticks(monkeypatch)
+    for members, member, message in (
+            ([short, empty, wild], 1, "dataset is empty"),
+            ([wide, calm], 0, "model expects 2 features, dataset has 4"),
+            ([short, calm, wide], 2, "model expects 2 features, dataset has 4"),
+            ([calm, short, four], 2, "model expects 3 classes, dataset has 4"),
+            ([two, calm], 0, "model expects 3 classes, dataset has 2")):
+        stack = DatasetStack(members)
+        for call in range(2):
+            del built[:], ticks[:]
+            with pytest.raises(ValueError) as raised:
+                train_local(start, stack, replace(config, lr_schedule=Constant(0.1)),
+                            [0] * len(members))
+            assert (str(raised.value), raised.value.member) == (message, member)
+            steps = [sum(js.count(j) for js, _, _ in ticks) for j in range(member)]
+            assert steps == [steps_per_round(ds.n, config) for ds in members[:member]]
+            assert call == 0 or not built
 
 
 def _record_ticks(monkeypatch):
